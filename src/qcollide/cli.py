@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,8 +22,9 @@ import numpy as np
 
 from . import __version__
 from .collisions import CollisionConfig, run_trajectory
-from .errors import QCollideError
+from .errors import NonHermitianError, QCollideError
 from .lindblad import eigenoperator_dissipator, rates, steady_state
+from .linalg import dag, require_hermitian
 from .presets import (
     DEFAULT_BETA,
     maximally_mixed,
@@ -30,9 +32,12 @@ from .presets import (
     qubit_couplings,
     qubit_hamiltonian,
     qutrit_ancilla_collision,
+    random_basis,
+    random_gapped_probs,
+    random_traceless_hermitian,
+    random_zero_diagonal,
     three_level_collision,
     three_level_state,
-    random_gapped_probs,
 )
 from .rng import SplitMix64
 from .series import PerturbedState, coherence_series, entropy_series, relative_entropy_series
@@ -48,13 +53,12 @@ from .states import (
 from .verify import (
     entropic_identity_residuals,
     generator_for,
+    h_scale,
     halving_ratios,
     loglog_slope,
     random_collision_suite,
     stroboscopic_deviation,
 )
-from .presets import random_basis, random_zero_diagonal, random_traceless_hermitian
-from .linalg import dag
 
 SCENARIOS = ("qubit-demo", "converge", "bound-check", "oracle-check", "multibath", "custom")
 
@@ -153,10 +157,12 @@ def _as_list(raw: Any) -> list[Any]:
 
 
 def _hermitian_gate(key: str, m: np.ndarray) -> np.ndarray:
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    if float(np.max(np.abs(m - m.conj().T))) > 1e-10 * scale:
-        raise ValidationError(f"{key}: matrix is not Hermitian")
-    return 0.5 * (m + m.conj().T)
+    try:
+        return require_hermitian(m, name=key)
+    except NonHermitianError as exc:
+        raise ValidationError(str(exc)) from exc
+    except ValueError as exc:
+        raise ValidationError(f"{key}: {exc}") from exc
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -189,6 +195,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         for v in values:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise SchemaError(f"{key}: expected a number, got {v!r}")
+            if not math.isfinite(v):
+                raise ValidationError(f"{key}: expected a finite number, got {v!r}")
             if kind is int and int(v) != v:
                 raise SchemaError(f"{key}: expected an integer, got {v!r}")
             out.append(kind(v))
@@ -237,6 +245,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
     )
     if cfg.scenario in ("bound-check", "oracle-check") and cfg.seed is None:
         raise ValidationError("seed: required for randomized scenarios")
+    if cfg.scenario == "bound-check" and cfg.n_steps is not None and cfg.n_steps < 1:
+        raise ValidationError(f"n_steps: bound-check needs n_steps >= 1, got {cfg.n_steps}")
+    if cfg.omega == 0.0:
+        raise ValidationError("omega: must be nonzero, since work_scaled divides by the Hamiltonian scale")
+    if cfg.scenario in ("converge", "multibath") and taus is not None and len(set(taus)) < 2:
+        raise ValidationError("tau: a sweep needs at least 2 distinct values")
+    if cfg.scenario == "multibath":
+        for key, values in (("beta", cfg.betas), ("lambda", cfg.lams), ("g", cfg.gs)):
+            if values is not None and len(values) != 2:
+                raise ValidationError(f"{key}: multibath needs one value per species (2), got {len(values)}")
     if cfg.scenario == "custom":
         for key, value in (("H_S", cfg.h_system), ("H_A", cfg.h_ancillas),
                            ("V", cfg.interactions), ("chi", cfg.coherences)):
@@ -265,12 +283,17 @@ def _bound_text(bound: object) -> str:
     return repr(float(bound))
 
 
+def _limit_checks(rows) -> list[Check]:
+    """Checks from ``(name, value, bound)`` rows; ``*_max`` bounds are upper limits."""
+    return [
+        Check(name, value, bound, value <= bound if name.endswith("_max") else value >= bound)
+        for name, value, bound in rows
+    ]
+
+
 def _window_checks(name: str, ratios: list[float], window: tuple[float, float]) -> list[Check]:
     lo, hi = window
-    return [
-        Check(f"{name}_ratio_min", min(ratios), lo, min(ratios) >= lo),
-        Check(f"{name}_ratio_max", max(ratios), hi, max(ratios) <= hi),
-    ]
+    return _limit_checks([(f"{name}_ratio_min", min(ratios), lo), (f"{name}_ratio_max", max(ratios), hi)])
 
 
 def _write(path: Path, text: str) -> None:
@@ -278,7 +301,7 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _write_trajectory_csv(path: Path, record, gen, h_system, collision_cfg) -> None:
+def _write_trajectory_csv(path: Path, record, gen, h_system) -> None:
     header = (
         "step,t,E_S,Q_A_cum,W_cum,W_C_cum,Q_inc_cum,Sigma_cum,I_cum,Srel_cum,"
         "C_anc_before,C_anc_after,S_system,Pi_rate"
@@ -307,41 +330,34 @@ def _write_trajectory_csv(path: Path, record, gen, h_system, collision_cfg) -> N
     _write(path, "\n".join(lines) + "\n")
 
 
-def _trajectory_checks(record, h_scale: float) -> list[Check]:
+def _trajectory_checks(collision: CollisionConfig, n_steps: int, out_dir: Path) -> list[Check]:
+    """Run one species from the maximally mixed state, write ``trajectory.csv``, check the ledger."""
+    record = run_trajectory(maximally_mixed(collision.dim_system), [collision], n_steps)
+    _write_trajectory_csv(out_dir / "trajectory.csv", record, generator_for([collision]), collision.h_system)
     if record.steps:
         min_sigma = min(s.ledger.entropy_production for s in record.steps)
         min_mutual = min(s.ledger.mutual_info for s in record.steps)
         min_rel = min(s.ledger.rel_entropy_ancilla for s in record.steps)
-        max_work = max(abs(s.ledger.work) for s in record.steps) / h_scale
+        max_work = max(abs(s.ledger.work) for s in record.steps) / h_scale(collision)
     else:
         min_sigma = min_mutual = min_rel = max_work = 0.0
-    return [
-        Check("entropy_production_min", min_sigma, POSITIVITY_BOUND, min_sigma >= POSITIVITY_BOUND),
-        Check("mutual_info_min", min_mutual, POSITIVITY_BOUND, min_mutual >= POSITIVITY_BOUND),
-        Check("ancilla_rel_entropy_min", min_rel, POSITIVITY_BOUND, min_rel >= POSITIVITY_BOUND),
-        Check("work_scaled_max", max_work, WORK_BOUND, max_work <= WORK_BOUND),
-    ]
-
-
-def _h_scale(cfg: CollisionConfig) -> float:
-    return float(
-        np.max(np.abs(np.linalg.eigvalsh(cfg.h_system)))
-        + np.max(np.abs(np.linalg.eigvalsh(cfg.ancilla.h_ancilla)))
-    )
+    return _limit_checks([
+        ("entropy_production_min", min_sigma, POSITIVITY_BOUND),
+        ("mutual_info_min", min_mutual, POSITIVITY_BOUND),
+        ("ancilla_rel_entropy_min", min_rel, POSITIVITY_BOUND),
+        ("work_scaled_max", max_work, WORK_BOUND),
+    ])
 
 
 def _scenario_qubit_demo(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
-    omega = cfg.omega or 1.0
+    omega = cfg.omega if cfg.omega is not None else 1.0
     g = cfg.gs[0] if cfg.gs else 1.0
     beta = cfg.betas[0] if cfg.betas else DEFAULT_BETA
     lam = cfg.lams[0] if cfg.lams else 0.3
     tau = cfg.taus[0] if cfg.taus else 1e-2
     n_steps = cfg.n_steps if cfg.n_steps is not None else 200
     collision = qubit_collision(omega=omega, g=g, beta=beta, lam=lam, tau=tau)
-    record = run_trajectory(maximally_mixed(2), [collision], n_steps, schedule="single")
-    gen = generator_for([collision])
-    _write_trajectory_csv(out_dir / "trajectory.csv", record, gen, collision.h_system, collision)
-    return _trajectory_checks(record, _h_scale(collision))
+    return _trajectory_checks(collision, n_steps, out_dir)
 
 
 def _scenario_custom(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
@@ -356,10 +372,18 @@ def _scenario_custom(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
         collision = CollisionConfig(cfg.h_system, cfg.interactions[0], spec)
     except (QCollideError, ValueError) as exc:
         raise ValidationError(str(exc)) from exc
-    record = run_trajectory(maximally_mixed(collision.dim_system), [collision], n_steps)
-    gen = generator_for([collision])
-    _write_trajectory_csv(out_dir / "trajectory.csv", record, gen, collision.h_system, collision)
-    return _trajectory_checks(record, _h_scale(collision))
+    return _trajectory_checks(collision, n_steps, out_dir)
+
+
+def _convergence_check(data: list[tuple[float, float]], out_dir: Path) -> Check:
+    """Write ``convergence.csv`` and check the log-log slope of distance vs ``tau``."""
+    _write(
+        out_dir / "convergence.csv",
+        "tau,max_trace_distance\n" + "".join(f"{_fmt(tau)},{_fmt(dist)}\n" for tau, dist in data),
+    )
+    slope = loglog_slope([t for t, _ in data], [d for _, d in data])
+    lo, hi = SLOPE_WINDOW
+    return Check("slope", slope, list(SLOPE_WINDOW), lo <= slope <= hi)
 
 
 def _scenario_converge(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
@@ -372,14 +396,7 @@ def _scenario_converge(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
         taus,
         t_final,
     )
-    _write(
-        out_dir / "convergence.csv",
-        "tau,max_trace_distance\n"
-        + "".join(f"{_fmt(tau)},{_fmt(dist)}\n" for tau, dist in data),
-    )
-    slope = loglog_slope([t for t, _ in data], [d for _, d in data])
-    lo, hi = SLOPE_WINDOW
-    return [Check("slope", slope, list(SLOPE_WINDOW), lo <= slope <= hi)]
+    return [_convergence_check(data, out_dir)]
 
 
 def _scenario_bound_check(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
@@ -394,38 +411,13 @@ def _scenario_bound_check(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
             f"{_fmt(s.coherent_bound_scaled)}"
         )
     _write(out_dir / "samples.csv", "\n".join(lines) + "\n")
-    return [
-        Check(
-            "ancilla_rel_entropy_min",
-            summary.min_rel_entropy,
-            POSITIVITY_BOUND,
-            summary.min_rel_entropy >= POSITIVITY_BOUND,
-        ),
-        Check(
-            "entropy_production_min",
-            summary.min_entropy_production,
-            POSITIVITY_BOUND,
-            summary.min_entropy_production >= POSITIVITY_BOUND,
-        ),
-        Check(
-            "mutual_info_min",
-            summary.min_mutual_info,
-            POSITIVITY_BOUND,
-            summary.min_mutual_info >= POSITIVITY_BOUND,
-        ),
-        Check(
-            "work_scaled_max",
-            summary.max_abs_work_scaled,
-            WORK_BOUND,
-            summary.max_abs_work_scaled <= WORK_BOUND,
-        ),
-        Check(
-            "coherent_bound_scaled_min",
-            summary.min_coherent_bound_scaled,
-            COHERENT_BOUND_SCALE,
-            summary.min_coherent_bound_scaled >= COHERENT_BOUND_SCALE,
-        ),
-    ]
+    return _limit_checks([
+        ("ancilla_rel_entropy_min", summary.min_rel_entropy, POSITIVITY_BOUND),
+        ("entropy_production_min", summary.min_entropy_production, POSITIVITY_BOUND),
+        ("mutual_info_min", summary.min_mutual_info, POSITIVITY_BOUND),
+        ("work_scaled_max", summary.max_abs_work_scaled, WORK_BOUND),
+        ("coherent_bound_scaled_min", summary.min_coherent_bound_scaled, COHERENT_BOUND_SCALE),
+    ])
 
 
 def _series_instance_residuals(rng: SplitMix64, dim: int, eps_list) -> dict[str, list[float]]:
@@ -519,14 +511,7 @@ def _scenario_multibath(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
         ]
 
     data = stroboscopic_deviation(build, maximally_mixed(2), taus, t_final)
-    _write(
-        out_dir / "convergence.csv",
-        "tau,max_trace_distance\n"
-        + "".join(f"{_fmt(tau)},{_fmt(dist)}\n" for tau, dist in data),
-    )
-    slope = loglog_slope([t for t, _ in data], [d for _, d in data])
-    lo, hi = SLOPE_WINDOW
-    checks = [Check("slope", slope, list(SLOPE_WINDOW), lo <= slope <= hi)]
+    checks = [_convergence_check(data, out_dir)]
 
     # Two thermal qubit baths: stationary excited population from the jump rates.
     pair = [
@@ -597,10 +582,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"OK scenario={cfg.scenario}")
             return 0
         return run_scenario(cfg, out_dir=args.out)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (QCollideError, ValueError) as exc:
+    except (ConfigError, QCollideError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,13 +21,15 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .lindblad import coherent_generator, dissipator_apply
-from .linalg import commutator, dag, expm_unitary, kron, max_abs, partial_trace, require_hermitian
+from .linalg import (
+    Spectrum, commutator, dag, expm_unitary, hermitian_eig, kron, max_abs, partial_trace, require_hermitian
+)
 from .states import (
     AncillaSpec,
     DensityMatrix,
+    coherence_in_basis,
     free_energy,
     relative_entropy,
-    relative_entropy_of_coherence,
     thermal_state,
     von_neumann_entropy,
     weakly_coherent_state,
@@ -44,7 +46,8 @@ class CollisionConfig:
     energy * sqrt(time)); the realized joint Hamiltonian divides it by
     ``sqrt(tau)``.  Derived objects (joint unitary, prepared ancilla state,
     coherent operator) are computed lazily and cached, so a config can be
-    reused across many collisions at no extra cost.
+    reused across many collisions at no extra cost; so are the ``H_A``
+    eigenbasis that dephases the ledger's coherences and ``coherence_before``.
     """
 
     def __init__(self, h_system, v_interaction, ancilla: AncillaSpec, label: str = "A"):
@@ -84,6 +87,14 @@ class CollisionConfig:
     @cached_property
     def thermal_ancilla(self) -> DensityMatrix:
         return thermal_state(self.ancilla.h_ancilla, self.ancilla.beta)
+
+    @cached_property
+    def ancilla_basis(self) -> Spectrum:
+        return hermitian_eig(self.ancilla.h_ancilla, name="h_ancilla")
+
+    @cached_property
+    def coherence_before(self) -> float:
+        return coherence_in_basis(self.ancilla_state, self.ancilla_basis)
 
     @cached_property
     def coherent_op(self) -> np.ndarray:
@@ -162,7 +173,6 @@ class CollisionOutcome:
 
     system: DensityMatrix
     ancilla: DensityMatrix
-    joint: DensityMatrix
     ledger: CollisionLedger
 
 
@@ -172,13 +182,9 @@ def collide(rho_system: DensityMatrix, cfg: CollisionConfig) -> CollisionOutcome
         raise DimensionMismatchError("system state dimension differs from config")
     rho_a = cfg.ancilla_state
     u = cfg.unitary
-    joint_after = DensityMatrix(u @ kron(rho_system.matrix, rho_a.matrix) @ dag(u))
-    rho_s_after = DensityMatrix(
-        partial_trace(joint_after.matrix, cfg.dim_system, cfg.dim_ancilla, "system")
-    )
-    rho_a_after = DensityMatrix(
-        partial_trace(joint_after.matrix, cfg.dim_system, cfg.dim_ancilla, "ancilla")
-    )
+    joint_after = require_hermitian(u @ kron(rho_system.matrix, rho_a.matrix) @ dag(u), name="joint state")
+    rho_s_after = DensityMatrix(partial_trace(joint_after, cfg.dim_system, cfg.dim_ancilla, "system"))
+    rho_a_after = DensityMatrix(partial_trace(joint_after, cfg.dim_system, cfg.dim_ancilla, "ancilla"))
 
     h_s = cfg.h_system
     h_a = cfg.ancilla.h_ancilla
@@ -196,10 +202,12 @@ def collide(rho_system: DensityMatrix, cfg: CollisionConfig) -> CollisionOutcome
     )
     incoherent_heat = tau * float(np.trace(h_s @ dissipated).real)
 
+    # Unitary invariance: the joint entropy after the stroke is S(rho_S) + S(rho_A).
     mutual = (
         von_neumann_entropy(rho_s_after)
         + von_neumann_entropy(rho_a_after)
-        - von_neumann_entropy(joint_after)
+        - von_neumann_entropy(rho_system)
+        - von_neumann_entropy(rho_a)
     )
     rel_ancilla = relative_entropy(rho_a_after, rho_a)
     ledger = CollisionLedger(
@@ -211,11 +219,11 @@ def collide(rho_system: DensityMatrix, cfg: CollisionConfig) -> CollisionOutcome
         entropy_production=mutual + rel_ancilla,
         mutual_info=mutual,
         rel_entropy_ancilla=rel_ancilla,
-        coherence_before=relative_entropy_of_coherence(rho_a, h_a),
-        coherence_after=relative_entropy_of_coherence(rho_a_after, h_a),
+        coherence_before=cfg.coherence_before,
+        coherence_after=coherence_in_basis(rho_a_after, cfg.ancilla_basis),
         d_free_energy=free_energy(rho_s_after, h_s, beta) - free_energy(rho_system, h_s, beta),
     )
-    return CollisionOutcome(system=rho_s_after, ancilla=rho_a_after, joint=joint_after, ledger=ledger)
+    return CollisionOutcome(system=rho_s_after, ancilla=rho_a_after, ledger=ledger)
 
 
 @dataclass(frozen=True)

@@ -300,6 +300,15 @@ def eigenoperator_dissipator(
     return rates, superoperator_matrix(apply_map, dim_system)
 
 
+def rk4_step(l_matrix: np.ndarray, state: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of ``d vec(rho)/dt = L vec(rho)`` over ``h``."""
+    k1 = l_matrix @ state
+    k2 = l_matrix @ (state + 0.5 * h * k1)
+    k3 = l_matrix @ (state + 0.5 * h * k2)
+    k4 = l_matrix @ (state + h * k3)
+    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def integrate(
     gen: LindbladGenerator, rho0: DensityMatrix, t_final: float, dt: float
 ) -> list[tuple[float, DensityMatrix]]:
@@ -331,11 +340,7 @@ def integrate(
     state = vec(rho0.matrix)
     t = 0.0
     for h in steps:
-        k1 = l_matrix @ state
-        k2 = l_matrix @ (state + 0.5 * h * k1)
-        k3 = l_matrix @ (state + 0.5 * h * k2)
-        k4 = l_matrix @ (state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        state = rk4_step(l_matrix, state, h)
         t += h
         rho = unvec(state, dim)
         drift = abs(float(np.trace(rho).real) - 1.0)

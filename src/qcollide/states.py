@@ -44,9 +44,9 @@ class DensityMatrix:
     symmetrized matrix read-only together with its spectrum.
     """
 
-    __slots__ = ("matrix", "basis_labels", "spectrum")
+    __slots__ = ("matrix", "spectrum")
 
-    def __init__(self, matrix, basis_labels=None, *, psd_tol: float = PSD_TOL):
+    def __init__(self, matrix, *, psd_tol: float = PSD_TOL):
         m = require_hermitian(matrix, name="density matrix")
         trace = float(np.trace(m).real)
         if abs(trace - 1.0) > TRACE_TOL:
@@ -55,13 +55,8 @@ class DensityMatrix:
         smallest = float(spectrum.eigenvalues[0])
         if smallest < -psd_tol:
             raise NotPositiveError(f"density matrix has eigenvalue {smallest:.3e}")
-        if basis_labels is not None:
-            basis_labels = tuple(str(s) for s in basis_labels)
-            if len(basis_labels) != m.shape[0]:
-                raise DimensionMismatchError("basis_labels length does not match dimension")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "basis_labels", basis_labels)
         object.__setattr__(self, "spectrum", spectrum)
 
     def __setattr__(self, name, value):
@@ -207,11 +202,14 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def relative_entropy_of_coherence(rho: DensityMatrix, h_reference) -> float:
     """Coherence of ``rho`` relative to the eigenbasis of ``h_reference``.
 
-    Computed as ``S(dephased rho) - S(rho)`` with off-diagonals zeroed in the
-    reference energy basis.  Inside degenerate blocks of ``h_reference`` the
-    dephasing basis is the deterministic Jacobi output for that matrix.
+    Inside degenerate blocks of ``h_reference`` the dephasing basis is the
+    deterministic Jacobi output for that matrix.
     """
-    basis = hermitian_eig(h_reference, name="h_reference")
+    return coherence_in_basis(rho, hermitian_eig(h_reference, name="h_reference"))
+
+
+def coherence_in_basis(rho: DensityMatrix, basis: Spectrum) -> float:
+    """``S(dephased rho) - S(rho)`` with off-diagonals zeroed in ``basis``."""
     if basis.dim != rho.dim:
         raise DimensionMismatchError("reference Hamiltonian dimension differs from state")
     populations = np.diagonal(dag(basis.eigenvectors) @ rho.matrix @ basis.eigenvectors).real

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .collisions import CollisionConfig, collide, run_trajectory
-from .lindblad import LindbladGenerator, integrate, multi_bath_generator, rates
+from .lindblad import LindbladGenerator, integrate, multi_bath_generator, rates, rk4_step
 from .rng import SplitMix64
 from .presets import random_collision
 from .series import (
@@ -36,6 +36,14 @@ def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 def halving_ratios(values: Sequence[float]) -> list[float]:
     """Successive decay factors of a residual sequence."""
     return [values[i] / values[i + 1] for i in range(len(values) - 1)]
+
+
+def h_scale(cfg: CollisionConfig) -> float:
+    """``||H_S|| + ||H_A||`` in spectral norms, the energy scale of a species."""
+    return float(
+        np.max(np.abs(np.linalg.eigvalsh(cfg.h_system)))
+        + np.max(np.abs(np.linalg.eigvalsh(cfg.ancilla.h_ancilla)))
+    )
 
 
 def generator_for(cfgs: Sequence[CollisionConfig]) -> LindbladGenerator:
@@ -173,10 +181,6 @@ def random_collision_suite(
     for index in range(count):
         rho_system, cfg = random_collision(rng, eigenoperator=eigenoperator, dims=dims)
         ledger = collide(rho_system, cfg).ledger
-        h_scale = float(
-            np.max(np.abs(np.linalg.eigvalsh(cfg.h_system)))
-            + np.max(np.abs(np.linalg.eigvalsh(cfg.ancilla.h_ancilla)))
-        )
         d_coherence = ledger.coherence_after - ledger.coherence_before
         bound_slack = cfg.ancilla.beta * ledger.coherent_work + d_coherence
         samples.append(
@@ -188,7 +192,7 @@ def random_collision_suite(
                 entropy_production=ledger.entropy_production,
                 mutual_info=ledger.mutual_info,
                 rel_entropy_ancilla=ledger.rel_entropy_ancilla,
-                work_scaled=abs(ledger.work) / h_scale,
+                work_scaled=abs(ledger.work) / h_scale(cfg),
                 coherent_bound_scaled=bound_slack / cfg.ancilla.tau**1.5,
             )
         )
@@ -215,18 +219,10 @@ def free_energy_rate_fd(
     One RK4 micro-step of ``+dt`` and one of ``-dt`` from ``rho`` give the
     two evaluation points; independent of the algebraic rate formulas.
     """
-    l_matrix = gen.matrix
-    dim = gen.dim
 
     def step(sign: float) -> DensityMatrix:
-        h = sign * dt
-        state = rho.matrix.reshape(-1, order="F")
-        k1 = l_matrix @ state
-        k2 = l_matrix @ (state + 0.5 * h * k1)
-        k3 = l_matrix @ (state + 0.5 * h * k2)
-        k4 = l_matrix @ (state + h * k3)
-        moved = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out = moved.reshape((dim, dim), order="F")
+        moved = rk4_step(gen.matrix, rho.matrix.reshape(-1, order="F"), sign * dt)
+        out = moved.reshape((gen.dim, gen.dim), order="F")
         return DensityMatrix(0.5 * (out + out.conj().T))
 
     forward = free_energy(step(+1.0), h_system, beta)

@@ -147,6 +147,32 @@ class TestMainEntry:
         assert "error:" in capsys.readouterr().err
 
 
+BAD_SCALAR_CONFIGS = {
+    "t_final-inf": ("t_final", {"scenario": "converge", "t_final": float("inf")}),
+    "seed-neg-inf": ("seed", {"scenario": "oracle-check", "seed": float("-inf")}),
+    "n_steps-nan": ("n_steps", {"scenario": "qubit-demo", "n_steps": float("nan")}),
+    "multibath-short-beta": ("beta", {"scenario": "multibath", "beta": [1.0]}),
+    "multibath-long-g": ("g", {"scenario": "multibath", "g": [1.0, 0.8, 0.5]}),
+    "converge-one-tau": ("tau", {"scenario": "converge", "tau": [0.5]}),
+    "multibath-duplicate-tau": ("tau", {"scenario": "multibath", "tau": [0.5, 0.5]}),
+    "bound-check-zero-samples": ("n_steps", {"scenario": "bound-check", "seed": 1, "n_steps": 0}),
+    "omega-zero": ("omega", {"scenario": "qubit-demo", "omega": 0}),
+}
+
+
+@pytest.mark.parametrize(
+    "key,payload", list(BAD_SCALAR_CONFIGS.values()), ids=list(BAD_SCALAR_CONFIGS)
+)
+def test_bad_scalar_is_one_line_input_error(tmp_path, capsys, key, payload):
+    path = write(tmp_path, "bad.json", payload)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and key in lines[0]
+
+
 class TestSubprocessDeterminism:
     def test_bound_check_reproducible(self, tmp_path):
         config = tmp_path / "bound.json"

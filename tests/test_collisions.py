@@ -95,12 +95,14 @@ class TestCollide:
         cfg = qubit_collision(tau=2e-2)
         rho = DensityMatrix(np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]]))
         out = collide(rho, cfg)
+        u = cfg.unitary
+        joint = DensityMatrix(u @ kron(rho.matrix, cfg.ancilla_state.matrix) @ dag(u))
         before = von_neumann_entropy(rho) + von_neumann_entropy(cfg.ancilla_state)
-        assert abs(von_neumann_entropy(out.joint) - before) <= 1e-9
+        assert abs(von_neumann_entropy(joint) - before) <= 1e-9
         # the ledger's correlation entry is the joint-state mutual information
         from qcollide.states import mutual_information
 
-        assert abs(mutual_information(out.joint, 2, 2) - out.ledger.mutual_info) <= 1e-12
+        assert abs(mutual_information(joint, 2, 2) - out.ledger.mutual_info) <= 1e-12
 
     def test_qubit_ledger_within_half_order_envelope(self):
         # finite-duration ledger agrees with the leading-order identities
