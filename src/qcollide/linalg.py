@@ -1,16 +1,15 @@
 """Dense complex matrix algebra sized for small Hermitian problems.
 
 Everything operates on plain ``complex128`` numpy arrays of dimension up to
-a few dozen: eigendecompositions use a cyclic Jacobi sweep with a fixed
-(row-major, upper-triangle) rotation order, matrix exponentials are spectral,
-and partial traces are reshape-based.  The joint-index convention is
-system-major throughout: a product operator ``A (x) B`` places the system
-index on the slow axis, ``idx = i_system * dim_ancilla + i_ancilla``.
+a few dozen: eigendecompositions are LAPACK ``eigh`` behind a Hermiticity
+gate, matrix exponentials are spectral, and partial traces are
+reshape-based.  The joint-index convention is system-major throughout: a
+product operator ``A (x) B`` places the system index on the slow axis,
+``idx = i_system * dim_ancilla + i_ancilla``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,10 +19,6 @@ from .errors import DimensionMismatchError, NonHermitianError, NonSquareError
 
 # Relative Hermiticity gate applied before any spectral operation.
 HERMITICITY_RTOL = 1e-10
-# Jacobi terminates when the off-diagonal Frobenius norm falls below this
-# fraction of the input Frobenius norm.
-JACOBI_OFF_TOL = 1e-14
-_MAX_SWEEPS = 100
 
 
 def as_complex_matrix(m, *, square: bool = False) -> np.ndarray:
@@ -86,67 +81,14 @@ class Spectrum:
         return (v * fn(self.eigenvalues)) @ v.conj().T
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    # Summed over off-diagonal entries only; subtracting the diagonal from the
-    # total would cancel catastrophically near convergence.
-    abs2 = np.abs(a) ** 2
-    np.fill_diagonal(abs2, 0.0)
-    return math.sqrt(float(abs2.sum()))
-
-
 def hermitian_eig(m, *, name: str = "matrix") -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix by LAPACK ``eigh``.
 
-    Sweeps run in deterministic row-major order over the upper triangle and
-    stop once the off-diagonal Frobenius norm is below
-    ``JACOBI_OFF_TOL * ||M||_F``.  Eigenvalues are returned ascending, with a
-    stable sort so degenerate blocks keep the rotation-order basis.
+    Eigenvalues are returned ascending.  Inside degenerate blocks the basis
+    is whatever LAPACK returns: deterministic on one machine, not canonical.
     """
-    a = require_hermitian(m, name=name)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n > 1:
-        tol = JACOBI_OFF_TOL * float(np.linalg.norm(a))
-        skip = tol / n
-        for _ in range(_MAX_SWEEPS):
-            if _off_diagonal_norm(a) <= tol:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    r = abs(apq)
-                    if r <= skip:
-                        continue
-                    app = a[p, p].real
-                    aqq = a[q, q].real
-                    rho = (aqq - app) / (2.0 * r)
-                    if rho >= 0.0:
-                        t = 1.0 / (rho + math.sqrt(1.0 + rho * rho))
-                    else:
-                        t = -1.0 / (-rho + math.sqrt(1.0 + rho * rho))
-                    c = 1.0 / math.sqrt(1.0 + t * t)
-                    s = (t * c) * (apq / r)
-                    s_conj = s.conjugate()
-                    # A <- R^dag A R with the rotation acting on rows/cols p, q.
-                    row_p = a[p, :].copy()
-                    row_q = a[q, :].copy()
-                    a[p, :] = c * row_p - s * row_q
-                    a[q, :] = s_conj * row_p + c * row_q
-                    col_p = a[:, p].copy()
-                    col_q = a[:, q].copy()
-                    a[:, p] = c * col_p - s_conj * col_q
-                    a[:, q] = s * col_p + c * col_q
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    vec_p = v[:, p].copy()
-                    vec_q = v[:, q].copy()
-                    v[:, p] = c * vec_p - s_conj * vec_q
-                    v[:, q] = s * vec_p + c * vec_q
-        else:
-            raise RuntimeError(f"Jacobi sweep did not converge in {_MAX_SWEEPS} sweeps")
-    w = a.diagonal().real.copy()
-    order = np.argsort(w, kind="stable")
-    return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
+    w, v = np.linalg.eigh(require_hermitian(m, name=name))
+    return Spectrum(eigenvalues=w, eigenvectors=v)
 
 
 def expm_unitary(h, t: float) -> np.ndarray:

@@ -20,6 +20,7 @@ from .errors import (
     EigenoperatorError,
     FirstMomentError,
     PositivityLostError,
+    QCollideError,
     RankDeficientError,
     StepSizeError,
     TraceDriftError,
@@ -350,7 +351,7 @@ def integrate(
         state = vec(rho)
         try:
             snapshot = DensityMatrix(rho, psd_tol=INTEGRATOR_PSD_TOL)
-        except Exception as exc:
+        except (QCollideError, ValueError) as exc:
             raise PositivityLostError(f"state left the positive cone at t={t}: {exc}") from exc
         trajectory.append((t, snapshot))
     return trajectory

@@ -19,7 +19,7 @@ from .collisions import CollisionConfig
 from .lindblad import EigenoperatorCoupling, eigenoperator_interaction, thermal_first_moment
 from .linalg import dag, hermitian_eig, kron, max_abs
 from .rng import SplitMix64
-from .states import AncillaSpec, DensityMatrix
+from .states import AncillaSpec, DensityMatrix, thermal_state
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -208,7 +208,13 @@ def random_traceless_hermitian(rng: SplitMix64, dim: int) -> np.ndarray:
 
 
 def random_gapped_probs(rng: SplitMix64, dim: int, min_gap: float = 0.1) -> np.ndarray:
-    """Probability vector with all pairwise gaps at least ``min_gap``."""
+    """Probability vector with all pairwise gaps at least ``min_gap``.
+
+    Raises ``ValueError`` when no vector with entries >= 0.05 has such gaps.
+    """
+    # Sorted entries >= 0.05 spaced min_gap apart sum to at least this.
+    if dim * 0.05 + min_gap * dim * (dim - 1) / 2 >= 1.0:
+        raise ValueError(f"no {dim}-level probability vector has all gaps >= {min_gap}")
     while True:
         draws = np.array([rng.uniform(0.05, 1.0) for _ in range(dim)])
         probs = draws / draws.sum()
@@ -270,6 +276,7 @@ def random_collision(
         spacing = rng.uniform(0.6, 1.8)
         h_system, basis_s = _ladder_hamiltonian(rng, dim_system, spacing)
         h_ancilla, basis_a = _ladder_hamiltonian(rng, dim_ancilla, spacing)
+        thermal = thermal_state(h_ancilla, beta)
         couplings = []
         for step in range(1, min(dim_system, dim_ancilla)):
             amplitude = rng.uniform(0.3, 1.0) * np.exp(2j * math.pi * rng.uniform())
@@ -287,21 +294,16 @@ def random_collision(
         h_system = random_hermitian(rng, dim_system, scale=rng.uniform(0.5, 1.5))
         h_ancilla = random_hermitian(rng, dim_ancilla, scale=rng.uniform(0.5, 1.5))
         basis_a = hermitian_eig(h_ancilla).eigenvectors
+        thermal = thermal_state(h_ancilla, beta)
         v = random_hermitian(rng, dim_system * dim_ancilla, scale=rng.uniform(0.4, 1.0))
         # Remove the thermal first moment so the generator recipe applies.
-        spectrum_a = hermitian_eig(h_ancilla)
-        weights = np.exp(-beta * (spectrum_a.eigenvalues - spectrum_a.eigenvalues[0]))
-        rho_th = (spectrum_a.eigenvectors * (weights / weights.sum())) @ dag(spectrum_a.eigenvectors)
-        moment = thermal_first_moment(v, rho_th, dim_system, dim_ancilla)
+        moment = thermal_first_moment(v, thermal.matrix, dim_system, dim_ancilla)
         v = v - kron(moment, np.eye(dim_ancilla))
         v = 0.5 * (v + dag(v))
 
-    chi = random_zero_diagonal(rng, basis_a if not eigenoperator else hermitian_eig(h_ancilla).eigenvectors)
-    spectrum_a = hermitian_eig(h_ancilla)
-    weights = np.exp(-beta * (spectrum_a.eigenvalues - spectrum_a.eigenvalues[0]))
-    populations = weights / weights.sum()
+    chi = random_zero_diagonal(rng, basis_a)
     chi_norm = float(np.max(np.abs(hermitian_eig(chi).eigenvalues))) if max_abs(chi) > 0 else 1.0
-    lam_cap = 0.7 * float(populations.min()) / (math.sqrt(tau) * max(chi_norm, 1e-12))
+    lam_cap = 0.7 * float(thermal.eigenvalues[0]) / (math.sqrt(tau) * max(chi_norm, 1e-12))
     lam = lam_cap * rng.uniform(0.2, 1.0)
 
     spec = AncillaSpec(h_ancilla=h_ancilla, beta=beta, chi=chi, lam=lam, tau=tau)

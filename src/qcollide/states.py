@@ -202,8 +202,8 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def relative_entropy_of_coherence(rho: DensityMatrix, h_reference) -> float:
     """Coherence of ``rho`` relative to the eigenbasis of ``h_reference``.
 
-    Inside degenerate blocks of ``h_reference`` the dephasing basis is the
-    deterministic Jacobi output for that matrix.
+    Inside degenerate blocks of ``h_reference`` the dephasing basis is the one
+    LAPACK ``eigh`` returns: deterministic on one machine, not canonical.
     """
     return coherence_in_basis(rho, hermitian_eig(h_reference, name="h_reference"))
 

@@ -118,6 +118,26 @@ class TestCollide:
         assert abs(led.entropy_production - beta * (led.coherent_work - led.d_free_energy)) <= envelope
 
 
+class TestRandomCollisionSampler:
+    @pytest.mark.parametrize("seed", [1, 7, 2026])
+    def test_draw_is_independent_of_eigenvector_phases(self, seed, monkeypatch):
+        import qcollide.presets as presets
+
+        _, reference = random_collision(SplitMix64(seed), eigenoperator=True)
+        plain = presets.hermitian_eig
+
+        def rephased(m, **kwargs):
+            spectrum = plain(m, **kwargs)
+            phases = np.exp(1j * (0.7 + 1.3 * np.arange(spectrum.dim)))
+            return type(spectrum)(spectrum.eigenvalues, spectrum.eigenvectors * phases)
+
+        monkeypatch.setattr(presets, "hermitian_eig", rephased)
+        _, cfg = random_collision(SplitMix64(seed), eigenoperator=True)
+        assert cfg.ancilla.chi.tobytes() == reference.ancilla.chi.tobytes()
+        assert cfg.v_interaction.tobytes() == reference.v_interaction.tobytes()
+        assert cfg.ancilla.lam == reference.ancilla.lam
+
+
 class TestRandomizedPositivity:
     def test_exact_inequalities_hold(self):
         # generic Hermitian interactions, shifted to zero thermal first moment

@@ -49,6 +49,23 @@ class TestHermitianEig:
         assert np.allclose(spec.eigenvalues, 1.0)
         assert np.max(np.abs(dag(spec.eigenvectors) @ spec.eigenvectors - np.eye(3))) <= 1e-12
 
+    @pytest.mark.parametrize("d", [4, 6, 9])
+    def test_rotated_degenerate_spectrum(self, d):
+        # U diag(1,1,2,2,2,3,...) U^dag: degenerate blocks in a generic basis
+        rng = np.random.default_rng(100 + d)
+        u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        levels = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0])[:d]
+        m = (u * levels) @ dag(u)
+        spec = hermitian_eig(m)
+        rebuilt = (spec.eigenvectors * spec.eigenvalues) @ dag(spec.eigenvectors)
+        assert np.max(np.abs(rebuilt - m)) <= 1e-10 * np.max(np.abs(m))
+        assert np.max(np.abs(dag(spec.eigenvectors) @ spec.eigenvectors - np.eye(d))) <= 1e-12
+        assert np.all(np.diff(spec.eigenvalues) >= -1e-15)
+        assert np.max(np.abs(spec.eigenvalues - levels)) <= 1e-12
+        again = hermitian_eig(m)
+        assert again.eigenvalues.tobytes() == spec.eigenvalues.tobytes()
+        assert again.eigenvectors.tobytes() == spec.eigenvectors.tobytes()
+
     def test_zero_matrix(self):
         spec = hermitian_eig(np.zeros((4, 4)))
         assert np.allclose(spec.eigenvalues, 0.0)

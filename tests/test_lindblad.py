@@ -297,6 +297,19 @@ class TestPositivityGuard:
         with pytest.raises(PositivityLostError):
             integrate(bad, nearly_pure, 2.0, 1e-2)
 
+    def test_unrelated_errors_are_not_relabelled(self, monkeypatch):
+        # only the state-validation errors mean the state left the cone
+        import qcollide.lindblad as lindblad
+
+        gen, _ = qubit_generator(lam=0.0)
+
+        def broken(*args, **kwargs):
+            raise TypeError("not a positivity failure")
+
+        monkeypatch.setattr(lindblad, "DensityMatrix", broken)
+        with pytest.raises(TypeError, match="not a positivity failure"):
+            integrate(gen, maximally_mixed(2), 0.1, 1e-2)
+
 
 class TestConvergenceOrders:
     def test_resonant_qubit_converges_at_enhanced_order(self):

@@ -55,6 +55,12 @@ def gapped_state(rng, dim):
     return DensityMatrix((basis * probs) @ dag(basis)), basis
 
 
+def test_infeasible_gap_raises_instead_of_looping():
+    # four entries >= 0.05 spaced 0.3 apart would need a total of at least 2
+    with pytest.raises(ValueError):
+        random_gapped_probs(SplitMix64(0), 4, min_gap=0.3)
+
+
 class TestPerturbedState:
     def test_rejects_traceful_direction(self):
         rho = DensityMatrix(np.diag([0.25, 0.75]))
