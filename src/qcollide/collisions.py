@@ -1,11 +1,14 @@
 """Stroboscopic collision dynamics with an exact per-collision ledger.
 
 One collision evolves ``rho_S (x) rho_A`` with the joint unitary generated by
-``H_S + H_A + V / sqrt(tau)`` for a duration ``tau``, then traces out the
-ancilla.  Every energetic and entropic quantity of the stroke is recorded
-exactly from the pre/post states; the finite-duration coherent work and
-incoherent heat are ``tau`` times the master-equation rate formulas evaluated
-at the pre-collision state.
+``H_S + H_A + V / sqrt(tau)`` for a duration ``tau``, then traces out either
+factor.  With ``rho_A`` fixed per species, both reduced states are linear in
+``rho_S``: a stroke applies two per-config matrices to the column-stacked
+``vec(rho_S)`` and never forms the joint state.  Every energetic and entropic
+quantity of the stroke is recorded exactly from the pre/post states; the
+finite-duration coherent work and incoherent heat are ``tau`` times the
+master-equation rate formulas evaluated at the pre-collision state, each a
+per-config operator traced against ``rho_S``.
 
 Sign conventions: ``heat_ancilla > 0`` means the ancilla gained energy, and
 the switching work is stored as ``work = d_energy + heat_ancilla``.
@@ -19,10 +22,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .lindblad import coherent_generator, dissipator_apply
+from .errors import DimensionMismatchError, UnitaryDefectError
+from .lindblad import coherent_generator, unvec, vec
 from .linalg import (
-    Spectrum, commutator, dag, expm_unitary, hermitian_eig, kron, max_abs, partial_trace, require_hermitian
+    Spectrum,
+    commutator,
+    dag,
+    double_commutator,
+    expm_unitary,
+    hermitian_eig,
+    kron,
+    max_abs,
+    require_hermitian,
 )
 from .states import (
     AncillaSpec,
@@ -47,7 +58,9 @@ class CollisionConfig:
     ``sqrt(tau)``.  Derived objects (joint unitary, prepared ancilla state,
     coherent operator) are computed lazily and cached, so a config can be
     reused across many collisions at no extra cost; so are the ``H_A``
-    eigenbasis that dephases the ledger's coherences and ``coherence_before``.
+    eigenbasis that dephases the ledger's coherences, ``coherence_before``,
+    the two stroke maps ``system_map`` and ``ancilla_map``, and the two
+    ledger operators ``heat_operator`` and ``work_operator``.
     """
 
     def __init__(self, h_system, v_interaction, ancilla: AncillaSpec, label: str = "A"):
@@ -100,6 +113,36 @@ class CollisionConfig:
     def coherent_op(self) -> np.ndarray:
         return coherent_generator(self.v_interaction, self.ancilla.chi, self.dim_system, self.dim_ancilla)
 
+    @cached_property
+    def system_map(self) -> np.ndarray:
+        """``d_S^2 x d_S^2`` matrix taking ``vec(rho_S)`` to ``vec(tr_A[U (rho_S x rho_A) U^dag])``."""
+        d_s, d_a = self.dim_system, self.dim_ancilla
+        u4 = self.unitary.reshape(d_s, d_a, d_s, d_a)
+        m = np.einsum("iajb,bc,kalc->ikjl", u4, self.ancilla_state.matrix, u4.conj())
+        return m.reshape(d_s * d_s, d_s * d_s, order="F")
+
+    @cached_property
+    def ancilla_map(self) -> np.ndarray:
+        """``d_A^2 x d_S^2`` matrix taking ``vec(rho_S)`` to ``vec(tr_S[U (rho_S x rho_A) U^dag])``."""
+        d_s, d_a = self.dim_system, self.dim_ancilla
+        u4 = self.unitary.reshape(d_s, d_a, d_s, d_a)
+        m = np.einsum("iajb,bd,icld->acjl", u4, self.ancilla_state.matrix, u4.conj())
+        return m.reshape(d_a * d_a, d_s * d_s, order="F")
+
+    @cached_property
+    def heat_operator(self) -> np.ndarray:
+        """``K = -(1/2) tr_A([V, [V, H_S x I]] (I x rho_th))``: ``tr(K rho) = tr(H_S D(rho))``."""
+        d_s, d_a = self.dim_system, self.dim_ancilla
+        nested = double_commutator(self.v_interaction, kron(self.h_system, np.eye(d_a)))
+        # tr_A(X (I x rho_th)) contracted directly, without forming I x rho_th.
+        blocks = nested.reshape(d_s, d_a, d_s, d_a)
+        return -0.5 * np.einsum("iajb,ba->ij", blocks, self.thermal_ancilla.matrix)
+
+    @cached_property
+    def work_operator(self) -> np.ndarray:
+        """``C = [G, H_S]``: the coherent work rate is ``Re(i lam tr(C rho))``."""
+        return commutator(self.coherent_op, self.h_system)
+
     def subdivided(self, parts: int) -> "CollisionConfig":
         """Equivalent species config for one sub-collision of a round of ``parts``.
 
@@ -128,12 +171,12 @@ def build_unitary(cfg: CollisionConfig) -> np.ndarray:
     u = expm_unitary(h_joint, tau)
     unitarity = max_abs(dag(u) @ u - np.eye(u.shape[0]))
     if unitarity > UNITARITY_TOL:
-        raise RuntimeError(f"unitary defect {unitarity:.3e} beyond tolerance")
+        raise UnitaryDefectError(f"unitary defect {unitarity:.3e} beyond tolerance")
     if cfg.strict_energy_conserving:
         free = cfg.free_hamiltonian
         defect = max_abs(commutator(u, free))
         if defect > 1e-8 * max(1.0, max_abs(free)):
-            raise RuntimeError(f"energy-conserving unitary defect {defect:.3e}")
+            raise UnitaryDefectError(f"energy-conserving unitary defect {defect:.3e}")
     return u
 
 
@@ -181,10 +224,9 @@ def collide(rho_system: DensityMatrix, cfg: CollisionConfig) -> CollisionOutcome
     if rho_system.dim != cfg.dim_system:
         raise DimensionMismatchError("system state dimension differs from config")
     rho_a = cfg.ancilla_state
-    u = cfg.unitary
-    joint_after = require_hermitian(u @ kron(rho_system.matrix, rho_a.matrix) @ dag(u), name="joint state")
-    rho_s_after = DensityMatrix(partial_trace(joint_after, cfg.dim_system, cfg.dim_ancilla, "system"))
-    rho_a_after = DensityMatrix(partial_trace(joint_after, cfg.dim_system, cfg.dim_ancilla, "ancilla"))
+    rho_vec = vec(rho_system.matrix)
+    rho_s_after = DensityMatrix(unvec(cfg.system_map @ rho_vec, cfg.dim_system))
+    rho_a_after = DensityMatrix(unvec(cfg.ancilla_map @ rho_vec, cfg.dim_ancilla))
 
     h_s = cfg.h_system
     h_a = cfg.ancilla.h_ancilla
@@ -195,12 +237,9 @@ def collide(rho_system: DensityMatrix, cfg: CollisionConfig) -> CollisionOutcome
     heat_ancilla = rho_a_after.expectation(h_a) - rho_a.expectation(h_a)
     work = d_energy + heat_ancilla
 
-    z = np.trace(commutator(cfg.coherent_op, h_s) @ rho_system.matrix)
+    z = np.trace(cfg.work_operator @ rho_system.matrix)
     coherent_work = float((1j * cfg.ancilla.lam * tau * z).real)
-    dissipated = dissipator_apply(
-        cfg.v_interaction, rho_system.matrix, cfg.thermal_ancilla.matrix, cfg.dim_system, cfg.dim_ancilla
-    )
-    incoherent_heat = tau * float(np.trace(h_s @ dissipated).real)
+    incoherent_heat = tau * rho_system.expectation(cfg.heat_operator)
 
     # Unitary invariance: the joint entropy after the stroke is S(rho_S) + S(rho_A).
     mutual = (

@@ -57,6 +57,10 @@ class RankDeficientError(QCollideError):
     """State is (numerically) rank deficient where a full-rank one is needed."""
 
 
+class UnitaryDefectError(QCollideError):
+    """Collision propagator fails the unitarity or energy-conservation check."""
+
+
 class EnergyConservationError(QCollideError):
     """Interaction does not commute with the free Hamiltonian."""
 

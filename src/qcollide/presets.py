@@ -255,6 +255,12 @@ def _ladder_lowering(rng: SplitMix64, basis: np.ndarray, step: int) -> np.ndarra
     return op / top if top > 0 else op
 
 
+def _canonical_phases(basis: np.ndarray) -> np.ndarray:
+    """Rephase each column so its largest-modulus entry is real and positive."""
+    pivots = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    return basis * (pivots.conj() / np.abs(pivots))
+
+
 def random_collision(
     rng: SplitMix64, *, eigenoperator: bool = True, dims: tuple[int, ...] = (2, 3)
 ) -> tuple[DensityMatrix, CollisionConfig]:
@@ -293,7 +299,7 @@ def random_collision(
     else:
         h_system = random_hermitian(rng, dim_system, scale=rng.uniform(0.5, 1.5))
         h_ancilla = random_hermitian(rng, dim_ancilla, scale=rng.uniform(0.5, 1.5))
-        basis_a = hermitian_eig(h_ancilla).eigenvectors
+        basis_a = _canonical_phases(hermitian_eig(h_ancilla).eigenvectors)
         thermal = thermal_state(h_ancilla, beta)
         v = random_hermitian(rng, dim_system * dim_ancilla, scale=rng.uniform(0.4, 1.0))
         # Remove the thermal first moment so the generator recipe applies.

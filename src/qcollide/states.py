@@ -41,23 +41,39 @@ class DensityMatrix:
 
     Construction gates on Hermiticity, unit trace and positive
     semidefiniteness (eigenvalues above ``-psd_tol``), then stores the
-    symmetrized matrix read-only together with its spectrum.
+    symmetrized matrix read-only together with its spectrum.  The von Neumann
+    entropy is memoized on first use by :func:`von_neumann_entropy`.
     """
 
-    __slots__ = ("matrix", "spectrum")
+    __slots__ = ("matrix", "spectrum", "_entropy")
 
     def __init__(self, matrix, *, psd_tol: float = PSD_TOL):
         m = require_hermitian(matrix, name="density matrix")
-        trace = float(np.trace(m).real)
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {trace!r} is not 1")
-        spectrum = hermitian_eig(m, name="density matrix")
+        _require_unit_trace(float(np.trace(m).real))
+        self._store(m, hermitian_eig(m, name="density matrix"), psd_tol)
+
+    @classmethod
+    def from_spectrum(cls, spectrum: Spectrum, *, psd_tol: float = PSD_TOL) -> "DensityMatrix":
+        """State ``V diag(p) V^dag`` from an ascending spectrum, without a second eigensolve.
+
+        The trace and positivity gates read the given eigenvalues ``p``.
+        """
+        if np.any(np.diff(spectrum.eigenvalues) < 0.0):
+            raise ValueError("spectrum eigenvalues must be ascending")
+        _require_unit_trace(float(spectrum.eigenvalues.sum()))
+        v = spectrum.eigenvectors
+        rho = object.__new__(cls)
+        rho._store(require_hermitian((v * spectrum.eigenvalues) @ dag(v), name="density matrix"), spectrum, psd_tol)
+        return rho
+
+    def _store(self, m: np.ndarray, spectrum: Spectrum, psd_tol: float) -> None:
         smallest = float(spectrum.eigenvalues[0])
         if smallest < -psd_tol:
             raise NotPositiveError(f"density matrix has eigenvalue {smallest:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "_entropy", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")
@@ -76,6 +92,11 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
+
+
+def _require_unit_trace(trace: float) -> None:
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace {trace!r} is not 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +152,8 @@ def thermal_state(h, beta: float) -> DensityMatrix:
     shifted = spectrum.eigenvalues - spectrum.eigenvalues[0]
     weights = np.exp(-beta * shifted)
     probs = weights / weights.sum()
-    v = spectrum.eigenvectors
-    return DensityMatrix((v * probs) @ dag(v))
+    # Gibbs weights fall as the energies rise; reverse both to keep them ascending.
+    return DensityMatrix.from_spectrum(Spectrum(probs[::-1], spectrum.eigenvectors[:, ::-1]))
 
 
 def weakly_coherent_state(spec: AncillaSpec) -> DensityMatrix:
@@ -165,8 +186,10 @@ def _entropy_of_probs(probs: np.ndarray) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """``-sum p ln p`` over the eigenvalues, with ``0 ln 0 = 0``."""
-    return _entropy_of_probs(rho.eigenvalues)
+    """``-sum p ln p`` over the eigenvalues, with ``0 ln 0 = 0``; computed once per state."""
+    if rho._entropy is None:
+        object.__setattr__(rho, "_entropy", _entropy_of_probs(rho.eigenvalues))
+    return rho._entropy
 
 
 def _log_on_support(spectrum: Spectrum) -> np.ndarray:

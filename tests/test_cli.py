@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qcollide.cli import (
@@ -145,6 +146,19 @@ class TestMainEntry:
         path = tmp_path / "nope.json"
         assert main(["validate", "--config", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def test_unitary_defect_is_one_line_error(tmp_path, capsys, monkeypatch):
+    import qcollide.collisions as collisions
+
+    monkeypatch.setattr(collisions, "expm_unitary", lambda h, t: 1.01 * np.eye(h.shape[0], dtype=complex))
+    code = main(["run", "--config", str(CONFIG_DIR / "custom.json"), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "unitary defect" in lines[0]
 
 
 BAD_SCALAR_CONFIGS = {

@@ -118,24 +118,41 @@ class TestCollide:
         assert abs(led.entropy_production - beta * (led.coherent_work - led.d_free_energy)) <= envelope
 
 
+def _rephase_sampler_eigenvectors(monkeypatch):
+    """Make the sampler's eigensolver return every eigenvector with a new phase."""
+    import qcollide.presets as presets
+
+    plain = presets.hermitian_eig
+
+    def rephased(m, **kwargs):
+        spectrum = plain(m, **kwargs)
+        phases = np.exp(1j * (0.7 + 1.3 * np.arange(spectrum.dim)))
+        return type(spectrum)(spectrum.eigenvalues, spectrum.eigenvectors * phases)
+
+    monkeypatch.setattr(presets, "hermitian_eig", rephased)
+
+
 class TestRandomCollisionSampler:
     @pytest.mark.parametrize("seed", [1, 7, 2026])
     def test_draw_is_independent_of_eigenvector_phases(self, seed, monkeypatch):
-        import qcollide.presets as presets
-
         _, reference = random_collision(SplitMix64(seed), eigenoperator=True)
-        plain = presets.hermitian_eig
-
-        def rephased(m, **kwargs):
-            spectrum = plain(m, **kwargs)
-            phases = np.exp(1j * (0.7 + 1.3 * np.arange(spectrum.dim)))
-            return type(spectrum)(spectrum.eigenvalues, spectrum.eigenvectors * phases)
-
-        monkeypatch.setattr(presets, "hermitian_eig", rephased)
+        _rephase_sampler_eigenvectors(monkeypatch)
         _, cfg = random_collision(SplitMix64(seed), eigenoperator=True)
         assert cfg.ancilla.chi.tobytes() == reference.ancilla.chi.tobytes()
         assert cfg.v_interaction.tobytes() == reference.v_interaction.tobytes()
         assert cfg.ancilla.lam == reference.ancilla.lam
+
+
+class TestGenericRandomCollisionSampler:
+    @pytest.mark.parametrize("seed", [1, 3, 7, 2026])
+    def test_draw_is_independent_of_eigenvector_phases(self, seed, monkeypatch):
+        # Rephasing and then canonicalizing the H_A basis can move the last bit.
+        _, reference = random_collision(SplitMix64(seed), eigenoperator=False)
+        _rephase_sampler_eigenvectors(monkeypatch)
+        _, cfg = random_collision(SplitMix64(seed), eigenoperator=False)
+        assert max_abs(cfg.ancilla.chi - reference.ancilla.chi) <= 1e-12
+        assert max_abs(cfg.v_interaction - reference.v_interaction) <= 1e-12
+        assert abs(cfg.ancilla.lam - reference.ancilla.lam) <= 1e-12 * reference.ancilla.lam
 
 
 class TestRandomizedPositivity:
