@@ -56,7 +56,7 @@ class CollisionConfig:
     ``v_interaction`` is the pre-scaling potential on the joint space (units
     energy * sqrt(time)); the realized joint Hamiltonian divides it by
     ``sqrt(tau)``.  Derived objects (joint unitary, prepared ancilla state,
-    coherent operator) are computed lazily and cached, so a config can be
+    thermal ancilla state) are computed lazily and cached, so a config can be
     reused across many collisions at no extra cost; so are the ``H_A``
     eigenbasis that dephases the ledger's coherences, ``coherence_before``,
     the two stroke maps ``system_map`` and ``ancilla_map``, and the two
@@ -110,10 +110,6 @@ class CollisionConfig:
         return coherence_in_basis(self.ancilla_state, self.ancilla_basis)
 
     @cached_property
-    def coherent_op(self) -> np.ndarray:
-        return coherent_generator(self.v_interaction, self.ancilla.chi, self.dim_system, self.dim_ancilla)
-
-    @cached_property
     def system_map(self) -> np.ndarray:
         """``d_S^2 x d_S^2`` matrix taking ``vec(rho_S)`` to ``vec(tr_A[U (rho_S x rho_A) U^dag])``."""
         d_s, d_a = self.dim_system, self.dim_ancilla
@@ -141,7 +137,8 @@ class CollisionConfig:
     @cached_property
     def work_operator(self) -> np.ndarray:
         """``C = [G, H_S]``: the coherent work rate is ``Re(i lam tr(C rho))``."""
-        return commutator(self.coherent_op, self.h_system)
+        g = coherent_generator(self.v_interaction, self.ancilla.chi, self.dim_system, self.dim_ancilla)
+        return commutator(g, self.h_system)
 
     def subdivided(self, parts: int) -> "CollisionConfig":
         """Equivalent species config for one sub-collision of a round of ``parts``.

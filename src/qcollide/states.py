@@ -53,7 +53,7 @@ class DensityMatrix:
         self._store(m, hermitian_eig(m, name="density matrix"), psd_tol)
 
     @classmethod
-    def from_spectrum(cls, spectrum: Spectrum, *, psd_tol: float = PSD_TOL) -> "DensityMatrix":
+    def from_spectrum(cls, spectrum: Spectrum) -> "DensityMatrix":
         """State ``V diag(p) V^dag`` from an ascending spectrum, without a second eigensolve.
 
         The trace and positivity gates read the given eigenvalues ``p``.
@@ -63,7 +63,7 @@ class DensityMatrix:
         _require_unit_trace(float(spectrum.eigenvalues.sum()))
         v = spectrum.eigenvectors
         rho = object.__new__(cls)
-        rho._store(require_hermitian((v * spectrum.eigenvalues) @ dag(v), name="density matrix"), spectrum, psd_tol)
+        rho._store(require_hermitian((v * spectrum.eigenvalues) @ dag(v), name="density matrix"), spectrum, PSD_TOL)
         return rho
 
     def _store(self, m: np.ndarray, spectrum: Spectrum, psd_tol: float) -> None:

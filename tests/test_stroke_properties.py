@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcollide.collisions import collide
-from qcollide.lindblad import dissipator_apply, vec
+from qcollide.lindblad import coherent_generator, dissipator_apply, vec
 from qcollide.linalg import commutator, dag, kron, max_abs, partial_trace
 from qcollide.presets import random_collision
 from qcollide.rng import SplitMix64
+from qcollide import states
 from qcollide.states import von_neumann_entropy
 
 TOL = 1e-12
@@ -60,7 +61,8 @@ def test_ledger_operators_match_dissipator_and_commutator(seed, eigenoperator):
     )
     heat_rate = np.trace(cfg.h_system @ dissipated).real
     assert abs(np.trace(cfg.heat_operator @ rho.matrix).real - heat_rate) <= TOL
-    work_trace = np.trace(commutator(cfg.coherent_op, cfg.h_system) @ rho.matrix)
+    g = coherent_generator(cfg.v_interaction, cfg.ancilla.chi, cfg.dim_system, cfg.dim_ancilla)
+    work_trace = np.trace(commutator(g, cfg.h_system) @ rho.matrix)
     assert abs(np.trace(cfg.work_operator @ rho.matrix) - work_trace) <= TOL
 
 
@@ -86,4 +88,22 @@ def test_memoized_entropy_matches_fresh_spectrum(seed, eigenoperator):
         p = p[p > 0.0]
         fresh = float(-(p * np.log(p)).sum())
         assert abs(von_neumann_entropy(state) - fresh) <= TOL
-        assert von_neumann_entropy(state) == von_neumann_entropy(state)
+
+
+def test_entropy_is_computed_once_per_state(monkeypatch):
+    calls = []
+    original = states._entropy_of_probs
+
+    def counting(probs):
+        calls.append(1)
+        return original(probs)
+
+    monkeypatch.setattr(states, "_entropy_of_probs", counting)
+    rho, cfg = draw(5, False)
+    out = collide(rho, cfg)
+    calls.clear()
+    for state in (rho, out.system, out.ancilla, cfg.ancilla_state):
+        first = von_neumann_entropy(state)
+        assert state._entropy == first
+        assert von_neumann_entropy(state) == first
+    assert calls == []
