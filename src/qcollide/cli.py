@@ -44,10 +44,10 @@ from .series import PerturbedState, coherence_series, entropy_series, relative_e
 from .states import (
     AncillaSpec,
     DensityMatrix,
+    coherence_in_basis,
     relative_entropy,
     relative_entropy_of_coherence,
     ergotropy_exact,
-    thermal_state,
     von_neumann_entropy,
 )
 from .verify import (
@@ -188,7 +188,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if key not in raw:
             return None
         values = raw[key] if isinstance(raw[key], list) else [raw[key]]
-        if key != "tau" and isinstance(raw[key], list) and key not in _LIST_OK:
+        if isinstance(raw[key], list) and key not in _LIST_OK:
             raise SchemaError(f"{key}: lists are not allowed")
         kind = _SCALAR_KEYS[key]
         out = []
@@ -458,9 +458,9 @@ def ergotropy_ratio_deviations(eps_list=(1e-1, 1e-2, 1e-3)) -> list[float]:
             lam=eps,
             tau=1.0,
         )
-        rho = DensityMatrix(thermal_state(spec.h_ancilla, spec.beta).matrix + eps * spec.chi)
+        rho = DensityMatrix(spec.thermal.matrix + eps * spec.chi)
         exact = ergotropy_exact(rho, spec.h_ancilla)
-        coherence = relative_entropy_of_coherence(rho, spec.h_ancilla)
+        coherence = coherence_in_basis(rho, spec.basis)
         deviations.append(abs(exact / (coherence / spec.beta) - 1.0))
     return deviations
 

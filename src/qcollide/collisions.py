@@ -19,18 +19,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import add
 
 import numpy as np
 
 from .errors import DimensionMismatchError, UnitaryDefectError
 from .lindblad import coherent_generator, unvec, vec
 from .linalg import (
-    Spectrum,
     commutator,
     dag,
     double_commutator,
     expm_unitary,
-    hermitian_eig,
     kron,
     max_abs,
     require_hermitian,
@@ -41,7 +40,6 @@ from .states import (
     coherence_in_basis,
     free_energy,
     relative_entropy,
-    thermal_state,
     von_neumann_entropy,
     weakly_coherent_state,
 )
@@ -55,12 +53,12 @@ class CollisionConfig:
 
     ``v_interaction`` is the pre-scaling potential on the joint space (units
     energy * sqrt(time)); the realized joint Hamiltonian divides it by
-    ``sqrt(tau)``.  Derived objects (joint unitary, prepared ancilla state,
-    thermal ancilla state) are computed lazily and cached, so a config can be
-    reused across many collisions at no extra cost; so are the ``H_A``
-    eigenbasis that dephases the ledger's coherences, ``coherence_before``,
-    the two stroke maps ``system_map`` and ``ancilla_map``, and the two
-    ledger operators ``heat_operator`` and ``work_operator``.
+    ``sqrt(tau)``.  Derived objects (joint unitary, prepared ancilla state)
+    are computed lazily and cached, so a config can be reused across many
+    collisions at no extra cost; so are ``coherence_before``, the two stroke
+    maps ``system_map`` and ``ancilla_map``, and the two ledger operators
+    ``heat_operator`` and ``work_operator``.  The ``H_A`` eigenbasis and the
+    thermal ancilla state are ``ancilla.basis`` and ``ancilla.thermal``.
     """
 
     def __init__(self, h_system, v_interaction, ancilla: AncillaSpec, label: str = "A"):
@@ -98,16 +96,8 @@ class CollisionConfig:
         return weakly_coherent_state(self.ancilla)
 
     @cached_property
-    def thermal_ancilla(self) -> DensityMatrix:
-        return thermal_state(self.ancilla.h_ancilla, self.ancilla.beta)
-
-    @cached_property
-    def ancilla_basis(self) -> Spectrum:
-        return hermitian_eig(self.ancilla.h_ancilla, name="h_ancilla")
-
-    @cached_property
     def coherence_before(self) -> float:
-        return coherence_in_basis(self.ancilla_state, self.ancilla_basis)
+        return coherence_in_basis(self.ancilla_state, self.ancilla.basis)
 
     @cached_property
     def system_map(self) -> np.ndarray:
@@ -132,7 +122,7 @@ class CollisionConfig:
         nested = double_commutator(self.v_interaction, kron(self.h_system, np.eye(d_a)))
         # tr_A(X (I x rho_th)) contracted directly, without forming I x rho_th.
         blocks = nested.reshape(d_s, d_a, d_s, d_a)
-        return -0.5 * np.einsum("iajb,ba->ij", blocks, self.thermal_ancilla.matrix)
+        return -0.5 * np.einsum("iajb,ba->ij", blocks, self.ancilla.thermal.matrix)
 
     @cached_property
     def work_operator(self) -> np.ndarray:
@@ -202,9 +192,8 @@ class CollisionLedger:
         return cls(*([0.0] * len(fields(cls))))
 
     def __add__(self, other: "CollisionLedger") -> "CollisionLedger":
-        return CollisionLedger(
-            *(getattr(self, f.name) + getattr(other, f.name) for f in fields(self))
-        )
+        # The instance dicts hold the fields in declaration order.
+        return CollisionLedger(*map(add, vars(self).values(), vars(other).values()))
 
 
 @dataclass(frozen=True)
@@ -256,7 +245,7 @@ def collide(rho_system: DensityMatrix, cfg: CollisionConfig) -> CollisionOutcome
         mutual_info=mutual,
         rel_entropy_ancilla=rel_ancilla,
         coherence_before=cfg.coherence_before,
-        coherence_after=coherence_in_basis(rho_a_after, cfg.ancilla_basis),
+        coherence_after=coherence_in_basis(rho_a_after, cfg.ancilla.basis),
         d_free_energy=free_energy(rho_s_after, h_s, beta) - free_energy(rho_system, h_s, beta),
     )
     return CollisionOutcome(system=rho_s_after, ancilla=rho_a_after, ledger=ledger)

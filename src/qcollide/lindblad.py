@@ -29,7 +29,6 @@ from .linalg import (
     commutator,
     dag,
     double_commutator,
-    hermitian_eig,
     kron,
     max_abs,
     partial_trace,
@@ -156,19 +155,37 @@ class LindbladGenerator:
 
 
 def build_generator(h_system, spec: AncillaSpec, v_interaction, label: str = "A") -> LindbladGenerator:
-    """Assemble the single-species generator from collision ingredients.
+    """Single-species generator: :func:`multi_bath_generator` with one species."""
+    return multi_bath_generator(h_system, [(spec, v_interaction)], [label])
 
-    Requires the interaction to have no thermal first moment (shift ``V`` by
-    the offending system operator otherwise); raises
-    :class:`FirstMomentError` when violated.
+
+def multi_bath_generator(
+    h_system, species: list[tuple[AncillaSpec, np.ndarray]], labels: list[str] | None = None
+) -> LindbladGenerator:
+    """Additive generator for several independent ancilla species.
+
+    Raises :class:`FirstMomentError` if an interaction has a thermal first moment.
     """
+    if not species:
+        raise ValueError("need at least one species")
+    if labels is None:
+        labels = [f"species-{i}" for i in range(len(species))]
+    if len(labels) != len(species):
+        raise ValueError("labels length does not match species")
     h_s = require_hermitian(h_system, name="h_system")
+    terms = [_species_term(h_s, spec, v, label) for (spec, v), label in zip(species, labels)]
+    h_eff = h_s + sum(term.lam * term.coherent_op for term in terms)
+    return LindbladGenerator(h_eff=h_eff, species=terms)
+
+
+def _species_term(h_s: np.ndarray, spec: AncillaSpec, v_interaction, label: str) -> SpeciesTerm:
+    """Coherent drive and thermal dissipator of one species on the system of ``h_s``."""
     v = require_hermitian(v_interaction, name="v_interaction")
     dim_system = h_s.shape[0]
     dim_ancilla = spec.dim
     if v.shape[0] != dim_system * dim_ancilla:
         raise DimensionMismatchError("interaction does not live on the joint space")
-    rho_th = thermal_state(spec.h_ancilla, spec.beta).matrix
+    rho_th = spec.thermal.matrix
     moment = thermal_first_moment(v, rho_th, dim_system, dim_ancilla)
     if max_abs(moment) > FIRST_MOMENT_TOL:
         raise FirstMomentError(
@@ -178,28 +195,7 @@ def build_generator(h_system, spec: AncillaSpec, v_interaction, label: str = "A"
     dissipator = superoperator_matrix(
         lambda m: dissipator_apply(v, m, rho_th, dim_system, dim_ancilla), dim_system
     )
-    term = SpeciesTerm(label=label, beta=spec.beta, lam=spec.lam, coherent_op=g, dissipator=dissipator)
-    return LindbladGenerator(h_eff=h_s + spec.lam * g, species=[term])
-
-
-def multi_bath_generator(
-    h_system, species: list[tuple[AncillaSpec, np.ndarray]], labels: list[str] | None = None
-) -> LindbladGenerator:
-    """Additive generator for several independent ancilla species."""
-    if not species:
-        raise ValueError("need at least one species")
-    if labels is None:
-        labels = [f"species-{i}" for i in range(len(species))]
-    if len(labels) != len(species):
-        raise ValueError("labels length does not match species")
-    singles = [
-        build_generator(h_system, spec, v, label=label)
-        for (spec, v), label in zip(species, labels)
-    ]
-    h_s = require_hermitian(h_system, name="h_system")
-    terms = [gen.species[0] for gen in singles]
-    h_eff = h_s + sum(term.lam * term.coherent_op for term in terms)
-    return LindbladGenerator(h_eff=h_eff, species=terms)
+    return SpeciesTerm(label=label, beta=spec.beta, lam=spec.lam, coherent_op=g, dissipator=dissipator)
 
 
 @dataclass(frozen=True, eq=False)

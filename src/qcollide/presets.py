@@ -196,7 +196,7 @@ def random_density_matrix(rng: SplitMix64, dim: int, floor: float = 0.08) -> Den
     w = a @ dag(a)
     w = w / float(np.trace(w).real)
     mixed = (1.0 - floor * dim) * w + floor * np.eye(dim)
-    return DensityMatrix(0.5 * (mixed + dag(mixed)))
+    return DensityMatrix(mixed)
 
 
 def random_traceless_hermitian(rng: SplitMix64, dim: int) -> np.ndarray:

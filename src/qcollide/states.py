@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,9 +49,11 @@ class DensityMatrix:
     __slots__ = ("matrix", "spectrum", "_entropy")
 
     def __init__(self, matrix, *, psd_tol: float = PSD_TOL):
-        m = require_hermitian(matrix, name="density matrix")
+        spectrum = hermitian_eig(matrix, name="density matrix")
+        a = np.asarray(matrix, dtype=complex)
+        m = 0.5 * (a + dag(a))
         _require_unit_trace(float(np.trace(m).real))
-        self._store(m, hermitian_eig(m, name="density matrix"), psd_tol)
+        self._store(m, spectrum, psd_tol)
 
     @classmethod
     def from_spectrum(cls, spectrum: Spectrum) -> "DensityMatrix":
@@ -106,7 +109,8 @@ class AncillaSpec:
     The realized state is ``thermal(h_ancilla, beta) + sqrt(tau) * lam * chi``,
     with ``chi`` Hermitian and free of diagonal elements in the eigenbasis of
     ``h_ancilla``.  ``tau`` is the collision duration the preparation is tied
-    to; ``lam`` controls the magnitude of the injected coherence.
+    to; ``lam`` controls the magnitude of the injected coherence.  All that
+    ``(h_ancilla, beta)`` fix is cached here, as ``basis`` and ``thermal``.
     """
 
     h_ancilla: np.ndarray
@@ -138,6 +142,16 @@ class AncillaSpec:
         """The small parameter ``lam * sqrt(tau)`` multiplying ``chi``."""
         return self.lam * math.sqrt(self.tau)
 
+    @cached_property
+    def basis(self) -> Spectrum:
+        """Eigendecomposition of ``h_ancilla``: the dephasing basis of the coherence."""
+        return hermitian_eig(self.h_ancilla, name="h_ancilla")
+
+    @cached_property
+    def thermal(self) -> DensityMatrix:
+        """Gibbs state of ``h_ancilla`` at ``beta``, built from :attr:`basis`."""
+        return _gibbs_state(self.basis, self.beta)
+
 
 def thermal_state(h, beta: float) -> DensityMatrix:
     """Gibbs state ``exp(-beta H) / Z`` built spectrally.
@@ -148,7 +162,10 @@ def thermal_state(h, beta: float) -> DensityMatrix:
     """
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
-    spectrum = hermitian_eig(h, name="hamiltonian")
+    return _gibbs_state(hermitian_eig(h, name="hamiltonian"), beta)
+
+
+def _gibbs_state(spectrum: Spectrum, beta: float) -> DensityMatrix:
     shifted = spectrum.eigenvalues - spectrum.eigenvalues[0]
     weights = np.exp(-beta * shifted)
     probs = weights / weights.sum()
@@ -164,15 +181,13 @@ def weakly_coherent_state(spec: AncillaSpec) -> DensityMatrix:
     :class:`NotPositiveError` if ``lam * sqrt(tau)`` is too large for the
     state to stay positive at this finite ``tau``.
     """
-    basis = hermitian_eig(spec.h_ancilla, name="h_ancilla")
-    chi_energy = dag(basis.eigenvectors) @ spec.chi @ basis.eigenvectors
+    chi_energy = dag(spec.basis.eigenvectors) @ spec.chi @ spec.basis.eigenvectors
     diag_size = float(np.max(np.abs(np.diagonal(chi_energy))))
     if diag_size > CHI_DIAGONAL_TOL:
         raise DiagonalCoherenceError(
             f"chi has diagonal weight {diag_size:.3e} in the ancilla energy basis"
         )
-    thermal = thermal_state(spec.h_ancilla, spec.beta)
-    return DensityMatrix(thermal.matrix + spec.coherence_amplitude * spec.chi)
+    return DensityMatrix(spec.thermal.matrix + spec.coherence_amplitude * spec.chi)
 
 
 def _entropy_of_probs(probs: np.ndarray) -> float:

@@ -222,8 +222,7 @@ def free_energy_rate_fd(
 
     def step(sign: float) -> DensityMatrix:
         moved = rk4_step(gen.matrix, rho.matrix.reshape(-1, order="F"), sign * dt)
-        out = moved.reshape((gen.dim, gen.dim), order="F")
-        return DensityMatrix(0.5 * (out + out.conj().T))
+        return DensityMatrix(moved.reshape((gen.dim, gen.dim), order="F"))
 
     forward = free_energy(step(+1.0), h_system, beta)
     backward = free_energy(step(-1.0), h_system, beta)

@@ -3,19 +3,24 @@
 The reference throughout is the explicit joint-state route: form
 ``U (rho_S x rho_A) U^dag`` and take partial traces, and evaluate the
 incoherent heat through the thermal dissipator.  Draws come from the seeded
-random-collision sampler in both branches at dimensions (2, 3).
+random-collision sampler in both branches at dimensions (2, 3).  The file
+also checks ledger properties over strokes and rounds, and counts the
+eigensolves and Hermiticity gates that one stroke's states cost.
 """
+
+from dataclasses import fields
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcollide.collisions import collide
-from qcollide.lindblad import coherent_generator, dissipator_apply, vec
+from qcollide.cli import POSITIVITY_BOUND
+from qcollide.collisions import collide, run_trajectory
+from qcollide.lindblad import build_generator, coherent_generator, dissipator_apply, vec
 from qcollide.linalg import commutator, dag, kron, max_abs, partial_trace
-from qcollide.presets import random_collision
+from qcollide.presets import maximally_mixed, qubit_collision, qutrit_ancilla_collision, random_collision
 from qcollide.rng import SplitMix64
-from qcollide import states
+from qcollide import linalg, states
 from qcollide.states import von_neumann_entropy
 
 TOL = 1e-12
@@ -57,7 +62,7 @@ def test_stroke_maps_match_joint_state_route(seed, eigenoperator):
 def test_ledger_operators_match_dissipator_and_commutator(seed, eigenoperator):
     rho, cfg = draw(seed, eigenoperator)
     dissipated = dissipator_apply(
-        cfg.v_interaction, rho.matrix, cfg.thermal_ancilla.matrix, cfg.dim_system, cfg.dim_ancilla
+        cfg.v_interaction, rho.matrix, cfg.ancilla.thermal.matrix, cfg.dim_system, cfg.dim_ancilla
     )
     heat_rate = np.trace(cfg.h_system @ dissipated).real
     assert abs(np.trace(cfg.heat_operator @ rho.matrix).real - heat_rate) <= TOL
@@ -107,3 +112,63 @@ def test_entropy_is_computed_once_per_state(monkeypatch):
         assert state._entropy == first
         assert von_neumann_entropy(state) == first
     assert calls == []
+
+
+@stroke_settings
+@given(seeds, st.booleans())
+def test_stroke_entropy_production_is_nonnegative(seed, eigenoperator):
+    rho, cfg = draw(seed, eigenoperator)
+    assert collide(rho, cfg).ledger.entropy_production >= POSITIVITY_BOUND
+
+
+@stroke_settings
+@given(
+    st.floats(min_value=0.2, max_value=2.0),
+    st.floats(min_value=0.2, max_value=2.0),
+    st.floats(min_value=0.0, max_value=0.15),
+    st.floats(min_value=1e-3, max_value=1e-2),
+)
+def test_round_robin_ledger_is_additive(beta_a, beta_b, lam, tau):
+    cfgs = [
+        qubit_collision(beta=beta_a, lam=lam, tau=tau, label="A"),
+        qutrit_ancilla_collision(beta=beta_b, lam=lam, tau=tau, label="B"),
+    ]
+    rho0 = maximally_mixed(2)
+    record = run_trajectory(rho0, cfgs, 5, schedule="round-robin")
+    total = record.cumulative[-1]
+    a, b = record.species_totals["A"], record.species_totals["B"]
+    for f in fields(total):
+        assert abs(getattr(a, f.name) + getattr(b, f.name) - getattr(total, f.name)) <= TOL
+    h_s = cfgs[0].h_system
+    d_energy = record.final_state.expectation(h_s) - rho0.expectation(h_s)
+    assert abs(total.d_energy - d_energy) <= TOL
+
+
+def test_ancilla_hamiltonian_is_diagonalized_once(monkeypatch):
+    inputs = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        inputs.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    cfg = qutrit_ancilla_collision()
+    collide(maximally_mixed(cfg.dim_system), cfg)
+    build_generator(cfg.h_system, cfg.ancilla, cfg.v_interaction)
+    h_a = cfg.ancilla.h_ancilla
+    assert sum(a.shape == h_a.shape and np.array_equal(a, h_a) for a in inputs) == 1
+
+
+def test_density_matrix_gates_once(monkeypatch):
+    calls = []
+    gate = linalg.require_hermitian
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return gate(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "require_hermitian", counting)
+    monkeypatch.setattr(states, "require_hermitian", counting)
+    states.DensityMatrix(np.array([[0.6, 0.1j], [-0.1j, 0.4]]))
+    assert len(calls) == 1
