@@ -96,30 +96,28 @@ _SCALAR_KEYS = {
     "omega": float,
     "tau": float,
     "t_final": float,
-    "dt": float,
     "n_steps": int,
     "seed": int,
 }
-_LIST_OK = {"H_A", "V", "chi", "beta", "lambda", "g", "tau"}
+_LIST_OK = {"beta", "lambda", "g", "tau"}
 _ALLOWED_KEYS = {"scenario", "output_dir", *_MATRIX_KEYS, *_SCALAR_KEYS}
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated scenario configuration with per-species lists normalized."""
+    """Validated scenario configuration; per-species scalars are lists, matrices single."""
 
     scenario: str
     h_system: np.ndarray | None
-    h_ancillas: list[np.ndarray] | None
-    interactions: list[np.ndarray] | None
-    coherences: list[np.ndarray] | None
+    h_ancilla: np.ndarray | None
+    interaction: np.ndarray | None
+    coherence: np.ndarray | None
     betas: list[float] | None
     lams: list[float] | None
     gs: list[float] | None
     taus: list[float] | None
     omega: float | None
     t_final: float | None
-    dt: float | None
     n_steps: int | None
     seed: int | None
     output_dir: str
@@ -142,18 +140,6 @@ def _parse_matrix(key: str, raw: Any) -> np.ndarray:
                 raise SchemaError(f"{key}: entry ({i},{j}) is not an [re, im] pair")
             out[i, j] = complex(cell[0], cell[1])
     return out
-
-
-def _as_list(raw: Any) -> list[Any]:
-    if isinstance(raw, list) and raw and isinstance(raw[0], list):
-        # list of matrices vs single matrix: a matrix is a list of rows of pairs
-        first = raw[0]
-        if first and isinstance(first[0], list) and first[0] and isinstance(first[0][0], list):
-            return raw  # list of matrices
-        return [raw]
-    if isinstance(raw, list):
-        return raw
-    return [raw]
 
 
 def _hermitian_gate(key: str, m: np.ndarray) -> np.ndarray:
@@ -209,14 +195,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise SchemaError(f"{key}: a single number is required")
         return scalar_list(key)[0]
 
-    def matrices(key: str) -> list[np.ndarray] | None:
+    def matrix(key: str) -> np.ndarray | None:
         if key not in raw:
             return None
-        if key == "H_S":
-            return [_hermitian_gate(key, _parse_matrix(key, raw[key]))]
-        return [
-            _hermitian_gate(key, _parse_matrix(key, m)) for m in _as_list(raw[key])
-        ]
+        return _hermitian_gate(key, _parse_matrix(key, raw[key]))
 
     taus = scalar_list("tau")
     if taus is not None and len(taus) > 1 and scenario not in ("converge", "multibath"):
@@ -225,20 +207,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if isinstance(raw.get(key), list) and scenario != "multibath":
             raise ValidationError(f"{key}: per-species lists are only meaningful for multibath")
 
-    h_s = matrices("H_S")
     cfg = ExperimentConfig(
         scenario=scenario,
-        h_system=h_s[0] if h_s else None,
-        h_ancillas=matrices("H_A"),
-        interactions=matrices("V"),
-        coherences=matrices("chi"),
+        h_system=matrix("H_S"),
+        h_ancilla=matrix("H_A"),
+        interaction=matrix("V"),
+        coherence=matrix("chi"),
         betas=scalar_list("beta"),
         lams=scalar_list("lambda"),
         gs=scalar_list("g"),
         taus=taus,
         omega=scalar("omega"),
         t_final=scalar("t_final"),
-        dt=scalar("dt"),
         n_steps=scalar("n_steps"),
         seed=scalar("seed"),
         output_dir=str(raw.get("output_dir", ".")),
@@ -256,8 +236,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             if values is not None and len(values) != 2:
                 raise ValidationError(f"{key}: multibath needs one value per species (2), got {len(values)}")
     if cfg.scenario == "custom":
-        for key, value in (("H_S", cfg.h_system), ("H_A", cfg.h_ancillas),
-                           ("V", cfg.interactions), ("chi", cfg.coherences)):
+        for key, value in (("H_S", cfg.h_system), ("H_A", cfg.h_ancilla),
+                           ("V", cfg.interaction), ("chi", cfg.coherence)):
             if value is None:
                 raise ValidationError(f"{key}: required for the custom scenario")
     return cfg
@@ -366,10 +346,8 @@ def _scenario_custom(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
     tau = cfg.taus[0] if cfg.taus else 1e-2
     n_steps = cfg.n_steps if cfg.n_steps is not None else 100
     try:
-        spec = AncillaSpec(
-            h_ancilla=cfg.h_ancillas[0], beta=beta, chi=cfg.coherences[0], lam=lam, tau=tau
-        )
-        collision = CollisionConfig(cfg.h_system, cfg.interactions[0], spec)
+        spec = AncillaSpec(h_ancilla=cfg.h_ancilla, beta=beta, chi=cfg.coherence, lam=lam, tau=tau)
+        collision = CollisionConfig(cfg.h_system, cfg.interaction, spec)
     except (QCollideError, ValueError) as exc:
         raise ValidationError(str(exc)) from exc
     return _trajectory_checks(collision, n_steps, out_dir)

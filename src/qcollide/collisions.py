@@ -26,12 +26,14 @@ import numpy as np
 from .errors import DimensionMismatchError, UnitaryDefectError
 from .lindblad import coherent_generator, unvec, vec
 from .linalg import (
+    ancilla_average,
     commutator,
     dag,
     double_commutator,
     expm_unitary,
     kron,
     max_abs,
+    reduced_superoperator,
     require_hermitian,
 )
 from .states import (
@@ -102,10 +104,8 @@ class CollisionConfig:
     @cached_property
     def system_map(self) -> np.ndarray:
         """``d_S^2 x d_S^2`` matrix taking ``vec(rho_S)`` to ``vec(tr_A[U (rho_S x rho_A) U^dag])``."""
-        d_s, d_a = self.dim_system, self.dim_ancilla
-        u4 = self.unitary.reshape(d_s, d_a, d_s, d_a)
-        m = np.einsum("iajb,bc,kalc->ikjl", u4, self.ancilla_state.matrix, u4.conj())
-        return m.reshape(d_s * d_s, d_s * d_s, order="F")
+        u = self.unitary
+        return reduced_superoperator(u, dag(u), self.ancilla_state.matrix, self.dim_system, self.dim_ancilla)
 
     @cached_property
     def ancilla_map(self) -> np.ndarray:
@@ -118,11 +118,8 @@ class CollisionConfig:
     @cached_property
     def heat_operator(self) -> np.ndarray:
         """``K = -(1/2) tr_A([V, [V, H_S x I]] (I x rho_th))``: ``tr(K rho) = tr(H_S D(rho))``."""
-        d_s, d_a = self.dim_system, self.dim_ancilla
-        nested = double_commutator(self.v_interaction, kron(self.h_system, np.eye(d_a)))
-        # tr_A(X (I x rho_th)) contracted directly, without forming I x rho_th.
-        blocks = nested.reshape(d_s, d_a, d_s, d_a)
-        return -0.5 * np.einsum("iajb,ba->ij", blocks, self.ancilla.thermal.matrix)
+        nested = double_commutator(self.v_interaction, kron(self.h_system, np.eye(self.dim_ancilla)))
+        return -0.5 * ancilla_average(nested, self.ancilla.thermal.matrix, self.dim_system, self.dim_ancilla)
 
     @cached_property
     def work_operator(self) -> np.ndarray:

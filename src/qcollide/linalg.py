@@ -121,6 +121,26 @@ def partial_trace(m, dim_system: int, dim_ancilla: int, keep: str) -> np.ndarray
     raise ValueError(f"keep must be 'system' or 'ancilla', got {keep!r}")
 
 
+def ancilla_average(x, sigma, dim_system: int, dim_ancilla: int) -> np.ndarray:
+    """``tr_A[X (I (x) sigma)]`` of a joint-space ``X``, without forming ``I (x) sigma``."""
+    blocks = np.asarray(x, dtype=complex).reshape(dim_system, dim_ancilla, dim_system, dim_ancilla)
+    return np.einsum("iajb,ba->ij", blocks, sigma)
+
+
+def reduced_superoperator(left, right, sigma, dim_system: int, dim_ancilla: int) -> np.ndarray:
+    """``d_S^2 x d_S^2`` matrix of ``rho -> tr_A[left (rho (x) sigma) right]`` on ``vec(rho)``.
+
+    ``vec`` stacks columns, so the flat index of entry ``(i, k)`` is
+    ``i + k * d_S``.  One contraction over the joint operators; no joint
+    state or matrix unit is formed.
+    """
+    d_s, d_a = dim_system, dim_ancilla
+    l4 = np.asarray(left, dtype=complex).reshape(d_s, d_a, d_s, d_a)
+    r4 = np.asarray(right, dtype=complex).reshape(d_s, d_a, d_s, d_a)
+    m = np.einsum("iajb,bc,lcka->ikjl", l4, sigma, r4)
+    return m.reshape(d_s * d_s, d_s * d_s, order="F")
+
+
 def _conformable(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shapes {a.shape} and {b.shape} do not conform")

@@ -1,9 +1,13 @@
 """Continuous-time generator built from the collision ingredients.
 
 The generator acts as ``L(rho) = -i [H_eff, rho] + sum_j D_j(rho)`` with
-``H_eff = H_S + sum_j lam_j G_j``.  Superoperators are stored as dense
-``d^2 x d^2`` matrices acting on column-stacked density matrices, which keeps
-steady-state solves and norm estimates to plain dense linear algebra.
+``H_eff = H_S + sum_j lam_j G_j``.  Every superoperator is a dense
+``d^2 x d^2`` matrix on column-stacked density matrices, built once in closed
+form: the drift and the jump dissipators from ``vec(A X B) = (B^T (x) A)
+vec(X)``, each thermal dissipator from one contraction over ``V`` and
+``rho_th`` (:func:`~qcollide.linalg.reduced_superoperator`).  Applying the
+generator is one matrix-vector product; steady-state solves and norm
+estimates are plain dense linear algebra.
 """
 
 from __future__ import annotations
@@ -26,12 +30,14 @@ from .errors import (
     TraceDriftError,
 )
 from .linalg import (
+    ancilla_average,
     commutator,
     dag,
     double_commutator,
     kron,
     max_abs,
     partial_trace,
+    reduced_superoperator,
     require_hermitian,
 )
 from .states import DensityMatrix, AncillaSpec, thermal_state
@@ -55,34 +61,19 @@ def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(vector, dtype=complex).reshape((dim, dim), order="F")
 
 
-def superoperator_matrix(apply_map, dim: int) -> np.ndarray:
-    """Dense matrix of a linear map on operators, built column by column.
-
-    Column ``k`` is the column-stacked image of the ``k``-th matrix unit.
-    """
-    columns = np.empty((dim * dim, dim * dim), dtype=complex)
-    for k in range(dim * dim):
-        unit = np.zeros((dim, dim), dtype=complex)
-        unit[k % dim, k // dim] = 1.0
-        columns[:, k] = vec(apply_map(unit))
-    return columns
-
-
 def coherent_generator(v_interaction, chi, dim_system: int, dim_ancilla: int) -> np.ndarray:
     """Effective driving operator ``tr_A( V (I (x) chi) )`` on the system.
 
     Hermitian whenever ``V`` and ``chi`` are; the output is symmetrized after
     passing that gate.
     """
-    lifted = np.asarray(v_interaction, dtype=complex) @ kron(np.eye(dim_system), chi)
-    g = partial_trace(lifted, dim_system, dim_ancilla, "system")
+    g = ancilla_average(v_interaction, chi, dim_system, dim_ancilla)
     return require_hermitian(g, name="coherent generator")
 
 
 def thermal_first_moment(v_interaction, rho_thermal, dim_system: int, dim_ancilla: int) -> np.ndarray:
     """``tr_A( V (I (x) rho_th) )``; must vanish for the dissipator recipe."""
-    lifted = np.asarray(v_interaction, dtype=complex) @ kron(np.eye(dim_system), rho_thermal)
-    return partial_trace(lifted, dim_system, dim_ancilla, "system")
+    return ancilla_average(v_interaction, rho_thermal, dim_system, dim_ancilla)
 
 
 def dissipator_apply(v_interaction, rho_system, rho_thermal, dim_system: int, dim_ancilla: int) -> np.ndarray:
@@ -128,14 +119,14 @@ class LindbladGenerator:
         self.dissipator = sum(term.dissipator for term in self.species)
 
     def apply(self, rho_matrix: np.ndarray) -> np.ndarray:
-        """``-i [H_eff, rho] + D(rho)``."""
-        drift = -1j * commutator(self.h_eff, rho_matrix)
-        return drift + unvec(self.dissipator @ vec(rho_matrix), self.dim)
+        """``-i [H_eff, rho] + D(rho)``, through :attr:`matrix`."""
+        return unvec(self.matrix @ vec(rho_matrix), self.dim)
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """Full generator as a matrix on column-stacked states."""
-        return superoperator_matrix(self.apply, self.dim)
+        eye = np.eye(self.dim)
+        return -1j * (kron(eye, self.h_eff) - kron(self.h_eff.T, eye)) + self.dissipator
 
     @cached_property
     def norm_estimate(self) -> float:
@@ -192,9 +183,13 @@ def _species_term(h_s: np.ndarray, spec: AncillaSpec, v_interaction, label: str)
             f"tr_A(V rho_th) has weight {max_abs(moment):.3e}; shift V to remove it"
         )
     g = coherent_generator(v, spec.chi, dim_system, dim_ancilla)
-    dissipator = superoperator_matrix(
-        lambda m: dissipator_apply(v, m, rho_th, dim_system, dim_ancilla), dim_system
-    )
+
+    def term(left, right):
+        return reduced_superoperator(left, right, rho_th, dim_system, dim_ancilla)
+
+    # [V, [V, X]] = V^2 X + X V^2 - 2 V X V with X = rho (x) rho_th.
+    v2, eye = v @ v, np.eye(v.shape[0])
+    dissipator = -0.5 * (term(v2, eye) + term(eye, v2) - 2.0 * term(v, v))
     return SpeciesTerm(label=label, beta=spec.beta, lam=spec.lam, coherent_op=g, dissipator=dissipator)
 
 
@@ -262,7 +257,8 @@ def eigenoperator_dissipator(
     rho_th = thermal_state(h_ancilla, beta).matrix
     dim_system = np.asarray(couplings[0].lowering_system).shape[0]
     rates: list[JumpRates] = []
-    channels: list[tuple[float, np.ndarray]] = []
+    eye = np.eye(dim_system)
+    matrix = np.zeros((dim_system * dim_system,) * 2, dtype=complex)
     for c in couplings:
         c.validate(h_system=h_system, h_ancilla=h_ancilla)
         a_op = np.asarray(c.lowering_ancilla, dtype=complex)
@@ -282,19 +278,11 @@ def eigenoperator_dissipator(
                 f"at frequency {c.frequency}"
             )
         rates.append(JumpRates(frequency=c.frequency, gamma_minus=gamma_minus, gamma_plus=gamma_plus))
-        channels.append((gamma_minus, l_op))
-        channels.append((gamma_plus, dag(l_op)))
-
-    def apply_map(rho):
-        out = np.zeros_like(rho)
-        for rate, jump in channels:
-            if rate == 0.0:
-                continue
+        # vec(A X B) = (B^T (x) A) vec(X) turns D[J] into Kronecker products.
+        for rate, jump in ((gamma_minus, l_op), (gamma_plus, dag(l_op))):
             jj = dag(jump) @ jump
-            out += rate * (jump @ rho @ dag(jump) - 0.5 * (jj @ rho + rho @ jj))
-        return out
-
-    return rates, superoperator_matrix(apply_map, dim_system)
+            matrix += rate * (kron(jump.conj(), jump) - 0.5 * (kron(eye, jj) + kron(jj.T, eye)))
+    return rates, matrix
 
 
 def rk4_step(l_matrix: np.ndarray, state: np.ndarray, h: float) -> np.ndarray:

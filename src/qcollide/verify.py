@@ -66,13 +66,16 @@ def stroboscopic_deviation(
 
     For each ``tau`` the stroboscopic trajectory (round-robin over the built
     species) is compared at every multiple of ``tau`` against an RK4
-    reference on a commensurate grid.
+    reference on a commensurate grid.  Raises ``ValueError`` when ``t_final``
+    rounds to no whole round of some ``tau``.
     """
     results = []
     for tau in taus:
+        n_rounds = round(t_final / tau)
+        if n_rounds < 1:
+            raise ValueError(f"t_final={t_final!r} is shorter than one round of tau={tau!r}")
         cfgs = build_cfgs(tau)
         gen = generator_for(cfgs)
-        n_rounds = round(t_final / tau)
         schedule = "single" if len(cfgs) == 1 else "round-robin"
         record = run_trajectory(rho0, list(cfgs), n_rounds, schedule=schedule)
         cap = 0.09 / max(gen.norm_estimate, 1e-12)

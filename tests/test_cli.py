@@ -161,6 +161,8 @@ def test_unitary_defect_is_one_line_error(tmp_path, capsys, monkeypatch):
     assert lines[0].startswith("error:") and "unitary defect" in lines[0]
 
 
+CUSTOM = json.loads((CONFIG_DIR / "custom.json").read_text(encoding="utf-8"))
+
 BAD_SCALAR_CONFIGS = {
     "t_final-inf": ("t_final", {"scenario": "converge", "t_final": float("inf")}),
     "seed-neg-inf": ("seed", {"scenario": "oracle-check", "seed": float("-inf")}),
@@ -171,6 +173,11 @@ BAD_SCALAR_CONFIGS = {
     "multibath-duplicate-tau": ("tau", {"scenario": "multibath", "tau": [0.5, 0.5]}),
     "bound-check-zero-samples": ("n_steps", {"scenario": "bound-check", "seed": 1, "n_steps": 0}),
     "omega-zero": ("omega", {"scenario": "qubit-demo", "omega": 0}),
+    "custom-empty-H_A": ("H_A", {**CUSTOM, "H_A": []}),
+    "custom-two-H_A": ("H_A", {**CUSTOM, "H_A": [CUSTOM["H_A"], CUSTOM["H_A"]]}),
+    "dt-unknown": ("dt", {"scenario": "qubit-demo", "dt": 123.0}),
+    "converge-zero-t_final": ("t_final", {"scenario": "converge", "t_final": 0.0}),
+    "converge-t_final-below-tau": ("t_final", {"scenario": "converge", "t_final": 0.001}),
 }
 
 
