@@ -3,12 +3,16 @@
 One collision evolves ``rho_S (x) rho_A`` with the joint unitary generated by
 ``H_S + H_A + V / sqrt(tau)`` for a duration ``tau``, then traces out either
 factor.  With ``rho_A`` fixed per species, both reduced states are linear in
-``rho_S``: a stroke applies two per-config matrices to the column-stacked
-``vec(rho_S)`` and never forms the joint state.  Every energetic and entropic
-quantity of the stroke is recorded exactly from the pre/post states; the
-finite-duration coherent work and incoherent heat are ``tau`` times the
-master-equation rate formulas evaluated at the pre-collision state, each a
-per-config operator traced against ``rho_S``.
+``rho_S``, and so is every ledger entry apart from the entropies: the energy
+changes, the coherent work and incoherent heat (``tau`` times the
+master-equation rate formulas at the pre-collision state), the cross term
+``tr(rho_A' ln rho_A)`` of the ancilla relative entropy and the dephased
+populations of ``rho_A'``.  Each config stacks all of them into one matrix,
+so a stroke is one matvec on the column-stacked ``vec(rho_S)``, the spectra
+of the two output states and scalar arithmetic; the joint state is never
+formed.  What is fixed per config (``<H_A>``, ``S(rho_A)``, ``ln(rho_A)`` and
+the kernel of ``rho_A``) is computed once, and the support check of
+``rho_A'`` runs only when ``rho_A`` has a kernel.
 
 Sign conventions: ``heat_ancilla > 0`` means the ancilla gained energy, and
 the switching work is stored as ``work = d_energy + heat_ancilla``.
@@ -39,9 +43,11 @@ from .linalg import (
 from .states import (
     AncillaSpec,
     DensityMatrix,
+    coherence_from_populations,
     coherence_in_basis,
-    free_energy,
-    relative_entropy,
+    log_on_support,
+    require_support,
+    support_kernel,
     von_neumann_entropy,
     weakly_coherent_state,
 )
@@ -58,9 +64,11 @@ class CollisionConfig:
     ``sqrt(tau)``.  Derived objects (joint unitary, prepared ancilla state)
     are computed lazily and cached, so a config can be reused across many
     collisions at no extra cost; so are ``coherence_before``, the two stroke
-    maps ``system_map`` and ``ancilla_map``, and the two ledger operators
-    ``heat_operator`` and ``work_operator``.  The ``H_A`` eigenbasis and the
-    thermal ancilla state are ``ancilla.basis`` and ``ancilla.thermal``.
+    maps ``system_map`` and ``ancilla_map``, the two ledger operators
+    ``heat_operator`` and ``work_operator``, the ``stroke_matrix`` that
+    stacks them, and the scalars and kernel of the prepared ancilla state.
+    The ``H_A`` eigenbasis and the thermal ancilla state are
+    ``ancilla.basis`` and ``ancilla.thermal``.
     """
 
     def __init__(self, h_system, v_interaction, ancilla: AncillaSpec, label: str = "A"):
@@ -126,6 +134,48 @@ class CollisionConfig:
         """``C = [G, H_S]``: the coherent work rate is ``Re(i lam tr(C rho))``."""
         g = coherent_generator(self.v_interaction, self.ancilla.chi, self.dim_system, self.dim_ancilla)
         return commutator(g, self.h_system)
+
+    @cached_property
+    def stroke_matrix(self) -> np.ndarray:
+        """Every linear quantity of a stroke as rows acting on ``vec(rho_S)``.
+
+        Top to bottom: ``system_map``, ``ancilla_map``, ``d<H_S>``,
+        ``<H_A>'``, ``tr(C rho)``, ``tr(K rho)``, ``tr(rho_A' ln rho_A)`` and
+        the ``d_A`` populations of ``rho_A'`` in ``ancilla.basis``.  A row
+        ``x.reshape(-1)`` dotted with ``vec(rho)`` is ``tr(x rho)``.
+        """
+        a_map = self.ancilla_map
+        h_s = self.h_system.reshape(-1)
+        v = self.ancilla.basis.eigenvectors
+        # Row k is the trace row of the projector |v_k><v_k|.
+        projectors = np.einsum("jk,ik->kji", v, v.conj()).reshape(self.dim_ancilla, -1)
+        return np.vstack(
+            [
+                self.system_map,
+                a_map,
+                h_s @ self.system_map - h_s,
+                self.ancilla.h_ancilla.reshape(-1) @ a_map,
+                self.work_operator.reshape(-1),
+                self.heat_operator.reshape(-1),
+                log_on_support(self.ancilla_state.spectrum).reshape(-1) @ a_map,
+                projectors @ a_map,
+            ]
+        )
+
+    @cached_property
+    def ancilla_energy(self) -> float:
+        """``<H_A>`` of the prepared ancilla state."""
+        return self.ancilla_state.expectation(self.ancilla.h_ancilla)
+
+    @cached_property
+    def ancilla_entropy(self) -> float:
+        """``S(rho_A)`` of the prepared ancilla state."""
+        return von_neumann_entropy(self.ancilla_state)
+
+    @cached_property
+    def ancilla_kernel(self) -> np.ndarray:
+        """Kernel of the prepared ancilla state, as columns; empty when it has full rank."""
+        return support_kernel(self.ancilla_state)
 
     def subdivided(self, parts: int) -> "CollisionConfig":
         """Equivalent species config for one sub-collision of a round of ``parts``.
@@ -206,44 +256,37 @@ def collide(rho_system: DensityMatrix, cfg: CollisionConfig) -> CollisionOutcome
     """Run one stroke of the stroboscopic map and account for it exactly."""
     if rho_system.dim != cfg.dim_system:
         raise DimensionMismatchError("system state dimension differs from config")
-    rho_a = cfg.ancilla_state
-    rho_vec = vec(rho_system.matrix)
-    rho_s_after = DensityMatrix(unvec(cfg.system_map @ rho_vec, cfg.dim_system))
-    rho_a_after = DensityMatrix(unvec(cfg.ancilla_map @ rho_vec, cfg.dim_ancilla))
-
-    h_s = cfg.h_system
-    h_a = cfg.ancilla.h_ancilla
-    beta = cfg.ancilla.beta
+    d_s, d_a = cfg.dim_system, cfg.dim_ancilla
+    n_s = d_s * d_s
+    n_a = n_s + d_a * d_a
+    rows = cfg.stroke_matrix @ vec(rho_system.matrix)
+    rho_s_after = DensityMatrix(unvec(rows[:n_s], d_s))
+    rho_a_after = DensityMatrix(unvec(rows[n_s:n_a], d_a))
+    if cfg.ancilla_kernel.shape[1]:
+        require_support(rho_a_after, cfg.ancilla_kernel)
+    d_energy, energy_a_after, _, heat_rate, cross = rows[n_a : n_a + 5].real.tolist()
     tau = cfg.ancilla.tau
+    heat_ancilla = energy_a_after - cfg.ancilla_energy
+    coherent_work = float((1j * cfg.ancilla.lam * tau * rows[n_a + 2]).real)
 
-    d_energy = rho_s_after.expectation(h_s) - rho_system.expectation(h_s)
-    heat_ancilla = rho_a_after.expectation(h_a) - rho_a.expectation(h_a)
-    work = d_energy + heat_ancilla
-
-    z = np.trace(cfg.work_operator @ rho_system.matrix)
-    coherent_work = float((1j * cfg.ancilla.lam * tau * z).real)
-    incoherent_heat = tau * rho_system.expectation(cfg.heat_operator)
-
+    s_before = von_neumann_entropy(rho_system)
+    s_after = von_neumann_entropy(rho_s_after)
+    s_a_after = von_neumann_entropy(rho_a_after)
     # Unitary invariance: the joint entropy after the stroke is S(rho_S) + S(rho_A).
-    mutual = (
-        von_neumann_entropy(rho_s_after)
-        + von_neumann_entropy(rho_a_after)
-        - von_neumann_entropy(rho_system)
-        - von_neumann_entropy(rho_a)
-    )
-    rel_ancilla = relative_entropy(rho_a_after, rho_a)
+    mutual = s_after + s_a_after - s_before - cfg.ancilla_entropy
+    rel_ancilla = -s_a_after - cross
     ledger = CollisionLedger(
         d_energy=d_energy,
         heat_ancilla=heat_ancilla,
-        work=work,
+        work=d_energy + heat_ancilla,
         coherent_work=coherent_work,
-        incoherent_heat=incoherent_heat,
+        incoherent_heat=tau * heat_rate,
         entropy_production=mutual + rel_ancilla,
         mutual_info=mutual,
         rel_entropy_ancilla=rel_ancilla,
         coherence_before=cfg.coherence_before,
-        coherence_after=coherence_in_basis(rho_a_after, cfg.ancilla.basis),
-        d_free_energy=free_energy(rho_s_after, h_s, beta) - free_energy(rho_system, h_s, beta),
+        coherence_after=coherence_from_populations(rows[n_a + 5 :].real, rho_a_after),
+        d_free_energy=d_energy - (s_after - s_before) / cfg.ancilla.beta,
     )
     return CollisionOutcome(system=rho_s_after, ancilla=rho_a_after, ledger=ledger)
 

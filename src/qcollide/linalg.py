@@ -28,7 +28,7 @@ def as_complex_matrix(m, *, square: bool = False) -> np.ndarray:
         raise NonSquareError(f"expected a 2-d matrix, got shape {a.shape}")
     if square and a.shape[0] != a.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -40,7 +40,7 @@ def dag(a: np.ndarray) -> np.ndarray:
 
 def max_abs(a: np.ndarray) -> float:
     """Entrywise max-norm."""
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def require_hermitian(m, *, name: str = "matrix", rtol: float = HERMITICITY_RTOL) -> np.ndarray:
@@ -51,13 +51,14 @@ def require_hermitian(m, *, name: str = "matrix", rtol: float = HERMITICITY_RTOL
     downstream spectral code sees an exactly Hermitian array.
     """
     a = as_complex_matrix(m, square=True)
+    a_dag = a.conj().T
     scale = max_abs(a)
-    deviation = max_abs(a - a.conj().T)
+    deviation = max_abs(a - a_dag)
     if deviation > rtol * scale:
         raise NonHermitianError(
             f"{name} deviates from Hermiticity by {deviation:.3e} (scale {scale:.3e})"
         )
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a_dag)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ class DensityMatrix:
         spectrum = hermitian_eig(matrix, name="density matrix")
         a = np.asarray(matrix, dtype=complex)
         m = 0.5 * (a + dag(a))
-        _require_unit_trace(float(np.trace(m).real))
+        _require_unit_trace(float(m.trace().real))
         self._store(m, spectrum, psd_tol)
 
     @classmethod
@@ -195,7 +195,7 @@ def _entropy_of_probs(probs: np.ndarray) -> float:
     smallest = float(p.min())
     if smallest < -PSD_TOL:
         raise NotPositiveError(f"probability {smallest:.3e} below tolerance")
-    p = np.clip(p, 0.0, None)
+    # Entries in [-PSD_TOL, 0] are numerical zeros and drop out with the zeros.
     nonzero = p[p > 0.0]
     return float(-(nonzero * np.log(nonzero)).sum())
 
@@ -207,10 +207,33 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return rho._entropy
 
 
-def _log_on_support(spectrum: Spectrum) -> np.ndarray:
+def log_on_support(spectrum: Spectrum) -> np.ndarray:
+    """``ln(sigma)`` restricted to the support of a state with this spectrum."""
     mask = spectrum.eigenvalues > SUPPORT_EIGENVALUE_TOL
     v = spectrum.eigenvectors[:, mask]
     return (v * np.log(spectrum.eigenvalues[mask])) @ dag(v)
+
+
+def support_kernel(sigma: DensityMatrix) -> np.ndarray:
+    """Eigenvectors of ``sigma`` outside its support, as columns; none for a full-rank state."""
+    return sigma.spectrum.eigenvectors[:, sigma.eigenvalues <= SUPPORT_EIGENVALUE_TOL]
+
+
+def require_support(rho: DensityMatrix, kernel: np.ndarray) -> None:
+    """Raise :class:`SupportViolationError` when ``rho`` puts weight on ``kernel``.
+
+    ``kernel`` holds orthonormal columns, as :func:`support_kernel` returns
+    them.  The weight is measured per eigenvector of ``rho`` with eigenvalue
+    above tolerance.
+    """
+    carried = rho.eigenvalues > SUPPORT_EIGENVALUE_TOL
+    if np.any(carried):
+        overlaps = np.abs(dag(kernel) @ rho.spectrum.eigenvectors[:, carried]) ** 2
+        worst = float(overlaps.sum(axis=0).max())
+        if worst > SUPPORT_WEIGHT_TOL:
+            raise SupportViolationError(
+                f"first state has weight {worst:.3e} outside the support of the second"
+            )
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -222,18 +245,10 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError("states have different dimensions")
-    kernel_mask = sigma.eigenvalues <= SUPPORT_EIGENVALUE_TOL
-    if np.any(kernel_mask):
-        kernel = sigma.spectrum.eigenvectors[:, kernel_mask]
-        carried = rho.eigenvalues > SUPPORT_EIGENVALUE_TOL
-        if np.any(carried):
-            overlaps = np.abs(dag(kernel) @ rho.spectrum.eigenvectors[:, carried]) ** 2
-            worst = float(overlaps.sum(axis=0).max())
-            if worst > SUPPORT_WEIGHT_TOL:
-                raise SupportViolationError(
-                    f"first state has weight {worst:.3e} outside the support of the second"
-                )
-    cross = float(np.trace(rho.matrix @ _log_on_support(sigma.spectrum)).real)
+    kernel = support_kernel(sigma)
+    if kernel.shape[1]:
+        require_support(rho, kernel)
+    cross = float(np.trace(rho.matrix @ log_on_support(sigma.spectrum)).real)
     return -von_neumann_entropy(rho) - cross
 
 
@@ -251,6 +266,11 @@ def coherence_in_basis(rho: DensityMatrix, basis: Spectrum) -> float:
     if basis.dim != rho.dim:
         raise DimensionMismatchError("reference Hamiltonian dimension differs from state")
     populations = np.diagonal(dag(basis.eigenvectors) @ rho.matrix @ basis.eigenvectors).real
+    return coherence_from_populations(populations, rho)
+
+
+def coherence_from_populations(populations: np.ndarray, rho: DensityMatrix) -> float:
+    """``S(diag(populations)) - S(rho)`` for the dephased ``populations`` of ``rho``."""
     value = _entropy_of_probs(populations) - von_neumann_entropy(rho)
     # The dephased state majorizes rho, so the true value is >= 0; tiny
     # negatives are cancellation noise.

@@ -66,14 +66,21 @@ def stroboscopic_deviation(
 
     For each ``tau`` the stroboscopic trajectory (round-robin over the built
     species) is compared at every multiple of ``tau`` against an RK4
-    reference on a commensurate grid.  Raises ``ValueError`` when ``t_final``
-    rounds to no whole round of some ``tau``.
+    reference on a commensurate grid.  Every ``tau`` runs to the same horizon
+    ``t_final``: raises ``ValueError`` when ``t_final`` is shorter than one
+    round of some ``tau``, or not a whole number of its rounds (relative
+    tolerance ``1e-9``).
     """
-    results = []
+    rounds = []
     for tau in taus:
         n_rounds = round(t_final / tau)
         if n_rounds < 1:
             raise ValueError(f"t_final={t_final!r} is shorter than one round of tau={tau!r}")
+        if abs(t_final / tau - n_rounds) > 1e-9 * n_rounds:
+            raise ValueError(f"t_final={t_final!r} is not a whole number of rounds of tau={tau!r}")
+        rounds.append(n_rounds)
+    results = []
+    for tau, n_rounds in zip(taus, rounds):
         cfgs = build_cfgs(tau)
         gen = generator_for(cfgs)
         schedule = "single" if len(cfgs) == 1 else "round-robin"

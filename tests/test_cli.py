@@ -178,6 +178,7 @@ BAD_SCALAR_CONFIGS = {
     "dt-unknown": ("dt", {"scenario": "qubit-demo", "dt": 123.0}),
     "converge-zero-t_final": ("t_final", {"scenario": "converge", "t_final": 0.0}),
     "converge-t_final-below-tau": ("t_final", {"scenario": "converge", "t_final": 0.001}),
+    "converge-t_final-not-whole-rounds": ("t_final", {"scenario": "converge", "t_final": 0.06, "tau": [0.04, 0.01]}),
 }
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qcollide.collisions import CollisionConfig, CollisionLedger, build_unitary, collide, run_trajectory
+from qcollide.errors import SupportViolationError
 from qcollide.linalg import commutator, dag, expm_unitary, kron, max_abs
 from qcollide.presets import (
     qubit_collision,
@@ -116,6 +117,16 @@ class TestCollide:
         assert abs(led.mutual_info - (-beta * led.d_free_energy - d_coherence)) <= envelope
         assert abs(led.rel_entropy_ancilla - (beta * led.coherent_work + d_coherence)) <= envelope
         assert abs(led.entropy_production - beta * (led.coherent_work - led.d_free_energy)) <= envelope
+
+    def test_ancilla_kernel_gates_the_stroke(self):
+        # At beta = 40 the thermal ancilla's excited population is 4e-18, so
+        # rho_A has a kernel and the support check of rho_A' runs every stroke.
+        cfg = qubit_collision(beta=40.0, lam=0.0)
+        assert cfg.ancilla_state.eigenvalues[0] < 1e-17
+        with pytest.raises(SupportViolationError):
+            collide(DensityMatrix(np.diag([1.0, 0.0])), cfg)
+        led = collide(DensityMatrix(np.diag([0.0, 1.0])), cfg).ledger
+        assert math.isfinite(led.rel_entropy_ancilla)
 
 
 def _rephase_sampler_eigenvectors(monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcollide.errors import DimensionMismatchError, NonHermitianError, NonSquareError
 from qcollide.linalg import (
@@ -13,6 +15,8 @@ from qcollide.linalg import (
     require_hermitian,
 )
 from qcollide.presets import SIGMA_X, SIGMA_Y, SIGMA_Z
+
+from test_stroke_properties import TOL, seeds, stroke_settings
 
 
 def random_hermitian(rng, d):
@@ -81,6 +85,11 @@ class TestHermitianEig:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             require_hermitian(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+        for bad in (complex(0.0, np.nan), complex(0.0, np.inf), -np.inf):
+            m = np.zeros((2, 2), dtype=complex)
+            m[0, 1] = bad
+            with pytest.raises(ValueError):
+                require_hermitian(m)
 
 
 class TestExpmUnitary:
@@ -168,6 +177,23 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             partial_trace(np.eye(5), 2, 3, "system")
+
+
+def random_complex(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+@stroke_settings
+@given(seeds, st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4))
+def test_partial_trace_is_adjoint_to_kron(seed, d_s, d_a):
+    # tr(tr_A[X] B) = tr(X (B x I)) and tr(tr_S[X] B) = tr(X (I x B)) for any X and B.
+    rng = np.random.default_rng(seed)
+    x = random_complex(rng, d_s * d_a)
+    b_s, b_a = random_complex(rng, d_s), random_complex(rng, d_a)
+    system_side = np.trace(partial_trace(x, d_s, d_a, "system") @ b_s)
+    assert abs(system_side - np.trace(x @ kron(b_s, np.eye(d_a)))) <= TOL
+    ancilla_side = np.trace(partial_trace(x, d_s, d_a, "ancilla") @ b_a)
+    assert abs(ancilla_side - np.trace(x @ kron(np.eye(d_s), b_a))) <= TOL
 
 
 class TestCommutators:

@@ -1,8 +1,10 @@
 """Property tests for the collision stroke built from per-config maps.
 
 The reference throughout is the explicit joint-state route: form
-``U (rho_S x rho_A) U^dag`` and take partial traces, and evaluate the
-incoherent heat through the thermal dissipator.  Draws come from the seeded
+``U (rho_S x rho_A) U^dag`` and take partial traces, evaluate the
+incoherent heat through the thermal dissipator and the coherent work through
+the commutator with the coherent generator, and take the entropic entries
+from the joint and reduced states.  Draws come from the seeded
 random-collision sampler in both branches at dimensions (2, 3).  The file
 also checks ledger properties over strokes and rounds, and counts the
 eigensolves and Hermiticity gates that one stroke's states cost.
@@ -15,13 +17,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcollide.cli import POSITIVITY_BOUND
-from qcollide.collisions import collide, run_trajectory
+from qcollide.collisions import CollisionLedger, collide, run_trajectory
 from qcollide.lindblad import build_generator, coherent_generator, dissipator_apply, vec
 from qcollide.linalg import commutator, dag, kron, max_abs, partial_trace
 from qcollide.presets import maximally_mixed, qubit_collision, qutrit_ancilla_collision, random_collision
 from qcollide.rng import SplitMix64
 from qcollide import linalg, states
-from qcollide.states import von_neumann_entropy
+from qcollide.states import (
+    DensityMatrix,
+    coherence_in_basis,
+    free_energy,
+    mutual_information,
+    relative_entropy,
+    von_neumann_entropy,
+)
 
 TOL = 1e-12
 
@@ -48,6 +57,36 @@ def draw(seed, eigenoperator):
     return random_collision(SplitMix64(seed), eigenoperator=eigenoperator, dims=(2, 3))
 
 
+def joint_state_ledger(rho, cfg):
+    """The stroke ledger from the joint state ``U (rho_S x rho_A) U^dag`` and its partial traces."""
+    d_s, d_a = cfg.dim_system, cfg.dim_ancilla
+    u, rho_a, spec = cfg.unitary, cfg.ancilla_state, cfg.ancilla
+    joint = DensityMatrix(u @ kron(rho.matrix, rho_a.matrix) @ dag(u))
+    rho_s_after = DensityMatrix(partial_trace(joint.matrix, d_s, d_a, "system"))
+    rho_a_after = DensityMatrix(partial_trace(joint.matrix, d_s, d_a, "ancilla"))
+    h_s = cfg.h_system
+    d_energy = rho_s_after.expectation(h_s) - rho.expectation(h_s)
+    heat_ancilla = rho_a_after.expectation(spec.h_ancilla) - rho_a.expectation(spec.h_ancilla)
+    g = coherent_generator(cfg.v_interaction, spec.chi, d_s, d_a)
+    work_rate = (1j * spec.lam * np.trace(commutator(g, h_s) @ rho.matrix)).real
+    dissipated = dissipator_apply(cfg.v_interaction, rho.matrix, spec.thermal.matrix, d_s, d_a)
+    mutual = mutual_information(joint, d_s, d_a)
+    rel_ancilla = relative_entropy(rho_a_after, rho_a)
+    return CollisionLedger(
+        d_energy=d_energy,
+        heat_ancilla=heat_ancilla,
+        work=d_energy + heat_ancilla,
+        coherent_work=spec.tau * work_rate,
+        incoherent_heat=spec.tau * np.trace(h_s @ dissipated).real,
+        entropy_production=mutual + rel_ancilla,
+        mutual_info=mutual,
+        rel_entropy_ancilla=rel_ancilla,
+        coherence_before=coherence_in_basis(rho_a, spec.basis),
+        coherence_after=coherence_in_basis(rho_a_after, spec.basis),
+        d_free_energy=free_energy(rho_s_after, h_s, spec.beta) - free_energy(rho, h_s, spec.beta),
+    )
+
+
 @stroke_settings
 @given(seeds, st.booleans())
 def test_stroke_maps_match_joint_state_route(seed, eigenoperator):
@@ -69,6 +108,16 @@ def test_ledger_operators_match_dissipator_and_commutator(seed, eigenoperator):
     g = coherent_generator(cfg.v_interaction, cfg.ancilla.chi, cfg.dim_system, cfg.dim_ancilla)
     work_trace = np.trace(commutator(g, cfg.h_system) @ rho.matrix)
     assert abs(np.trace(cfg.work_operator @ rho.matrix) - work_trace) <= TOL
+
+
+@stroke_settings
+@given(seeds, st.booleans())
+def test_ledger_matches_joint_state_route(seed, eigenoperator):
+    rho, cfg = draw(seed, eigenoperator)
+    ledger = collide(rho, cfg).ledger
+    reference = joint_state_ledger(rho, cfg)
+    for f in fields(ledger):
+        assert abs(getattr(ledger, f.name) - getattr(reference, f.name)) <= TOL, f.name
 
 
 @stroke_settings
