@@ -8,6 +8,13 @@ vec(X)``, each thermal dissipator from one contraction over ``V`` and
 ``rho_th`` (:func:`~qcollide.linalg.reduced_superoperator`).  Applying the
 generator is one matrix-vector product; steady-state solves and norm
 estimates are plain dense linear algebra.
+
+The same matrices carry the time stepping and the rates.  One classical RK4
+step over ``h`` is the fixed matrix ``R(h) = sum_{k<=4} (hL)^k / k!``
+(:func:`rk4_propagator`), so :func:`integrate` applies one matvec per step
+and returns exactly one gated snapshot per step.  :func:`rates` reads each
+species' work and heat rate, and the energy rate, off per-generator rows: a
+row ``x.reshape(-1)`` dotted with ``vec(rho)`` is ``tr(x rho)``.
 """
 
 from __future__ import annotations
@@ -40,12 +47,11 @@ from .linalg import (
     reduced_superoperator,
     require_hermitian,
 )
-from .states import DensityMatrix, AncillaSpec, thermal_state
+from .states import TRACE_TOL, DensityMatrix, AncillaSpec, thermal_state
 
 FIRST_MOMENT_TOL = 1e-9
 EIGENOPERATOR_TOL = 1e-9
 DETAILED_BALANCE_RTOL = 1e-10
-INTEGRATOR_TRACE_TOL = 1e-8
 INTEGRATOR_PSD_TOL = 1e-6
 STEADY_STATE_RESIDUAL_TOL = 1e-9
 RANK_EIGENVALUE_TOL = 1e-13
@@ -93,15 +99,6 @@ class SpeciesTerm:
     coherent_op: np.ndarray
     dissipator: np.ndarray
 
-    def heat_rate(self, rho_matrix: np.ndarray, h_system: np.ndarray) -> float:
-        dim = h_system.shape[0]
-        image = unvec(self.dissipator @ vec(rho_matrix), dim)
-        return float(np.trace(h_system @ image).real)
-
-    def work_rate(self, rho_matrix: np.ndarray, h_system: np.ndarray) -> float:
-        z = np.trace(commutator(self.coherent_op, h_system) @ rho_matrix)
-        return float((1j * self.lam * z).real)
-
 
 class LindbladGenerator:
     """Dense master-equation generator with per-species bookkeeping."""
@@ -117,6 +114,7 @@ class LindbladGenerator:
             if term.dissipator.shape != (expected, expected):
                 raise DimensionMismatchError("dissipator dimension mismatch")
         self.dissipator = sum(term.dissipator for term in self.species)
+        self._rate_rows: tuple[bytes, np.ndarray] | None = None
 
     def apply(self, rho_matrix: np.ndarray) -> np.ndarray:
         """``-i [H_eff, rho] + D(rho)``, through :attr:`matrix`."""
@@ -143,6 +141,26 @@ class LindbladGenerator:
             x = y / norm
         rayleigh = float(np.real(np.conj(x) @ (gram @ x)))
         return math.sqrt(max(rayleigh, 0.0))
+
+    def rate_rows(self, h_system: np.ndarray) -> np.ndarray:
+        """Rows that map ``vec(rho)`` to the rates of :func:`rates`.
+
+        One row per species for the coherent work ``i lam_j tr([G_j, H_S] rho)``,
+        then one per species for the heat ``tr(H_S D_j(rho))``, then the energy
+        rate ``tr(H_S L(rho))``.  ``h_system`` must be a symmetrized
+        ``dim x dim`` array, as :func:`~qcollide.linalg.require_hermitian`
+        returns it.  The rows of the last ``h_system`` are kept.
+        """
+        key = h_system.tobytes()
+        if self._rate_rows is None or self._rate_rows[0] != key:
+            h_row = h_system.reshape(-1)
+            rows = np.array(
+                [1j * t.lam * commutator(t.coherent_op, h_system).reshape(-1) for t in self.species]
+                + [h_row @ t.dissipator for t in self.species]
+                + [h_row @ self.matrix]
+            )
+            self._rate_rows = (key, rows)
+        return self._rate_rows[1]
 
 
 def build_generator(h_system, spec: AncillaSpec, v_interaction, label: str = "A") -> LindbladGenerator:
@@ -294,16 +312,32 @@ def rk4_step(l_matrix: np.ndarray, state: np.ndarray, h: float) -> np.ndarray:
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def rk4_propagator(l_matrix: np.ndarray, h: float) -> np.ndarray:
+    """Matrix ``I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24`` of one :func:`rk4_step`."""
+    hl = h * l_matrix
+    eye = np.eye(l_matrix.shape[0])
+    # Horner form: I + hL (I + hL/2 (I + hL/3 (I + hL/4))).
+    r = eye + hl / 4.0
+    for k in (3.0, 2.0, 1.0):
+        r = eye + (hl @ r) / k
+    return r
+
+
 def integrate(
     gen: LindbladGenerator, rho0: DensityMatrix, t_final: float, dt: float
 ) -> list[tuple[float, DensityMatrix]]:
     """Fixed-step RK4 integration of the master equation.
 
-    The step must satisfy ``dt <= 0.1 / ||L||``.  After each step the trace
-    drift is asserted (never renormalized), the state is symmetrized, and
-    positivity is checked against a loosened gate (``-1e-6``), since a coarse
-    but admissible step can push eigenvalues slightly negative.
-    Returns ``(time, state)`` snapshots including the initial one.
+    The step must satisfy ``dt <= 0.1 / ||L||``.  Each step is one matvec with
+    the step's :func:`rk4_propagator`, built once for ``dt`` and once for the
+    remainder step.  Every step yields exactly one snapshot, gated as a
+    :class:`DensityMatrix` with positivity loosened to ``-1e-6``, since a
+    coarse but admissible step can push eigenvalues slightly negative.  The
+    trace is never renormalized: a state that fails the gate with its trace
+    off 1 by more than the state's own trace tolerance raises
+    :class:`TraceDriftError`, any other failure :class:`PositivityLostError`.
+    The snapshot's symmetrized matrix is the next state.  Returns
+    ``(time, state)`` snapshots including the initial one.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
@@ -312,7 +346,6 @@ def integrate(
     norm = gen.norm_estimate
     if norm > 0.0 and dt > 0.1 / norm:
         raise StepSizeError(f"dt={dt} exceeds stability bound {0.1 / norm:.3e}")
-    l_matrix = gen.matrix
     dim = gen.dim
 
     n_whole = int(math.floor(t_final / dt + 1e-9))
@@ -320,24 +353,24 @@ def integrate(
     steps = [dt] * n_whole
     if remainder > 1e-12 * max(t_final, 1.0):
         steps.append(remainder)
+    propagators = {h: rk4_propagator(gen.matrix, h) for h in set(steps)}
 
     trajectory: list[tuple[float, DensityMatrix]] = [(0.0, rho0)]
     state = vec(rho0.matrix)
     t = 0.0
     for h in steps:
-        state = rk4_step(l_matrix, state, h)
+        state = propagators[h] @ state
         t += h
         rho = unvec(state, dim)
-        drift = abs(float(np.trace(rho).real) - 1.0)
-        if drift > INTEGRATOR_TRACE_TOL:
-            raise TraceDriftError(f"trace drifted by {drift:.3e} at t={t}")
-        rho = 0.5 * (rho + dag(rho))
-        state = vec(rho)
         try:
             snapshot = DensityMatrix(rho, psd_tol=INTEGRATOR_PSD_TOL)
         except (QCollideError, ValueError) as exc:
+            drift = abs(float(rho.trace().real) - 1.0)
+            if drift > TRACE_TOL:
+                raise TraceDriftError(f"trace drifted by {drift:.3e} at t={t}") from exc
             raise PositivityLostError(f"state left the positive cone at t={t}: {exc}") from exc
         trajectory.append((t, snapshot))
+        state = vec(snapshot.matrix)
     return trajectory
 
 
@@ -391,9 +424,12 @@ class RateLedger:
 def rates(gen: LindbladGenerator, rho: DensityMatrix, h_system) -> RateLedger:
     """Energy, work, heat and entropy rates of the generator at ``rho``.
 
-    The entropy rate uses ``-tr(L(rho) ln rho)``, valid because the generator
-    annihilates the trace; rank-deficient states are reported as errors
-    rather than regularized.
+    One matvec with :meth:`LindbladGenerator.rate_rows` gives each species'
+    coherent work and heat rate and the energy rate; the entropy rate is
+    ``-tr(L(rho) ln rho)`` from one more matvec, valid because the generator
+    annihilates the trace.  Rank-deficient states are reported as errors
+    rather than regularized, and the energy rate must close against the
+    work and heat rates.
     """
     h_s = require_hermitian(h_system, name="h_system")
     if rho.dim != gen.dim:
@@ -401,12 +437,12 @@ def rates(gen: LindbladGenerator, rho: DensityMatrix, h_system) -> RateLedger:
     smallest = float(rho.eigenvalues[0])
     if smallest < RANK_EIGENVALUE_TOL:
         raise RankDeficientError(f"eigenvalue {smallest:.3e} too small for ln(rho)")
-    image = gen.apply(rho.matrix)
+    state = vec(rho.matrix)
+    n = len(gen.species)
+    values = (gen.rate_rows(h_s) @ state).real.tolist()
+    work, heat, energy_rate = tuple(values[:n]), tuple(values[n : 2 * n]), values[2 * n]
     log_rho = rho.spectrum.apply(np.log)
-    entropy_rate = -float(np.trace(image @ log_rho).real)
-    work = tuple(term.work_rate(rho.matrix, h_s) for term in gen.species)
-    heat = tuple(term.heat_rate(rho.matrix, h_s) for term in gen.species)
-    energy_rate = float(np.trace(h_s @ image).real)
+    entropy_rate = -float((log_rho.reshape(-1) @ (gen.matrix @ state)).real)
     closure = abs(energy_rate - (sum(work) + sum(heat)))
     scale = max(1.0, abs(energy_rate), sum(abs(x) for x in work) + sum(abs(x) for x in heat))
     if closure > 1e-10 * scale:

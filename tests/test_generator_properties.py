@@ -6,13 +6,15 @@ written out in operator form (a commutator plus :func:`dissipator_apply`
 for the thermal dissipators, ``J rho J^dag - {J^dag J, rho}/2`` for the jump
 dissipators).  Draws come from the seeded random-collision sampler in both
 branches; the file also checks the steady state of drawn two-bath generators
-and the sub-collision rescaling of round-robin schedules.
+and the sub-collision rescaling of round-robin schedules.  The RK4 propagator
+is checked against stage-by-stage :func:`rk4_step`, and every
+:class:`RateLedger` field against the same operator-form maps.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qcollide.collisions import run_trajectory
@@ -21,6 +23,10 @@ from qcollide.lindblad import (
     EigenoperatorCoupling,
     dissipator_apply,
     eigenoperator_dissipator,
+    integrate,
+    rates,
+    rk4_propagator,
+    rk4_step,
     steady_state,
     vec,
 )
@@ -31,6 +37,7 @@ from qcollide.presets import (
     qutrit_ancilla_collision,
     random_basis,
     random_collision,
+    random_density_matrix,
     random_matrix,
 )
 from qcollide.rng import SplitMix64
@@ -150,3 +157,63 @@ def test_subdivided_keeps_coherence_amplitude_and_round(parts, lam, tau):
     schedule = "single" if parts == 1 else "round-robin"
     record = run_trajectory(maximally_mixed(2), species, 1, schedule=schedule)
     assert record.steps[0].time == tau
+
+
+@stroke_settings
+@given(seeds, st.booleans(), st.integers(min_value=1, max_value=2), st.floats(min_value=0.05, max_value=1.0))
+def test_rk4_propagator_matches_rk4_step(seed, eigenoperator, count, fraction):
+    gen = generator_for(draw_species(seed, eigenoperator, count))
+    h = fraction * 0.1 / gen.norm_estimate
+    rng = SplitMix64(seed ^ 0x5EED)
+    for v in (vec(random_density_matrix(rng, gen.dim).matrix), vec(random_matrix(rng, gen.dim))):
+        assert max_abs(rk4_propagator(gen.matrix, h) @ v - rk4_step(gen.matrix, v, h)) <= 1e-13
+
+
+@stroke_settings
+@given(seeds, st.booleans(), st.integers(min_value=1, max_value=2))
+def test_integrate_takes_its_remainder_step_with_its_own_propagator(seed, eigenoperator, count):
+    gen = generator_for(draw_species(seed, eigenoperator, count))
+    assume(gen.norm_estimate <= 10.0)  # dt = 0.01 must pass the step-size gate
+    rho = random_density_matrix(SplitMix64(seed ^ 0x5EED), gen.dim)
+    trajectory = integrate(gen, rho, 0.105, 0.01)
+    assert len(trajectory) - 1 == 11
+    t, last = trajectory[-1]
+    assert abs(t - 0.105) <= TOL
+    state = vec(rho.matrix)
+    for h in [0.01] * 10 + [0.105 - 10 * 0.01]:
+        state = rk4_step(gen.matrix, state, h)
+    assert max_abs(vec(last.matrix) - state) <= 1e-13
+
+
+def operator_form_rates(cfgs, gen, rho):
+    """Every :class:`RateLedger` field from the operator-form maps at ``rho``."""
+    h_s, m = cfgs[0].h_system, rho.matrix
+    images = [thermal_dissipator(cfg)(m) for cfg in cfgs]
+    flow = -1j * commutator(gen.h_eff, m) + sum(images)
+    heat = [np.trace(h_s @ image).real for image in images]
+    work = [
+        (1j * term.lam * np.trace(commutator(term.coherent_op, h_s) @ m)).real
+        for term in gen.species
+    ]
+    p, v = np.linalg.eigh(m)
+    entropy_rate = -np.trace(flow @ (v * np.log(p)) @ dag(v)).real
+    return {
+        "energy_rate": np.trace(h_s @ flow).real,
+        "coherent_work_rates": work,
+        "incoherent_heat_rates": heat,
+        "entropy_rate": entropy_rate,
+        "entropy_production_rate": entropy_rate - sum(t.beta * q for t, q in zip(gen.species, heat)),
+    }
+
+
+@stroke_settings
+@given(seeds, st.booleans(), st.integers(min_value=1, max_value=2))
+def test_rates_match_operator_form(seed, eigenoperator, count):
+    cfgs = draw_species(seed, eigenoperator, count)
+    gen = generator_for(cfgs)
+    rho = random_density_matrix(SplitMix64(seed ^ 0x5EED), gen.dim)
+    ledger = rates(gen, rho, cfgs[0].h_system)
+    for name, want in operator_form_rates(cfgs, gen, rho).items():
+        got = getattr(ledger, name)
+        assert np.shape(got) == np.shape(want), name
+        assert max_abs(np.subtract(got, want)) <= 1e-12 * max(1.0, max_abs(np.asarray(want))), name

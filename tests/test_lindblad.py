@@ -297,6 +297,25 @@ class TestPositivityGuard:
         with pytest.raises(PositivityLostError):
             integrate(bad, nearly_pure, 2.0, 1e-2)
 
+    def test_trace_leak_is_reported_as_drift(self):
+        # a dissipator that leaks 5e-8 of trace per unit time drifts by 5e-10
+        # in one 1e-2 step: past the state's own trace gate of 1e-10
+        gen, _ = qubit_generator(lam=0.0)
+        term = gen.species[0]
+        leaky = type(term)(
+            label="leaky",
+            beta=term.beta,
+            lam=0.0,
+            coherent_op=term.coherent_op,
+            dissipator=term.dissipator + 5e-8 * np.eye(4),
+        )
+        from qcollide.lindblad import LindbladGenerator
+        from qcollide.errors import TraceDriftError
+
+        bad = LindbladGenerator(h_eff=gen.h_eff, species=[leaky])
+        with pytest.raises(TraceDriftError, match="at t=0.01$"):
+            integrate(bad, maximally_mixed(2), 1.0, 1e-2)
+
     def test_unrelated_errors_are_not_relabelled(self, monkeypatch):
         # only the state-validation errors mean the state left the cone
         import qcollide.lindblad as lindblad
