@@ -52,6 +52,7 @@ from .series import (
 from .states import (
     AncillaSpec,
     DensityMatrix,
+    density_matrices,
     ergotropy_exact,
     free_energy,
     mutual_information,

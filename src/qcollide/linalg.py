@@ -43,53 +43,81 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-def require_hermitian(m, *, name: str = "matrix", rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def require_hermitian(
+    m, *, name: str = "matrix", rtol: float = HERMITICITY_RTOL, stack: bool = False
+) -> np.ndarray:
     """Gate ``m`` on Hermiticity and return its symmetrized copy.
 
-    The deviation ``max|M - M^dag|`` must not exceed ``rtol * max|M|``;
-    matrices passing the gate are symmetrized to ``(M + M^dag)/2`` so that
-    downstream spectral code sees an exactly Hermitian array.
+    ``m`` is one matrix, or with ``stack`` a stack ``(n, d, d)`` of them.
+    Each matrix's deviation ``max|M - M^dag|`` must not exceed ``rtol`` times
+    its own ``max|M|``, and every entry must be finite.  Matrices passing the
+    gate are symmetrized to ``(M + M^dag)/2`` so that downstream spectral
+    code sees exactly Hermitian arrays.  A NaN or infinite entry makes its
+    matrix's scale NaN or infinite, so the input is scanned for non-finite
+    entries only when a scale is not finite.  :class:`NonHermitianError`
+    names the first matrix that fails.
     """
-    a = as_complex_matrix(m, square=True)
-    a_dag = a.conj().T
-    scale = max_abs(a)
-    deviation = max_abs(a - a_dag)
-    if deviation > rtol * scale:
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 + stack:
+        expected = "a stack (n, d, d) of matrices" if stack else "a 2-d matrix"
+        raise NonSquareError(f"expected {expected}, got shape {a.shape}")
+    if a.shape[-1] != a.shape[-2]:
+        raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    # An infinite scale would pass the relative test below (inf <= rtol * inf), so
+    # only scales below inf count.  count_nonzero stands in for .all() and .any():
+    # on a 2x2 matrix their ufunc reduction costs more than the comparison.
+    if np.count_nonzero(scale < np.inf) < scale.size and not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
+    a_dag = a.swapaxes(-1, -2).conj()
+    deviation = np.abs(a - a_dag).max(axis=(-2, -1), initial=0.0)
+    failed = deviation > rtol * scale
+    if np.count_nonzero(failed):
+        first = np.flatnonzero(failed)[0]
         raise NonHermitianError(
-            f"{name} deviates from Hermiticity by {deviation:.3e} (scale {scale:.3e})"
+            f"{name} deviates from Hermiticity by {deviation.flat[first]:.3e} (scale {scale.flat[first]:.3e})"
         )
     return 0.5 * (a + a_dag)
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
 
     ``eigenvalues`` is ascending and real; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns.
+    matching orthonormal eigenvectors as columns.  ``matrix`` is the exactly
+    Hermitian matrix that :func:`hermitian_eig` decomposed, and ``None`` for
+    a spectrum assembled from eigenpairs.  For a stack ``(n, d, d)`` every
+    array carries the stack axis first.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    matrix: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Matrix function ``V fn(w) V^dag`` evaluated on the eigenvalues."""
+        """Matrix function ``V fn(w) V^dag`` of one matrix, evaluated on the eigenvalues."""
         v = self.eigenvectors
         return (v * fn(self.eigenvalues)) @ v.conj().T
 
 
-def hermitian_eig(m, *, name: str = "matrix") -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix by LAPACK ``eigh``.
+def hermitian_eig(m, *, name: str = "matrix", stack: bool = False) -> Spectrum:
+    """Eigendecomposition by LAPACK ``eigh`` of a matrix passing :func:`require_hermitian`.
 
-    Eigenvalues are returned ascending.  Inside degenerate blocks the basis
-    is whatever LAPACK returns: deterministic on one machine, not canonical.
+    With ``stack``, ``m`` is a stack ``(n, d, d)`` decomposed by one batched
+    ``eigh`` call, which runs the same routine on each matrix, so every
+    eigenpair equals that of a single call bit for bit.  The spectrum keeps
+    the symmetrized matrix that was decomposed.  Eigenvalues are returned
+    ascending.  Inside degenerate blocks the basis is whatever LAPACK
+    returns: deterministic on one machine, not canonical.
     """
-    w, v = np.linalg.eigh(require_hermitian(m, name=name))
-    return Spectrum(eigenvalues=w, eigenvectors=v)
+    a = require_hermitian(m, name=name, stack=stack)
+    w, v = np.linalg.eigh(a)
+    return Spectrum(eigenvalues=w, eigenvectors=v, matrix=a)
 
 
 def expm_unitary(h, t: float) -> np.ndarray:

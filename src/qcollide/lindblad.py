@@ -11,10 +11,11 @@ estimates are plain dense linear algebra.
 
 The same matrices carry the time stepping and the rates.  One classical RK4
 step over ``h`` is the fixed matrix ``R(h) = sum_{k<=4} (hL)^k / k!``
-(:func:`rk4_propagator`), so :func:`integrate` applies one matvec per step
-and returns exactly one gated snapshot per step.  :func:`rates` reads each
-species' work and heat rate, and the energy rate, off per-generator rows: a
-row ``x.reshape(-1)`` dotted with ``vec(rho)`` is ``tr(x rho)``.
+(:func:`rk4_propagator`), so :func:`integrate` applies one matvec per step,
+gates all its step states in one batched pass and returns one snapshot per
+step.  :func:`rates` reads each species' work and heat rate, and the energy
+rate, off per-generator rows: a row ``x.reshape(-1)`` dotted with
+``vec(rho)`` is ``tr(x rho)``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .linalg import (
     reduced_superoperator,
     require_hermitian,
 )
-from .states import TRACE_TOL, DensityMatrix, AncillaSpec, thermal_state
+from .states import TRACE_TOL, AncillaSpec, DensityMatrix, density_matrices, thermal_state
 
 FIRST_MOMENT_TOL = 1e-9
 EIGENOPERATOR_TOL = 1e-9
@@ -330,23 +331,27 @@ def integrate(
 
     The step must satisfy ``dt <= 0.1 / ||L||``.  Each step is one matvec with
     the step's :func:`rk4_propagator`, built once for ``dt`` and once for the
-    remainder step.  Every step yields exactly one snapshot, gated as a
-    :class:`DensityMatrix` with positivity loosened to ``-1e-6``, since a
-    coarse but admissible step can push eigenvalues slightly negative.  The
-    trace is never renormalized: a state that fails the gate with its trace
-    off 1 by more than the state's own trace tolerance raises
-    :class:`TraceDriftError`, any other failure :class:`PositivityLostError`.
-    The snapshot's symmetrized matrix is the next state.  Returns
-    ``(time, state)`` snapshots including the initial one.
+    remainder step, and the symmetrization ``(rho + rho^dag)/2`` that feeds
+    the next step.  The raw step matrices are then gated together by one
+    :func:`~qcollide.states.density_matrices` call, with positivity loosened
+    to ``-1e-6``, since a coarse but admissible step can push eigenvalues
+    slightly negative; every step yields exactly one snapshot.  The trace is
+    never renormalized.  When the stack fails its gate, the steps are gated
+    one at a time to find the first that fails: with its trace off 1 by more
+    than the state's own trace tolerance it raises :class:`TraceDriftError`,
+    otherwise :class:`PositivityLostError`.  Returns ``(time, state)``
+    snapshots including the initial one.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise ValueError(f"t_final must be finite and >= 0, got {t_final!r}")
+    dim = gen.dim
+    if rho0.dim != dim:
+        raise DimensionMismatchError("state dimension differs from generator")
     norm = gen.norm_estimate
     if norm > 0.0 and dt > 0.1 / norm:
         raise StepSizeError(f"dt={dt} exceeds stability bound {0.1 / norm:.3e}")
-    dim = gen.dim
 
     n_whole = int(math.floor(t_final / dt + 1e-9))
     remainder = t_final - n_whole * dt
@@ -355,23 +360,37 @@ def integrate(
         steps.append(remainder)
     propagators = {h: rk4_propagator(gen.matrix, h) for h in set(steps)}
 
-    trajectory: list[tuple[float, DensityMatrix]] = [(0.0, rho0)]
+    # vec(rho^T) = vec(rho)[transposed], so the symmetrization stays on vectors.
+    transposed = np.arange(dim * dim).reshape(dim, dim).T.reshape(-1)
+    raw = np.empty((len(steps), dim, dim), dtype=complex)
+    times = []
     state = vec(rho0.matrix)
     t = 0.0
-    for h in steps:
-        state = propagators[h] @ state
-        t += h
-        rho = unvec(state, dim)
+    # Steps after one that leaves the cone are computed before the gate finds it;
+    # should they overflow, the gate rejects them, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, h in enumerate(steps):
+            step = propagators[h] @ state
+            raw[i] = unvec(step, dim)
+            state = 0.5 * (step + step[transposed].conj())
+            t += h
+            times.append(t)
         try:
-            snapshot = DensityMatrix(rho, psd_tol=INTEGRATOR_PSD_TOL)
-        except (QCollideError, ValueError) as exc:
-            drift = abs(float(rho.trace().real) - 1.0)
-            if drift > TRACE_TOL:
-                raise TraceDriftError(f"trace drifted by {drift:.3e} at t={t}") from exc
-            raise PositivityLostError(f"state left the positive cone at t={t}: {exc}") from exc
-        trajectory.append((t, snapshot))
-        state = vec(snapshot.matrix)
-    return trajectory
+            snapshots = density_matrices(raw, psd_tol=INTEGRATOR_PSD_TOL)
+        except (QCollideError, ValueError):
+            snapshots = [_step_snapshot(t, rho) for t, rho in zip(times, raw)]
+    return [(0.0, rho0), *zip(times, snapshots)]
+
+
+def _step_snapshot(t: float, rho: np.ndarray) -> DensityMatrix:
+    """Gate one step's matrix, naming a failure as trace drift or lost positivity at ``t``."""
+    try:
+        return DensityMatrix(rho, psd_tol=INTEGRATOR_PSD_TOL)
+    except (QCollideError, ValueError) as exc:
+        drift = abs(float(rho.trace().real) - 1.0)
+        if drift > TRACE_TOL:
+            raise TraceDriftError(f"trace drifted by {drift:.3e} at t={t}") from exc
+        raise PositivityLostError(f"state left the positive cone at t={t}: {exc}") from exc
 
 
 def steady_state(gen: LindbladGenerator) -> DensityMatrix:

@@ -44,16 +44,13 @@ class DensityMatrix:
     semidefiniteness (eigenvalues above ``-psd_tol``), then stores the
     symmetrized matrix read-only together with its spectrum.  The von Neumann
     entropy is memoized on first use by :func:`von_neumann_entropy`.
+    :func:`density_matrices` runs the same gates on a stack in one pass.
     """
 
     __slots__ = ("matrix", "spectrum", "_entropy")
 
     def __init__(self, matrix, *, psd_tol: float = PSD_TOL):
-        spectrum = hermitian_eig(matrix, name="density matrix")
-        a = np.asarray(matrix, dtype=complex)
-        m = 0.5 * (a + dag(a))
-        _require_unit_trace(float(m.trace().real))
-        self._store(m, spectrum, psd_tol)
+        self._store(_gated(matrix, psd_tol, stack=False))
 
     @classmethod
     def from_spectrum(cls, spectrum: Spectrum) -> "DensityMatrix":
@@ -63,18 +60,21 @@ class DensityMatrix:
         """
         if np.any(np.diff(spectrum.eigenvalues) < 0.0):
             raise ValueError("spectrum eigenvalues must be ascending")
-        _require_unit_trace(float(spectrum.eigenvalues.sum()))
+        _require_unit_trace(spectrum.eigenvalues.sum())
         v = spectrum.eigenvectors
+        m = require_hermitian((v * spectrum.eigenvalues) @ dag(v), name="density matrix")
+        _require_positive(spectrum.eigenvalues[0], PSD_TOL)
+        return cls._wrap(Spectrum(spectrum.eigenvalues, v, m))
+
+    @classmethod
+    def _wrap(cls, spectrum: Spectrum) -> "DensityMatrix":
         rho = object.__new__(cls)
-        rho._store(require_hermitian((v * spectrum.eigenvalues) @ dag(v), name="density matrix"), spectrum, PSD_TOL)
+        rho._store(spectrum)
         return rho
 
-    def _store(self, m: np.ndarray, spectrum: Spectrum, psd_tol: float) -> None:
-        smallest = float(spectrum.eigenvalues[0])
-        if smallest < -psd_tol:
-            raise NotPositiveError(f"density matrix has eigenvalue {smallest:.3e}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+    def _store(self, spectrum: Spectrum) -> None:
+        spectrum.matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", spectrum.matrix)
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "_entropy", None)
 
@@ -97,9 +97,51 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def _require_unit_trace(trace: float) -> None:
-    if abs(trace - 1.0) > TRACE_TOL:
+def density_matrices(matrices, *, psd_tol: float = PSD_TOL) -> list[DensityMatrix]:
+    """Gate a stack ``(n, d, d)`` of density matrices at once and wrap each.
+
+    One Hermiticity gate and batched ``eigh`` (:func:`hermitian_eig` on the
+    stack) and one check of every trace and smallest eigenvalue serve the
+    whole stack.  Batched ``eigh`` gives each matrix the bits of a single
+    call, so the result equals ``[DensityMatrix(m, psd_tol=psd_tol) for m in
+    matrices]`` bit for bit.  Each state holds read-only views of the
+    stacked arrays.
+    """
+    stacked = _gated(matrices, psd_tol, stack=True)
+    for array in (stacked.matrix, stacked.eigenvalues, stacked.eigenvectors):
+        array.setflags(write=False)
+    return [
+        DensityMatrix._wrap(Spectrum(eigenvalues=w, eigenvectors=v, matrix=m))
+        for w, v, m in zip(stacked.eigenvalues, stacked.eigenvectors, stacked.matrix)
+    ]
+
+
+def _gated(a, psd_tol: float, *, stack: bool) -> Spectrum:
+    """Spectrum of ``a`` (one matrix, or with ``stack`` a stack) past all three state gates.
+
+    The trace and positivity gates share one count of failures; only when it
+    is nonzero do the helpers find and name the first failure, trace first.
+    """
+    spectrum = hermitian_eig(a, name="density matrix", stack=stack)
+    traces = spectrum.matrix.trace(axis1=-2, axis2=-1).real
+    smallest = spectrum.eigenvalues[..., 0]
+    if np.count_nonzero((np.abs(traces - 1.0) > TRACE_TOL) | (smallest < -psd_tol)):
+        _require_unit_trace(traces)
+        _require_positive(smallest, psd_tol)
+    return spectrum
+
+
+def _require_unit_trace(traces) -> None:
+    off = np.abs(traces - 1.0) > TRACE_TOL
+    if off.any():
+        trace = float(np.ravel(traces)[np.argmax(off)])
         raise ValueError(f"density matrix trace {trace!r} is not 1")
+
+
+def _require_positive(smallest, psd_tol: float) -> None:
+    below = smallest < -psd_tol
+    if below.any():
+        raise NotPositiveError(f"density matrix has eigenvalue {np.ravel(smallest)[np.argmax(below)]:.3e}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -77,6 +77,24 @@ class TestHermitianEig:
     def test_rejects_non_square(self):
         with pytest.raises(NonSquareError):
             hermitian_eig(np.zeros((2, 3)))
+        # a stack passes only where one is asked for, and a matrix only where a matrix is
+        for gate in (require_hermitian, hermitian_eig):
+            with pytest.raises(NonSquareError):
+                gate(np.zeros((2, 2, 2)))
+            with pytest.raises(NonSquareError):
+                gate(np.zeros((2, 2)), stack=True)
+            with pytest.raises(NonSquareError):
+                gate(np.zeros((2, 2, 3)), stack=True)
+
+    def test_stack_matches_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(7)
+        stack = np.array([random_hermitian(rng, 3) for _ in range(5)])
+        spec = hermitian_eig(stack, stack=True)
+        assert spec.dim == 3
+        for i, m in enumerate(stack):
+            alone = hermitian_eig(m)
+            for field in ("matrix", "eigenvalues", "eigenvectors"):
+                assert getattr(spec, field)[i].tobytes() == getattr(alone, field).tobytes()
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
@@ -90,6 +108,12 @@ class TestHermitianEig:
             m[0, 1] = bad
             with pytest.raises(ValueError):
                 require_hermitian(m)
+        # in a stack too; an infinite scale must fail although |inf - 0| <= rtol * inf
+        for bad in (-np.inf, complex(0.0, np.inf), np.nan):
+            stack = np.zeros((2, 2, 2), dtype=complex)
+            stack[1, 0, 1] = bad
+            with pytest.raises(ValueError):
+                require_hermitian(stack, stack=True)
 
 
 class TestExpmUnitary:

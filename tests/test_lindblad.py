@@ -5,6 +5,7 @@ import pytest
 
 from qcollide.errors import (
     DegenerateSteadyStateError,
+    DimensionMismatchError,
     EigenoperatorError,
     FirstMomentError,
     RankDeficientError,
@@ -180,6 +181,16 @@ class TestIntegrate:
         with pytest.raises(StepSizeError):
             integrate(gen, maximally_mixed(2), 1.0, 10.0)
 
+    def test_state_dimension_must_match_generator(self):
+        gen, _ = qubit_generator()
+        with pytest.raises(DimensionMismatchError, match="state dimension differs from generator"):
+            integrate(gen, maximally_mixed(3), 0.1, 0.01)
+
+    def test_zero_horizon_returns_the_initial_state(self):
+        gen, _ = qubit_generator()
+        rho = maximally_mixed(2)
+        assert integrate(gen, rho, 0.0, 0.01) == [(0.0, rho)]
+
 
 class TestSteadyState:
     def test_single_thermal_bath(self):
@@ -325,7 +336,7 @@ class TestPositivityGuard:
         def broken(*args, **kwargs):
             raise TypeError("not a positivity failure")
 
-        monkeypatch.setattr(lindblad, "DensityMatrix", broken)
+        monkeypatch.setattr(lindblad, "density_matrices", broken)
         with pytest.raises(TypeError, match="not a positivity failure"):
             integrate(gen, maximally_mixed(2), 0.1, 1e-2)
 

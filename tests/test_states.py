@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcollide.errors import (
     DiagonalCoherenceError,
@@ -14,6 +16,7 @@ from qcollide.presets import SIGMA_X, SIGMA_Z, qubit_hamiltonian
 from qcollide.states import (
     AncillaSpec,
     DensityMatrix,
+    density_matrices,
     ergotropy_exact,
     free_energy,
     mutual_information,
@@ -24,6 +27,8 @@ from qcollide.states import (
     von_neumann_entropy,
     weakly_coherent_state,
 )
+
+from test_stroke_properties import seeds, stroke_settings
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -57,6 +62,86 @@ class TestDensityMatrix:
             rho.matrix = np.eye(2)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 3.0
+
+
+def random_state_stack(rng, n, d):
+    """``n`` full-rank states of dimension ``d``, each a few ulps off Hermitian so the gate symmetrizes."""
+    a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    m = a @ a.conj().swapaxes(-1, -2) + 0.05 * np.eye(d)
+    m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    return m + 1e-14 * rng.normal(size=(n, d, d))
+
+
+@stroke_settings
+@given(seeds, st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=20))
+def test_stacked_gate_matches_one_state_at_a_time(seed, d, n):
+    stack = random_state_stack(np.random.default_rng(seed), n, d)
+    stacked = density_matrices(stack)
+    assert len(stacked) == n
+    for rho, m in zip(stacked, stack):
+        alone = DensityMatrix(m)
+        assert rho.matrix.tobytes() == alone.matrix.tobytes()
+        assert rho.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+        assert rho.spectrum.eigenvectors.tobytes() == alone.spectrum.eigenvectors.tobytes()
+        for stored in (rho.matrix, rho.eigenvalues, rho.spectrum.eigenvectors):
+            assert not stored.flags.writeable
+
+
+SPOILED = {
+    "trace": ValueError,
+    "negative": NotPositiveError,
+    "nan": ValueError,
+    "inf": ValueError,
+    "non-hermitian": NonHermitianError,
+}
+
+
+def spoil(m, kind):
+    """Break one gate of the state ``m`` in place."""
+    if kind == "trace":
+        m *= 1.5
+    elif kind == "negative":
+        # a diagonal entry below zero: trace and Hermiticity kept, positivity lost
+        m[0, 0] -= 2.0
+        m[1, 1] += 2.0
+    elif kind == "nan":
+        m[0, 1] = np.nan
+    elif kind == "inf":
+        m[0, 1] = np.inf
+    else:
+        m[0, 1] += 0.1
+
+
+@stroke_settings
+@given(
+    seeds,
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=0, max_value=9),
+    st.sampled_from(sorted(SPOILED)),
+)
+def test_one_bad_state_fails_the_stack_as_it_fails_alone(seed, d, n, position, kind):
+    stack = random_state_stack(np.random.default_rng(seed), n, d)
+    spoil(stack[position % n], kind)
+    with pytest.raises(SPOILED[kind]) as alone:
+        DensityMatrix(stack[position % n])
+    with pytest.raises(SPOILED[kind]) as stacked:
+        density_matrices(stack)
+    assert type(alone.value) is SPOILED[kind]
+    assert type(stacked.value) is SPOILED[kind]
+
+
+class TestDensityMatrixStack:
+    def test_each_matrix_is_gated_against_its_own_scale(self):
+        # an asymmetry of 1e-13 is noise next to the state's scale 0.5, but 1e-7
+        # of the tiny matrix's own scale 1e-6
+        state = np.diag([0.5, 0.5]).astype(complex)
+        tiny = 1e-6 * np.array([[1.0, 1e-7], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(NonHermitianError):
+            density_matrices(np.stack([state, tiny]))
+
+    def test_empty_stack(self):
+        assert density_matrices(np.empty((0, 3, 3))) == []
 
 
 class TestThermalState:
