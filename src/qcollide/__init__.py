@@ -13,6 +13,7 @@ from .collisions import (
     build_unitary,
     collide,
     run_trajectory,
+    stroboscopic_states,
 )
 from .lindblad import (
     EigenoperatorCoupling,

@@ -14,6 +14,13 @@ formed.  What is fixed per config (``<H_A>``, ``S(rho_A)``, ``ln(rho_A)`` and
 the kernel of ``rho_A``) is computed once, and the support check of
 ``rho_A'`` runs only when ``rho_A`` has a kernel.
 
+:func:`run_trajectory` keeps a ledger per round.  When only the round-end
+states are read, :func:`stroboscopic_states` gives them bit for bit without
+ledgers: each stroke is the same matvec, all system outputs of the run
+pass the state gates in one stacked pass and each species' ancilla outputs
+in another, and a failing gate replays the run with :func:`run_trajectory`
+so the first failing stroke raises as it does there.
+
 Sign conventions: ``heat_ancilla > 0`` means the ancilla gained energy, and
 the switching work is stored as ``work = d_energy + heat_ancilla``.
 """
@@ -27,7 +34,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UnitaryDefectError
+from .errors import DimensionMismatchError, QCollideError, UnitaryDefectError
 from .lindblad import coherent_generator, unvec, vec
 from .linalg import (
     ancilla_average,
@@ -45,6 +52,7 @@ from .states import (
     DensityMatrix,
     coherence_from_populations,
     coherence_in_basis,
+    density_matrices,
     log_on_support,
     require_support,
     support_kernel,
@@ -328,6 +336,80 @@ def run_trajectory(
     step is a full round of duration ``tau`` and cumulative columns compare
     directly with the additive continuous-time generator.
     """
+    subs = _scheduled(rho0, cfgs, n_steps, schedule)
+    tau = cfgs[0].ancilla.tau
+    labels = [sub.label for sub in subs]
+    totals = {label: CollisionLedger.zero() for label in labels}
+    running = CollisionLedger.zero()
+    steps: list[TrajectoryStep] = []
+    cumulative: list[CollisionLedger] = []
+    state = rho0
+    for n in range(1, n_steps + 1):
+        round_ledger = CollisionLedger.zero()
+        for label, sub in zip(labels, subs):
+            outcome = collide(state, sub)
+            state = outcome.system
+            round_ledger = round_ledger + outcome.ledger
+            totals[label] = totals[label] + outcome.ledger
+        running = running + round_ledger
+        steps.append(TrajectoryStep(index=n, time=n * tau, state=state, ledger=round_ledger))
+        cumulative.append(running)
+    return TrajectoryRecord(steps=steps, cumulative=cumulative, species_totals=totals)
+
+
+def stroboscopic_states(
+    rho0: DensityMatrix,
+    cfgs: list[CollisionConfig],
+    n_steps: int,
+    schedule: str = "single",
+) -> list[DensityMatrix]:
+    """The round-end states of :func:`run_trajectory`, bit for bit, without its ledgers.
+
+    Each sub-collision is the matvec of :func:`collide`; its system and
+    ancilla outputs are kept in stacks, and the symmetrized system block
+    feeds the next stroke.  After the run, every system output and each
+    species' ancilla outputs pass the state gates in one stacked pass, and
+    the ancilla outputs of a species whose prepared state has a kernel pass
+    the support check.  Only the round-end states are wrapped.  When a gate
+    fails, the run is replayed by :func:`run_trajectory`, so the first
+    failing stroke raises what it raises there.
+    """
+    subs = _scheduled(rho0, cfgs, n_steps, schedule)
+    m = len(subs)
+    d_s = rho0.dim
+    n_s = d_s * d_s
+    # vec(rho^T) = vec(rho)[transposed], so the symmetrization stays on vectors.
+    transposed = np.arange(n_s).reshape(d_s, d_s).T.reshape(-1)
+    systems = np.empty((n_steps * m, d_s, d_s), dtype=complex)
+    ancillas = [np.empty((n_steps, sub.dim_ancilla, sub.dim_ancilla), dtype=complex) for sub in subs]
+    state = vec(rho0.matrix)
+    # Strokes after one that leaves the state space run before the gates find it;
+    # should they overflow, the gates reject them, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            for j, sub in enumerate(subs):
+                rows = sub.stroke_matrix @ state
+                step = rows[:n_s]
+                systems[n * m + j] = unvec(step, d_s)
+                ancillas[j][n] = unvec(rows[n_s : n_s + sub.dim_ancilla**2], sub.dim_ancilla)
+                state = 0.5 * (step + step[transposed].conj())
+        try:
+            rounds = density_matrices(systems, keep=slice(m - 1, None, m))
+            for sub, outputs in zip(subs, ancillas):
+                kernel = sub.ancilla_kernel
+                # An ancilla output is wrapped only to have its support checked.
+                for rho_a in density_matrices(outputs, keep=slice(None if kernel.shape[1] else 0)):
+                    require_support(rho_a, kernel)
+            return rounds
+        except (QCollideError, ValueError):
+            pass
+    return [step.state for step in run_trajectory(rho0, cfgs, n_steps, schedule).steps]
+
+
+def _scheduled(
+    rho0: DensityMatrix, cfgs: list[CollisionConfig], n_steps: int, schedule: str
+) -> list[CollisionConfig]:
+    """Validate a run and return the sub-collision config of each species, in round order."""
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     if not cfgs:
@@ -347,22 +429,6 @@ def run_trajectory(
             raise DimensionMismatchError("species disagree on the system dimension")
         if abs(cfg.ancilla.tau - tau) > 1e-15 * max(tau, 1.0):
             raise ValueError("species must share the round duration tau")
-
-    m = len(cfgs)
-    subs = [cfg.subdivided(m) for cfg in cfgs]
-    totals = {label: CollisionLedger.zero() for label in labels}
-    running = CollisionLedger.zero()
-    steps: list[TrajectoryStep] = []
-    cumulative: list[CollisionLedger] = []
-    state = rho0
-    for n in range(1, n_steps + 1):
-        round_ledger = CollisionLedger.zero()
-        for label, sub in zip(labels, subs):
-            outcome = collide(state, sub)
-            state = outcome.system
-            round_ledger = round_ledger + outcome.ledger
-            totals[label] = totals[label] + outcome.ledger
-        running = running + round_ledger
-        steps.append(TrajectoryStep(index=n, time=n * tau, state=state, ledger=round_ledger))
-        cumulative.append(running)
-    return TrajectoryRecord(steps=steps, cumulative=cumulative, species_totals=totals)
+    if rho0.dim != dim:
+        raise DimensionMismatchError("system state dimension differs from config")
+    return [cfg.subdivided(len(cfgs)) for cfg in cfgs]

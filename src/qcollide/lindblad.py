@@ -115,7 +115,7 @@ class LindbladGenerator:
             if term.dissipator.shape != (expected, expected):
                 raise DimensionMismatchError("dissipator dimension mismatch")
         self.dissipator = sum(term.dissipator for term in self.species)
-        self._rate_rows: tuple[bytes, np.ndarray] | None = None
+        self._rate_rows: tuple[tuple[tuple[int, ...], bytes], np.ndarray] | None = None
 
     def apply(self, rho_matrix: np.ndarray) -> np.ndarray:
         """``-i [H_eff, rho] + D(rho)``, through :attr:`matrix`."""
@@ -143,20 +143,23 @@ class LindbladGenerator:
         rayleigh = float(np.real(np.conj(x) @ (gram @ x)))
         return math.sqrt(max(rayleigh, 0.0))
 
-    def rate_rows(self, h_system: np.ndarray) -> np.ndarray:
+    def rate_rows(self, h_system) -> np.ndarray:
         """Rows that map ``vec(rho)`` to the rates of :func:`rates`.
 
         One row per species for the coherent work ``i lam_j tr([G_j, H_S] rho)``,
         then one per species for the heat ``tr(H_S D_j(rho))``, then the energy
-        rate ``tr(H_S L(rho))``.  ``h_system`` must be a symmetrized
-        ``dim x dim`` array, as :func:`~qcollide.linalg.require_hermitian`
-        returns it.  The rows of the last ``h_system`` are kept.
+        rate ``tr(H_S L(rho))``.  The rows of the last ``h_system`` are kept,
+        keyed by its shape and bytes as given, so ``h_system`` passes
+        :func:`~qcollide.linalg.require_hermitian` once per new array and
+        the rows are built from its symmetrized copy.
         """
-        key = h_system.tobytes()
+        a = np.asarray(h_system, dtype=complex)
+        key = (a.shape, a.tobytes())
         if self._rate_rows is None or self._rate_rows[0] != key:
-            h_row = h_system.reshape(-1)
+            h_s = require_hermitian(a, name="h_system")
+            h_row = h_s.reshape(-1)
             rows = np.array(
-                [1j * t.lam * commutator(t.coherent_op, h_system).reshape(-1) for t in self.species]
+                [1j * t.lam * commutator(t.coherent_op, h_s).reshape(-1) for t in self.species]
                 + [h_row @ t.dissipator for t in self.species]
                 + [h_row @ self.matrix]
             )
@@ -450,7 +453,7 @@ def rates(gen: LindbladGenerator, rho: DensityMatrix, h_system) -> RateLedger:
     rather than regularized, and the energy rate must close against the
     work and heat rates.
     """
-    h_s = require_hermitian(h_system, name="h_system")
+    rows = gen.rate_rows(h_system)
     if rho.dim != gen.dim:
         raise DimensionMismatchError("state dimension differs from generator")
     smallest = float(rho.eigenvalues[0])
@@ -458,7 +461,7 @@ def rates(gen: LindbladGenerator, rho: DensityMatrix, h_system) -> RateLedger:
         raise RankDeficientError(f"eigenvalue {smallest:.3e} too small for ln(rho)")
     state = vec(rho.matrix)
     n = len(gen.species)
-    values = (gen.rate_rows(h_s) @ state).real.tolist()
+    values = (rows @ state).real.tolist()
     work, heat, energy_rate = tuple(values[:n]), tuple(values[n : 2 * n]), values[2 * n]
     log_rho = rho.spectrum.apply(np.log)
     entropy_rate = -float((log_rho.reshape(-1) @ (gen.matrix @ state)).real)

@@ -97,22 +97,23 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def density_matrices(matrices, *, psd_tol: float = PSD_TOL) -> list[DensityMatrix]:
-    """Gate a stack ``(n, d, d)`` of density matrices at once and wrap each.
+def density_matrices(matrices, *, psd_tol: float = PSD_TOL, keep: slice = slice(None)) -> list[DensityMatrix]:
+    """Gate a stack ``(n, d, d)`` of density matrices at once and wrap the ``keep`` slice.
 
     One Hermiticity gate and batched ``eigh`` (:func:`hermitian_eig` on the
     stack) and one check of every trace and smallest eigenvalue serve the
     whole stack.  Batched ``eigh`` gives each matrix the bits of a single
     call, so the result equals ``[DensityMatrix(m, psd_tol=psd_tol) for m in
-    matrices]`` bit for bit.  Each state holds read-only views of the
-    stacked arrays.
+    matrices[keep]]`` bit for bit, while the matrices outside ``keep`` are
+    gated but not wrapped.  Each state holds read-only views of the stacked
+    arrays.
     """
     stacked = _gated(matrices, psd_tol, stack=True)
     for array in (stacked.matrix, stacked.eigenvalues, stacked.eigenvectors):
         array.setflags(write=False)
     return [
         DensityMatrix._wrap(Spectrum(eigenvalues=w, eigenvectors=v, matrix=m))
-        for w, v, m in zip(stacked.eigenvalues, stacked.eigenvectors, stacked.matrix)
+        for w, v, m in zip(stacked.eigenvalues[keep], stacked.eigenvectors[keep], stacked.matrix[keep])
     ]
 
 

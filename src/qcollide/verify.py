@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .collisions import CollisionConfig, collide, run_trajectory
+from .collisions import CollisionConfig, collide, stroboscopic_states
 from .lindblad import LindbladGenerator, integrate, multi_bath_generator, rates, rk4_step
 from .rng import SplitMix64
 from .presets import random_collision
@@ -81,16 +81,15 @@ def stroboscopic_deviation(
         rounds.append(n_rounds)
     results = []
     for tau, n_rounds in zip(taus, rounds):
-        cfgs = build_cfgs(tau)
-        gen = generator_for(cfgs)
+        cfgs = list(build_cfgs(tau))
         schedule = "single" if len(cfgs) == 1 else "round-robin"
-        record = run_trajectory(rho0, list(cfgs), n_rounds, schedule=schedule)
+        strobes = stroboscopic_states(rho0, cfgs, n_rounds, schedule=schedule)
+        gen = generator_for(cfgs)
         cap = 0.09 / max(gen.norm_estimate, 1e-12)
         substeps = max(1, math.ceil(tau / min(dt_target, cap)))
         reference = integrate(gen, rho0, n_rounds * tau, tau / substeps)
         worst = max(
-            trace_distance(record.steps[k].state, reference[(k + 1) * substeps][1])
-            for k in range(n_rounds)
+            trace_distance(state, reference[(k + 1) * substeps][1]) for k, state in enumerate(strobes)
         )
         results.append((tau, worst))
     return results
@@ -184,8 +183,11 @@ def random_collision_suite(
 
     ``work_scaled`` is ``|work| / (||H_S|| + ||H_A||)`` (spectral norms);
     ``coherent_bound_scaled`` is ``(beta W_C + dC) / tau^{3/2}``, the scaled
-    slack of the coherent-work bound.
+    slack of the coherent-work bound.  Raises ``ValueError`` when ``count``
+    is below 1, before any draw.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count!r}")
     rng = SplitMix64(seed)
     samples: list[SuiteSample] = []
     for index in range(count):

@@ -1,11 +1,20 @@
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
-from qcollide.collisions import CollisionConfig, CollisionLedger, build_unitary, collide, run_trajectory
-from qcollide.errors import SupportViolationError
+from qcollide import collisions
+from qcollide.collisions import (
+    CollisionConfig,
+    CollisionLedger,
+    build_unitary,
+    collide,
+    run_trajectory,
+    stroboscopic_states,
+)
+from qcollide.errors import DimensionMismatchError, SupportViolationError
 from qcollide.linalg import commutator, dag, expm_unitary, kron, max_abs
 from qcollide.presets import (
     qubit_collision,
@@ -251,3 +260,105 @@ class TestRunTrajectory:
             run_trajectory(maximally_mixed(2), [cfg], 1, schedule="zigzag")
         with pytest.raises(ValueError):
             run_trajectory(maximally_mixed(2), [cfg, cfg], 1, schedule="round-robin")
+
+
+def raised(fn, *args, **kwargs):
+    """Class and message of what ``fn`` raises; ``None`` when it returns."""
+    try:
+        fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def with_stroke_matrix(cfg, system_factor, ancilla_factor):
+    """``cfg`` with the system and ancilla rows of its stroke matrix scaled."""
+    n_s, n_a = cfg.dim_system**2, cfg.dim_ancilla**2
+    corrupted = cfg.stroke_matrix.copy()
+    corrupted[:n_s] *= system_factor
+    corrupted[n_s : n_s + n_a] *= ancilla_factor
+    cfg.__dict__["stroke_matrix"] = corrupted
+    return cfg
+
+
+BAD_RUNS = {
+    "negative n_steps": (lambda: ([qubit_collision()], -1, "single"), ValueError, "n_steps must be >= 0"),
+    "no species": (lambda: ([], 1, "round-robin"), ValueError, "need at least one collision config"),
+    "single with two": (
+        lambda: ([qubit_collision(label="A"), qubit_collision(label="B")], 1, "single"),
+        ValueError,
+        "single-species schedule takes exactly one config",
+    ),
+    "unknown schedule": (lambda: ([qubit_collision()], 1, "zigzag"), ValueError, "unknown schedule 'zigzag'"),
+    "repeated label": (
+        lambda: ([qubit_collision(), qubit_collision()], 1, "round-robin"),
+        ValueError,
+        "species labels must be distinct",
+    ),
+    "system dimensions differ": (
+        lambda: ([qubit_collision(), three_level_collision(1e-2, label="B")], 1, "round-robin"),
+        DimensionMismatchError,
+        "species disagree on the system dimension",
+    ),
+    "taus differ": (
+        lambda: ([qubit_collision(tau=1e-2), qubit_collision(tau=2e-2, label="B")], 1, "round-robin"),
+        ValueError,
+        "species must share the round duration tau",
+    ),
+}
+
+RUNS = [run_trajectory, stroboscopic_states]
+
+
+class TestStroboscopicStates:
+    @pytest.mark.parametrize("run", RUNS)
+    @pytest.mark.parametrize("case", sorted(BAD_RUNS))
+    def test_schedule_validation(self, run, case):
+        make, error, message = BAD_RUNS[case]
+        cfgs, n_steps, schedule = make()
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            run(maximally_mixed(2), cfgs, n_steps, schedule=schedule)
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_state_dimension_must_match(self, run):
+        with pytest.raises(DimensionMismatchError, match="^system state dimension differs from config$"):
+            run(maximally_mixed(3), [qubit_collision()], 1)
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_support_violation(self, run):
+        # rho_A has a kernel, and the excited system state feeds weight into it.
+        cfg = qubit_collision(beta=40.0, lam=0.0)
+        rho0 = DensityMatrix(np.diag([1.0, 0.0]))
+        with pytest.raises(SupportViolationError, match="^first state has weight 1.000e\\+00 outside"):
+            run(rho0, [cfg], 3)
+
+    def test_support_kept_matches_trajectory(self):
+        cfg = qubit_collision(beta=40.0, lam=0.0)
+        rho0 = DensityMatrix(np.diag([0.0, 1.0]))
+        record = run_trajectory(rho0, [cfg], 6)
+        rounds = stroboscopic_states(rho0, [cfg], 6)
+        assert [s.matrix.tobytes() for s in rounds] == [s.state.matrix.tobytes() for s in record.steps]
+
+    @pytest.mark.parametrize(
+        "system_factor, ancilla_factor",
+        [(1.0 + 1e-11, 1.0), (1.0, 1.5), (1.0 + 1e-11, 1.0 + 5.5e-11)],
+        # Traces drift by 1e-11 a stroke: the system output fails stroke 11;
+        # with the ancilla rows 5.5e-11 high as well, its output fails stroke 6.
+        ids=["system trace drift", "ancilla trace", "ancilla fails before the system"],
+    )
+    def test_failing_stroke_raises_as_in_trajectory(self, system_factor, ancilla_factor):
+        def run(fn):
+            cfg = with_stroke_matrix(qubit_collision(), system_factor, ancilla_factor)
+            return raised(fn, maximally_mixed(2), [cfg], 20)
+
+        expected = run(run_trajectory)
+        assert expected is not None and expected[0] is ValueError
+        assert run(stroboscopic_states) == expected
+
+    def test_builds_no_ledger(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("collide called")
+
+        monkeypatch.setattr(collisions, "collide", refuse)
+        cfgs = [qubit_collision(label="A"), qubit_collision(beta=0.5, label="B")]
+        assert len(stroboscopic_states(maximally_mixed(2), cfgs, 5, schedule="round-robin")) == 5

@@ -8,6 +8,7 @@ from qcollide.errors import (
     DimensionMismatchError,
     EigenoperatorError,
     FirstMomentError,
+    NonHermitianError,
     RankDeficientError,
     StepSizeError,
 )
@@ -266,6 +267,27 @@ class TestRates:
         pure = DensityMatrix(np.diag([1.0, 0.0]))
         with pytest.raises(RankDeficientError):
             rates(gen, pure, cfg.h_system)
+
+    def test_h_system_is_gated_once_per_array(self, monkeypatch):
+        from qcollide import lindblad
+
+        gen, cfg = qubit_generator()
+        rho = maximally_mixed(2)
+        calls = []
+        gate = lindblad.require_hermitian
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return gate(*args, **kwargs)
+
+        monkeypatch.setattr(lindblad, "require_hermitian", counting)
+        first = rates(gen, rho, cfg.h_system)
+        for _ in range(9):
+            assert rates(gen, rho, cfg.h_system.copy()) == first
+        assert len(calls) == 1
+        with pytest.raises(NonHermitianError):
+            rates(gen, rho, cfg.h_system + np.array([[0.0, 0.5], [0.0, 0.0]]))
+        assert len(calls) == 2
 
 
 class TestEntropyProductionRate:

@@ -6,8 +6,10 @@ incoherent heat through the thermal dissipator and the coherent work through
 the commutator with the coherent generator, and take the entropic entries
 from the joint and reduced states.  Draws come from the seeded
 random-collision sampler in both branches at dimensions (2, 3).  The file
-also checks ledger properties over strokes and rounds, and counts the
-eigensolves and Hermiticity gates that one stroke's states cost.
+also checks ledger properties over strokes and rounds, counts the
+eigensolves and Hermiticity gates that one stroke's states cost, and checks
+that ``stroboscopic_states`` gives the round-end states of
+``run_trajectory`` bit for bit.
 """
 
 from dataclasses import fields
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcollide.cli import POSITIVITY_BOUND
-from qcollide.collisions import CollisionLedger, collide, run_trajectory
+from qcollide.collisions import CollisionLedger, collide, run_trajectory, stroboscopic_states
 from qcollide.lindblad import build_generator, coherent_generator, dissipator_apply, vec
 from qcollide.linalg import commutator, dag, kron, max_abs, partial_trace
 from qcollide.presets import maximally_mixed, qubit_collision, qutrit_ancilla_collision, random_collision
@@ -191,6 +193,40 @@ def test_round_robin_ledger_is_additive(beta_a, beta_b, lam, tau):
     h_s = cfgs[0].h_system
     d_energy = record.final_state.expectation(h_s) - rho0.expectation(h_s)
     assert abs(total.d_energy - d_energy) <= TOL
+
+
+def assert_round_states_match_trajectory(rho0, cfgs, n_steps, schedule):
+    record = run_trajectory(rho0, cfgs, n_steps, schedule=schedule)
+    rounds = stroboscopic_states(rho0, cfgs, n_steps, schedule=schedule)
+    assert len(rounds) == len(record.steps) == n_steps
+    for step, state in zip(record.steps, rounds):
+        want = step.state
+        assert state.matrix.tobytes() == want.matrix.tobytes()
+        assert state.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert state.spectrum.eigenvectors.tobytes() == want.spectrum.eigenvectors.tobytes()
+
+
+@stroke_settings
+@given(seeds, st.booleans(), st.integers(min_value=0, max_value=12))
+def test_round_states_match_trajectory_single(seed, eigenoperator, n_steps):
+    rho, cfg = draw(seed, eigenoperator)
+    assert_round_states_match_trajectory(rho, [cfg], n_steps, "single")
+
+
+@stroke_settings
+@given(
+    st.floats(min_value=0.2, max_value=2.0),
+    st.floats(min_value=0.2, max_value=2.0),
+    st.floats(min_value=0.0, max_value=0.3),
+    st.floats(min_value=1e-3, max_value=4e-2),
+    st.integers(min_value=0, max_value=12),
+)
+def test_round_states_match_trajectory_round_robin(beta_a, beta_b, lam, tau, n_steps):
+    cfgs = [
+        qubit_collision(beta=beta_a, lam=lam, tau=tau, label="A"),
+        qutrit_ancilla_collision(g=0.8, beta=beta_b, lam=lam, tau=tau, label="B"),
+    ]
+    assert_round_states_match_trajectory(maximally_mixed(2), cfgs, n_steps, "round-robin")
 
 
 def test_ancilla_hamiltonian_is_diagonalized_once(monkeypatch):
