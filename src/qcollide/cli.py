@@ -145,10 +145,8 @@ def _parse_matrix(key: str, raw: Any) -> np.ndarray:
 def _hermitian_gate(key: str, m: np.ndarray) -> np.ndarray:
     try:
         return require_hermitian(m, name=key)
-    except NonHermitianError as exc:
+    except (NonHermitianError, ValueError) as exc:
         raise ValidationError(str(exc)) from exc
-    except ValueError as exc:
-        raise ValidationError(f"{key}: {exc}") from exc
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -200,6 +198,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
             return None
         return _hermitian_gate(key, _parse_matrix(key, raw[key]))
 
+    output_dir = raw.get("output_dir", ".")
+    if not isinstance(output_dir, str):
+        raise SchemaError(f"output_dir: expected a string, got {output_dir!r}")
     taus = scalar_list("tau")
     if taus is not None and len(taus) > 1 and scenario not in ("converge", "multibath"):
         raise ValidationError("tau: a list is only meaningful for converge/multibath")
@@ -221,8 +222,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         t_final=scalar("t_final"),
         n_steps=scalar("n_steps"),
         seed=scalar("seed"),
-        output_dir=str(raw.get("output_dir", ".")),
+        output_dir=output_dir,
     )
+    if cfg.seed is not None and not 0 <= cfg.seed < 2**64:
+        raise ValidationError(f"seed: expected an integer in [0, 2^64), got {cfg.seed}")
     if cfg.scenario in ("bound-check", "oracle-check") and cfg.seed is None:
         raise ValidationError("seed: required for randomized scenarios")
     if cfg.scenario == "bound-check" and cfg.n_steps is not None and cfg.n_steps < 1:

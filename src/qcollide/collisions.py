@@ -43,7 +43,7 @@ from .linalg import (
     double_commutator,
     expm_unitary,
     kron,
-    max_abs,
+    max_abs_each,
     reduced_superoperator,
     require_hermitian,
 )
@@ -93,10 +93,7 @@ class CollisionConfig:
             )
         if not (math.isfinite(ancilla.beta) and ancilla.beta > 0.0):
             raise ValueError("collisions need a finite positive ancilla beta")
-        free = self.free_hamiltonian
-        defect = max_abs(commutator(self.v_interaction, free))
-        scale = max(1.0, max_abs(self.v_interaction) * max_abs(free))
-        self.strict_energy_conserving = defect <= ENERGY_CONSERVING_RTOL * scale
+        self.strict_energy_conserving = bool(energy_conserving(self.v_interaction, self.free_hamiltonian))
 
     @cached_property
     def free_hamiltonian(self) -> np.ndarray:
@@ -150,25 +147,32 @@ class CollisionConfig:
         Top to bottom: ``system_map``, ``ancilla_map``, ``d<H_S>``,
         ``<H_A>'``, ``tr(C rho)``, ``tr(K rho)``, ``tr(rho_A' ln rho_A)`` and
         the ``d_A`` populations of ``rho_A'`` in ``ancilla.basis``.  A row
-        ``x.reshape(-1)`` dotted with ``vec(rho)`` is ``tr(x rho)``.
+        ``x.reshape(-1)`` dotted with ``vec(rho)`` is ``tr(x rho)``.  An
+        interaction too large for these rows to be finite (``V^2`` overflows)
+        raises ``ValueError``.
         """
-        a_map = self.ancilla_map
-        h_s = self.h_system.reshape(-1)
-        v = self.ancilla.basis.eigenvectors
-        # Row k is the trace row of the projector |v_k><v_k|.
-        projectors = np.einsum("jk,ik->kji", v, v.conj()).reshape(self.dim_ancilla, -1)
-        return np.vstack(
-            [
-                self.system_map,
-                a_map,
-                h_s @ self.system_map - h_s,
-                self.ancilla.h_ancilla.reshape(-1) @ a_map,
-                self.work_operator.reshape(-1),
-                self.heat_operator.reshape(-1),
-                log_on_support(self.ancilla_state.spectrum).reshape(-1) @ a_map,
-                projectors @ a_map,
-            ]
-        )
+        # Overflow is caught by the finiteness gate below, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_map = self.ancilla_map
+            h_s = self.h_system.reshape(-1)
+            v = self.ancilla.basis.eigenvectors
+            # Row k is the trace row of the projector |v_k><v_k|.
+            projectors = np.einsum("jk,ik->kji", v, v.conj()).reshape(self.dim_ancilla, -1)
+            rows = np.vstack(
+                [
+                    self.system_map,
+                    a_map,
+                    h_s @ self.system_map - h_s,
+                    self.ancilla.h_ancilla.reshape(-1) @ a_map,
+                    self.work_operator.reshape(-1),
+                    self.heat_operator.reshape(-1),
+                    log_on_support(self.ancilla_state.spectrum).reshape(-1) @ a_map,
+                    projectors @ a_map,
+                ]
+            )
+        if not np.isfinite(rows).all():
+            raise ValueError(f"stroke matrix of species {self.label!r} has non-finite entries")
+        return rows
 
     @cached_property
     def ancilla_energy(self) -> float:
@@ -206,19 +210,40 @@ class CollisionConfig:
         return CollisionConfig(self.h_system, root * self.v_interaction, sub_spec, label=self.label)
 
 
+def energy_conserving(v_interaction, free_hamiltonian) -> np.ndarray:
+    """Whether ``[V, H_S + H_A]`` vanishes to ``ENERGY_CONSERVING_RTOL``, per matrix of a stack."""
+    defect = max_abs_each(commutator(v_interaction, free_hamiltonian))
+    scale = np.maximum(1.0, max_abs_each(v_interaction) * max_abs_each(free_hamiltonian))
+    return defect <= ENERGY_CONSERVING_RTOL * scale
+
+
 def build_unitary(cfg: CollisionConfig) -> np.ndarray:
     """Joint collision unitary ``exp[-i tau (H_S + H_A + V / sqrt(tau))]``."""
-    tau = cfg.ancilla.tau
-    h_joint = cfg.free_hamiltonian + cfg.v_interaction / math.sqrt(tau)
-    u = expm_unitary(h_joint, tau)
-    unitarity = max_abs(dag(u) @ u - np.eye(u.shape[0]))
-    if unitarity > UNITARITY_TOL:
-        raise UnitaryDefectError(f"unitary defect {unitarity:.3e} beyond tolerance")
-    if cfg.strict_energy_conserving:
-        free = cfg.free_hamiltonian
-        defect = max_abs(commutator(u, free))
-        if defect > 1e-8 * max(1.0, max_abs(free)):
-            raise UnitaryDefectError(f"energy-conserving unitary defect {defect:.3e}")
+    return joint_unitaries(
+        cfg.free_hamiltonian, cfg.v_interaction, cfg.ancilla.tau, cfg.strict_energy_conserving
+    )
+
+
+def joint_unitaries(free, v_interaction, tau, strict) -> np.ndarray:
+    """:func:`build_unitary` from its ingredients, for one config or for stacks of them.
+
+    ``free`` and ``v_interaction`` are the free Hamiltonian and interaction
+    (matrices, or stacks ``(n, D, D)`` decomposed by one batched ``eigh``);
+    ``tau`` and the ``strict`` energy-conservation flags have one entry per
+    config.  A unitary whose ``max|U^dag U - I|`` exceeds ``UNITARITY_TOL``,
+    or for a strict config whose commutator with the free Hamiltonian
+    exceeds ``1e-8`` of its scale, raises :class:`UnitaryDefectError` for
+    the first such config.
+    """
+    u = expm_unitary(free + v_interaction / np.sqrt(tau)[..., None, None], tau)
+    unitarity = max_abs_each(dag(u) @ u - np.eye(u.shape[-1]))
+    failed = unitarity > UNITARITY_TOL
+    if np.count_nonzero(failed):
+        raise UnitaryDefectError(f"unitary defect {np.ravel(unitarity)[np.argmax(failed)]:.3e} beyond tolerance")
+    defect = np.where(strict, max_abs_each(commutator(u, free)), 0.0)
+    failed = defect > 1e-8 * np.maximum(1.0, max_abs_each(free))
+    if np.count_nonzero(failed):
+        raise UnitaryDefectError(f"energy-conserving unitary defect {np.ravel(defect)[np.argmax(failed)]:.3e}")
     return u
 
 
@@ -293,7 +318,7 @@ def collide(rho_system: DensityMatrix, cfg: CollisionConfig) -> CollisionOutcome
         mutual_info=mutual,
         rel_entropy_ancilla=rel_ancilla,
         coherence_before=cfg.coherence_before,
-        coherence_after=coherence_from_populations(rows[n_a + 5 :].real, rho_a_after),
+        coherence_after=float(coherence_from_populations(rows[n_a + 5 :].real, von_neumann_entropy(rho_a_after))),
         d_free_energy=d_energy - (s_after - s_before) / cfg.ancilla.beta,
     )
     return CollisionOutcome(system=rho_s_after, ancilla=rho_a_after, ledger=ledger)

@@ -34,13 +34,18 @@ def as_complex_matrix(m, *, square: bool = False) -> np.ndarray:
 
 
 def dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def max_abs(a: np.ndarray) -> float:
     """Entrywise max-norm."""
     return float(np.abs(a).max()) if a.size else 0.0
+
+
+def max_abs_each(a: np.ndarray) -> np.ndarray:
+    """Entrywise max-norm of each matrix of a stack (a 0-d array for one matrix)."""
+    return np.abs(a).max(axis=(-2, -1))
 
 
 def require_hermitian(
@@ -68,7 +73,7 @@ def require_hermitian(
     # only scales below inf count.  count_nonzero stands in for .all() and .any():
     # on a 2x2 matrix their ufunc reduction costs more than the comparison.
     if np.count_nonzero(scale < np.inf) < scale.size and not np.isfinite(a).all():
-        raise ValueError("matrix contains non-finite entries")
+        raise ValueError(f"{name} contains non-finite entries")
     a_dag = a.swapaxes(-1, -2).conj()
     deviation = np.abs(a - a_dag).max(axis=(-2, -1), initial=0.0)
     failed = deviation > rtol * scale
@@ -120,15 +125,34 @@ def hermitian_eig(m, *, name: str = "matrix", stack: bool = False) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=v, matrix=a)
 
 
-def expm_unitary(h, t: float) -> np.ndarray:
-    """Unitary ``exp(-i t H)`` for Hermitian ``H``, built spectrally."""
-    spectrum = hermitian_eig(h, name="generator")
-    return spectrum.apply(lambda w: np.exp(-1j * t * w))
+def expm_unitary(h, t) -> np.ndarray:
+    """Unitary ``exp(-i t H)`` for Hermitian ``H``, built spectrally.
+
+    ``h`` may be a stack ``(n, d, d)`` with one ``t`` per matrix, decomposed
+    by one batched ``eigh``.
+    """
+    a = np.asarray(h)
+    spectrum = hermitian_eig(a, name="generator", stack=a.ndim > 2)
+    v = spectrum.eigenvectors
+    return (v * np.exp(-1j * np.asarray(t)[..., None] * spectrum.eigenvalues)[..., None, :]) @ dag(v)
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with the system-major index convention."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
+    """Kronecker product with the system-major index convention.
+
+    Either factor may be a stack ``(n, d, d)``; stacks pair up matrix by
+    matrix, and one matrix pairs with every matrix of a stack.  Each entry is
+    the single product ``a_ij b_kl`` that ``np.kron`` forms, so the result
+    has its bits.  Raises ``ValueError`` on a non-finite entry.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim < 2 or b.ndim < 2:
+        raise NonSquareError(f"expected matrices, got shapes {a.shape} and {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("matrix contains non-finite entries")
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def partial_trace(m, dim_system: int, dim_ancilla: int, keep: str) -> np.ndarray:
@@ -151,9 +175,13 @@ def partial_trace(m, dim_system: int, dim_ancilla: int, keep: str) -> np.ndarray
 
 
 def ancilla_average(x, sigma, dim_system: int, dim_ancilla: int) -> np.ndarray:
-    """``tr_A[X (I (x) sigma)]`` of a joint-space ``X``, without forming ``I (x) sigma``."""
-    blocks = np.asarray(x, dtype=complex).reshape(dim_system, dim_ancilla, dim_system, dim_ancilla)
-    return np.einsum("iajb,ba->ij", blocks, sigma)
+    """``tr_A[X (I (x) sigma)]`` of a joint-space ``X``, without forming ``I (x) sigma``.
+
+    ``x`` and ``sigma`` may be stacks, paired matrix by matrix.
+    """
+    x = np.asarray(x, dtype=complex)
+    blocks = x.reshape(*x.shape[:-2], dim_system, dim_ancilla, dim_system, dim_ancilla)
+    return np.einsum("...iajb,...ba->...ij", blocks, sigma)
 
 
 def reduced_superoperator(left, right, sigma, dim_system: int, dim_ancilla: int) -> np.ndarray:
@@ -176,10 +204,14 @@ def _conformable(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def commutator(a, b) -> np.ndarray:
-    """``AB - BA``."""
-    a = as_complex_matrix(a, square=True)
-    b = as_complex_matrix(b, square=True)
+    """``AB - BA`` of two matrices, or of each pair of two stacks ``(n, d, d)``."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
     _conformable(a, b)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("matrix contains non-finite entries")
     return a @ b - b @ a
 
 

@@ -72,10 +72,11 @@ def coherent_generator(v_interaction, chi, dim_system: int, dim_ancilla: int) ->
     """Effective driving operator ``tr_A( V (I (x) chi) )`` on the system.
 
     Hermitian whenever ``V`` and ``chi`` are; the output is symmetrized after
-    passing that gate.
+    passing that gate.  ``V`` and ``chi`` may be stacks, paired matrix by
+    matrix.
     """
     g = ancilla_average(v_interaction, chi, dim_system, dim_ancilla)
-    return require_hermitian(g, name="coherent generator")
+    return require_hermitian(g, name="coherent generator", stack=g.ndim > 2)
 
 
 def thermal_first_moment(v_interaction, rho_thermal, dim_system: int, dim_ancilla: int) -> np.ndarray:
@@ -123,9 +124,16 @@ class LindbladGenerator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Full generator as a matrix on column-stacked states."""
+        """Full generator as a matrix on column-stacked states.
+
+        Raises ``ValueError`` when an entry is not finite, as when an
+        interaction so large that ``V^2`` overflows feeds a dissipator.
+        """
         eye = np.eye(self.dim)
-        return -1j * (kron(eye, self.h_eff) - kron(self.h_eff.T, eye)) + self.dissipator
+        m = -1j * (kron(eye, self.h_eff) - kron(self.h_eff.T, eye)) + self.dissipator
+        if not np.isfinite(m).all():
+            raise ValueError("Lindblad generator matrix has non-finite entries")
+        return m
 
     @cached_property
     def norm_estimate(self) -> float:
@@ -209,9 +217,11 @@ def _species_term(h_s: np.ndarray, spec: AncillaSpec, v_interaction, label: str)
     def term(left, right):
         return reduced_superoperator(left, right, rho_th, dim_system, dim_ancilla)
 
-    # [V, [V, X]] = V^2 X + X V^2 - 2 V X V with X = rho (x) rho_th.
-    v2, eye = v @ v, np.eye(v.shape[0])
-    dissipator = -0.5 * (term(v2, eye) + term(eye, v2) - 2.0 * term(v, v))
+    # [V, [V, X]] = V^2 X + X V^2 - 2 V X V with X = rho (x) rho_th.  Should V^2
+    # overflow, the generator's finiteness gate rejects it, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        v2, eye = v @ v, np.eye(v.shape[0])
+        dissipator = -0.5 * (term(v2, eye) + term(eye, v2) - 2.0 * term(v, v))
     return SpeciesTerm(label=label, beta=spec.beta, lam=spec.lam, coherent_op=g, dissipator=dissipator)
 
 
@@ -245,11 +255,16 @@ class EigenoperatorCoupling:
 
 
 def eigenoperator_interaction(couplings: list[EigenoperatorCoupling], dim_system: int, dim_ancilla: int) -> np.ndarray:
-    """Interaction ``sum_k g_k L_k^dag (x) A_k + h.c.`` on the joint space."""
+    """Interaction ``sum_k g_k L_k^dag (x) A_k + h.c.`` on the joint space.
+
+    The lowering operators of the couplings may be stacks ``(n, d, d)``,
+    with one amplitude per matrix; the result is then a stack.
+    """
     v = np.zeros((dim_system * dim_ancilla,) * 2, dtype=complex)
     for c in couplings:
-        term = c.amplitude * kron(dag(np.asarray(c.lowering_system, dtype=complex)), c.lowering_ancilla)
-        v += term + dag(term)
+        lowering_system = np.asarray(c.lowering_system, dtype=complex)
+        term = np.asarray(c.amplitude)[..., None, None] * kron(dag(lowering_system), c.lowering_ancilla)
+        v = v + (term + dag(term))
     return v
 
 

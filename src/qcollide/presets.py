@@ -3,23 +3,31 @@
 The resonant-qubit fixture (exchange interaction plus a transverse coherence
 injection) is the workhorse example: its interaction commutes with the free
 Hamiltonian, the dissipator is amplitude damping, and the effective drive is
-``g * sigma_x``.  The randomized samplers draw small collision instances with
+``g * sigma_x``.  The randomized sampler draws small collision instances with
 either an eigenoperator-form interaction (built on matched harmonic ladders,
 hence strictly energy conserving) or a generic Hermitian interaction shifted
 to have no thermal first moment.
+
+The sampler has two stages.  :func:`draw_collision` takes every random
+number of one instance from the SplitMix64 stream and does no linear
+algebra; :func:`collision_stack` builds the instances of many draws of one
+``(d_S, d_A)`` as stacked arrays, with stacked ``qr``, ``eigh`` and ``@``,
+which give each matrix the bits of a single call.  :func:`random_collision`
+is the one-instance case of both.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .collisions import CollisionConfig
 from .lindblad import EigenoperatorCoupling, eigenoperator_interaction, thermal_first_moment
-from .linalg import dag, hermitian_eig, kron, max_abs
+from .linalg import Spectrum, dag, hermitian_eig, kron, max_abs, max_abs_each, require_hermitian
 from .rng import SplitMix64
-from .states import AncillaSpec, DensityMatrix, thermal_state
+from .states import AncillaSpec, DensityMatrix, gibbs_spectrum, state_spectra
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -167,36 +175,64 @@ def three_level_state() -> DensityMatrix:
     return DensityMatrix(m)
 
 
+def _normals(rng: SplitMix64, count: int) -> list[complex]:
+    return [rng.complex_normal() for _ in range(count)]
+
+
+def _unit_max(a: np.ndarray) -> np.ndarray:
+    """Each matrix of ``a`` divided by its max-norm; a zero matrix stays zero."""
+    top = max_abs_each(a)
+    return a / np.where(top > 0.0, top, 1.0)[..., None, None]
+
+
+def _hermitian_part(a: np.ndarray, scale) -> np.ndarray:
+    """Hermitian part of each matrix of ``a``, scaled to max-norm ``scale``; a zero part stays zero."""
+    h = 0.5 * (a + dag(a))
+    top = max_abs_each(h)
+    return (scale / np.where(top > 0.0, top, 1.0))[..., None, None] * h
+
+
+def _rephased_q(a: np.ndarray) -> np.ndarray:
+    """``Q`` of the QR decomposition of each matrix, rephased so that ``R`` has a positive diagonal."""
+    q, r = np.linalg.qr(a)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases)).conj()[..., None, :]
+
+
+def _zero_diagonal(upper: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Hermitian matrix with this upper triangle (row by row) and no diagonal, unit max-norm, in ``basis``."""
+    dim = basis.shape[-1]
+    x = np.zeros((*upper.shape[:-1], dim, dim), dtype=complex)
+    rows, cols = np.triu_indices(dim, 1)
+    x[..., rows, cols] = upper
+    x[..., cols, rows] = upper.conj()
+    return basis @ _unit_max(x) @ dag(basis)
+
+
 def random_matrix(rng: SplitMix64, dim: int) -> np.ndarray:
-    a = np.empty((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            a[i, j] = rng.complex_normal()
-    return a
+    return np.array(_normals(rng, dim * dim), dtype=complex).reshape(dim, dim)
 
 
 def random_hermitian(rng: SplitMix64, dim: int, scale: float = 1.0) -> np.ndarray:
-    a = random_matrix(rng, dim)
-    h = 0.5 * (a + dag(a))
-    top = max_abs(h)
-    return (scale / top) * h if top > 0 else h
+    return _hermitian_part(random_matrix(rng, dim), scale)
 
 
 def random_basis(rng: SplitMix64, dim: int) -> np.ndarray:
     """Haar-ish random unitary with a deterministic phase convention."""
-    q, r = np.linalg.qr(random_matrix(rng, dim))
-    phases = np.diagonal(r).copy()
-    phases = phases / np.abs(phases)
-    return q * phases.conj()
+    return _rephased_q(random_matrix(rng, dim))
 
 
 def random_density_matrix(rng: SplitMix64, dim: int, floor: float = 0.08) -> DensityMatrix:
     """Full-rank random state: a Wishart draw mixed with the identity."""
-    a = random_matrix(rng, dim)
+    return DensityMatrix(_mixed_wishart(random_matrix(rng, dim), floor))
+
+
+def _mixed_wishart(a: np.ndarray, floor: float) -> np.ndarray:
+    """``(1 - floor d) W + floor I`` for the unit-trace Wishart matrix ``W`` of each ``a``."""
+    dim = a.shape[-1]
     w = a @ dag(a)
-    w = w / float(np.trace(w).real)
-    mixed = (1.0 - floor * dim) * w + floor * np.eye(dim)
-    return DensityMatrix(mixed)
+    w = w / np.trace(w, axis1=-2, axis2=-1).real[..., None, None]
+    return (1.0 - floor * dim) * w + floor * np.eye(dim)
 
 
 def random_traceless_hermitian(rng: SplitMix64, dim: int) -> np.ndarray:
@@ -227,38 +263,172 @@ def random_gapped_probs(rng: SplitMix64, dim: int, min_gap: float = 0.1) -> np.n
 def random_zero_diagonal(rng: SplitMix64, basis: np.ndarray) -> np.ndarray:
     """Hermitian matrix with no diagonal weight in the given eigenbasis."""
     dim = basis.shape[0]
-    x = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            x[i, j] = rng.complex_normal()
-            x[j, i] = x[i, j].conjugate()
-    top = max_abs(x)
-    if top > 0:
-        x = x / top
-    return basis @ x @ dag(basis)
+    return _zero_diagonal(np.array(_normals(rng, dim * (dim - 1) // 2), dtype=complex), basis)
 
 
-def _ladder_hamiltonian(rng: SplitMix64, dim: int, spacing: float) -> tuple[np.ndarray, np.ndarray]:
-    """Equally spaced spectrum in a random basis; returns (H, basis)."""
-    basis = random_basis(rng, dim)
-    energies = spacing * np.arange(dim) + rng.uniform(-0.3, 0.3)
-    return (basis * energies) @ dag(basis), basis
+def draw_collision(rng: SplitMix64, *, eigenoperator: bool = True, dims: tuple[int, ...] = (2, 3)) -> dict:
+    """Every random number of one :func:`random_collision` instance, in stream order.
+
+    No draw depends on a linear-algebra result, so a whole suite can be
+    drawn before any matrix is built.  The draw is a dict of scalars and
+    lists of complex normals, keyed by what :func:`collision_stack` builds
+    from them; ``"dims"`` is ``(d_S, d_A)``, and ``"spacing"`` is present
+    exactly for the eigenoperator branch.
+    """
+    dim_system = dims[rng.next_below(len(dims))]
+    dim_ancilla = dims[rng.next_below(len(dims))]
+    draw = {
+        "dims": (dim_system, dim_ancilla),
+        "beta": rng.uniform(0.2, 2.5),
+        "tau": 10.0 ** rng.uniform(-4.0, -1.0),
+    }
+    if eigenoperator:
+        draw["spacing"] = rng.uniform(0.6, 1.8)
+        for side, dim in (("system", dim_system), ("ancilla", dim_ancilla)):
+            draw[f"basis_{side}"] = _normals(rng, dim * dim)
+            draw[f"offset_{side}"] = rng.uniform(-0.3, 0.3)
+        # Per coupling: amplitude modulus and phase, then the system and ancilla ladder weights.
+        draw["couplings"] = [
+            (rng.uniform(0.3, 1.0), rng.uniform(), _normals(rng, dim_system - step), _normals(rng, dim_ancilla - step))
+            for step in range(1, min(dim_system, dim_ancilla))
+        ]
+        draw["v_scale"] = rng.uniform(0.4, 1.0)
+    else:
+        for key, dim, low, high in (
+            ("h_system", dim_system, 0.5, 1.5),
+            ("h_ancilla", dim_ancilla, 0.5, 1.5),
+            ("v", dim_system * dim_ancilla, 0.4, 1.0),
+        ):
+            draw[f"{key}_scale"] = rng.uniform(low, high)
+            draw[key] = _normals(rng, dim * dim)
+    draw["chi"] = _normals(rng, dim_ancilla * (dim_ancilla - 1) // 2)
+    draw["lam"] = rng.uniform(0.2, 1.0)
+    draw["rho_system"] = _normals(rng, dim_system * dim_system)
+    return draw
 
 
-def _ladder_lowering(rng: SplitMix64, basis: np.ndarray, step: int) -> np.ndarray:
-    """Random combination of ``|e_i><e_{i+step}|`` terms: lowers by step*spacing."""
-    dim = basis.shape[0]
-    op = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim - step):
-        op += rng.complex_normal() * np.outer(basis[:, i], basis[:, i + step].conj())
-    top = max_abs(op)
-    return op / top if top > 0 else op
+@dataclass(frozen=True, eq=False)
+class CollisionStack:
+    """Random collision instances of one ``(d_S, d_A)`` as stacked arrays, stack axis first.
+
+    The matrices and scalars are those that each instance's
+    :class:`~qcollide.collisions.CollisionConfig` and
+    :class:`~qcollide.states.AncillaSpec` store, past their gates.  ``basis``
+    is the eigendecomposition of ``h_ancilla``, ``thermal`` the spectrum of
+    its Gibbs state and ``rho_system`` that of the initial system state.
+    """
+
+    h_system: np.ndarray
+    v_interaction: np.ndarray
+    h_ancilla: np.ndarray
+    chi: np.ndarray
+    beta: np.ndarray
+    lam: np.ndarray
+    tau: np.ndarray
+    basis: Spectrum
+    thermal: Spectrum
+    rho_system: Spectrum
+
+
+def _ladder(basis: np.ndarray, spacing: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Equally spaced spectrum in each random basis."""
+    energies = spacing[:, None] * np.arange(basis.shape[-1]) + offset[:, None]
+    return (basis * energies[:, None, :]) @ dag(basis)
+
+
+def _ladder_lowering(weights: np.ndarray, basis: np.ndarray, step: int) -> np.ndarray:
+    """Weighted sum of ``|e_i><e_{i+step}|`` in each basis, unit max-norm: lowers by step*spacing."""
+    op = np.zeros(basis.shape, dtype=complex)
+    for i in range(basis.shape[-1] - step):
+        op += weights[:, i, None, None] * (basis[:, :, i, None] * basis[:, None, :, i + step].conj())
+    return _unit_max(op)
 
 
 def _canonical_phases(basis: np.ndarray) -> np.ndarray:
     """Rephase each column so its largest-modulus entry is real and positive."""
-    pivots = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    rows = np.argmax(np.abs(basis), axis=-2)[..., None, :]
+    pivots = np.take_along_axis(basis, rows, axis=-2)
     return basis * (pivots.conj() / np.abs(pivots))
+
+
+def collision_stack(draws: list[dict]) -> CollisionStack:
+    """Build the instances of draws of one ``(d_S, d_A)`` and one sampler branch, as stacks.
+
+    Stacked ``qr``, ``eigh`` and ``@`` give each matrix the bits of a single
+    call, and every other step is elementwise, so instance ``k`` is what
+    ``collision_stack([draws[k]])`` builds.  The gates that building one
+    instance runs run on the stacks, in its order: the Hermiticity gates on
+    ``H_A`` (as ``"hamiltonian"``, or as ``"matrix"`` for a generic
+    interaction), on the Gibbs state and on ``chi`` (as ``"matrix"``), those
+    of the config on ``h_ancilla``, ``chi``, ``h_system`` and
+    ``v_interaction``, then the state gates on the system state.
+    """
+    dim_system, dim_ancilla = draws[0]["dims"]
+    n = len(draws)
+
+    def column(key: str) -> np.ndarray:
+        return np.array([draw[key] for draw in draws])
+
+    def square(key: str, dim: int) -> np.ndarray:
+        return column(key).reshape(n, dim, dim)
+
+    beta, tau = column("beta"), column("tau")
+    if "spacing" in draws[0]:
+        spacing = column("spacing")
+        basis_system = _rephased_q(square("basis_system", dim_system))
+        basis_ancilla = _rephased_q(square("basis_ancilla", dim_ancilla))
+        h_system = _ladder(basis_system, spacing, column("offset_system"))
+        h_ancilla = _ladder(basis_ancilla, spacing, column("offset_ancilla"))
+        spectrum = hermitian_eig(h_ancilla, name="hamiltonian", stack=True)
+        thermal = gibbs_spectrum(spectrum, beta)
+        couplings = []
+        for step, per_draw in enumerate(zip(*(draw["couplings"] for draw in draws)), start=1):
+            modulus, phase, weights_system, weights_ancilla = (np.array(x) for x in zip(*per_draw))
+            couplings.append(
+                EigenoperatorCoupling(
+                    lowering_system=_ladder_lowering(weights_system, basis_system, step),
+                    lowering_ancilla=_ladder_lowering(weights_ancilla, basis_ancilla, step),
+                    frequency=step * spacing,
+                    amplitude=modulus * np.exp(2j * math.pi * phase),
+                )
+            )
+        v = eigenoperator_interaction(couplings, dim_system, dim_ancilla)
+        v *= (column("v_scale") / np.maximum(max_abs_each(v), 1e-12))[:, None, None]
+    else:
+        h_system = _hermitian_part(square("h_system", dim_system), column("h_system_scale"))
+        h_ancilla = _hermitian_part(square("h_ancilla", dim_ancilla), column("h_ancilla_scale"))
+        spectrum = hermitian_eig(h_ancilla, stack=True)
+        basis_ancilla = _canonical_phases(spectrum.eigenvectors)
+        thermal = gibbs_spectrum(spectrum, beta)
+        v = _hermitian_part(square("v", dim_system * dim_ancilla), column("v_scale"))
+        # Remove the thermal first moment so the generator recipe applies.
+        moment = thermal_first_moment(v, thermal.matrix, dim_system, dim_ancilla)
+        v = v - kron(moment, np.eye(dim_ancilla))
+        v = 0.5 * (v + dag(v))
+
+    chi = _zero_diagonal(column("chi"), basis_ancilla)
+    chi_norm = np.where(max_abs_each(chi) > 0.0, np.abs(hermitian_eig(chi, stack=True).eigenvalues).max(axis=-1), 1.0)
+    # The coherence strength stays inside the positivity margin of the prepared ancilla state.
+    lam_cap = 0.7 * thermal.eigenvalues[:, 0] / (np.sqrt(tau) * np.maximum(chi_norm, 1e-12))
+    lam = lam_cap * column("lam")
+    h_ancilla = require_hermitian(h_ancilla, name="h_ancilla", stack=True)
+    chi = require_hermitian(chi, name="chi", stack=True)
+    h_system = require_hermitian(h_system, name="h_system", stack=True)
+    v = require_hermitian(v, name="v_interaction", stack=True)
+
+    rho_system = state_spectra(_mixed_wishart(square("rho_system", dim_system), 0.08))
+    return CollisionStack(
+        h_system=h_system,
+        v_interaction=v,
+        h_ancilla=h_ancilla,
+        chi=chi,
+        beta=beta,
+        lam=lam,
+        tau=tau,
+        basis=spectrum,
+        thermal=thermal,
+        rho_system=rho_system,
+    )
 
 
 def random_collision(
@@ -271,48 +441,15 @@ def random_collision(
     energy conserving and free of a thermal first moment.  Otherwise the
     interaction is a generic Hermitian matrix with the first moment shifted
     away.  The coherence strength is drawn inside the positivity margin of
-    the prepared ancilla state.
+    the prepared ancilla state.  This is the one-instance case of
+    :func:`draw_collision` and :func:`collision_stack`.
     """
-    dim_system = dims[rng.next_below(len(dims))]
-    dim_ancilla = dims[rng.next_below(len(dims))]
-    beta = rng.uniform(0.2, 2.5)
-    tau = 10.0 ** rng.uniform(-4.0, -1.0)
-
-    if eigenoperator:
-        spacing = rng.uniform(0.6, 1.8)
-        h_system, basis_s = _ladder_hamiltonian(rng, dim_system, spacing)
-        h_ancilla, basis_a = _ladder_hamiltonian(rng, dim_ancilla, spacing)
-        thermal = thermal_state(h_ancilla, beta)
-        couplings = []
-        for step in range(1, min(dim_system, dim_ancilla)):
-            amplitude = rng.uniform(0.3, 1.0) * np.exp(2j * math.pi * rng.uniform())
-            couplings.append(
-                EigenoperatorCoupling(
-                    lowering_system=_ladder_lowering(rng, basis_s, step),
-                    lowering_ancilla=_ladder_lowering(rng, basis_a, step),
-                    frequency=step * spacing,
-                    amplitude=amplitude,
-                )
-            )
-        v = eigenoperator_interaction(couplings, dim_system, dim_ancilla)
-        v *= rng.uniform(0.4, 1.0) / max(max_abs(v), 1e-12)
-    else:
-        h_system = random_hermitian(rng, dim_system, scale=rng.uniform(0.5, 1.5))
-        h_ancilla = random_hermitian(rng, dim_ancilla, scale=rng.uniform(0.5, 1.5))
-        basis_a = _canonical_phases(hermitian_eig(h_ancilla).eigenvectors)
-        thermal = thermal_state(h_ancilla, beta)
-        v = random_hermitian(rng, dim_system * dim_ancilla, scale=rng.uniform(0.4, 1.0))
-        # Remove the thermal first moment so the generator recipe applies.
-        moment = thermal_first_moment(v, thermal.matrix, dim_system, dim_ancilla)
-        v = v - kron(moment, np.eye(dim_ancilla))
-        v = 0.5 * (v + dag(v))
-
-    chi = random_zero_diagonal(rng, basis_a)
-    chi_norm = float(np.max(np.abs(hermitian_eig(chi).eigenvalues))) if max_abs(chi) > 0 else 1.0
-    lam_cap = 0.7 * float(thermal.eigenvalues[0]) / (math.sqrt(tau) * max(chi_norm, 1e-12))
-    lam = lam_cap * rng.uniform(0.2, 1.0)
-
-    spec = AncillaSpec(h_ancilla=h_ancilla, beta=beta, chi=chi, lam=lam, tau=tau)
-    cfg = CollisionConfig(h_system, v, spec)
-    rho_system = random_density_matrix(rng, dim_system)
-    return rho_system, cfg
+    stack = collision_stack([draw_collision(rng, eigenoperator=eigenoperator, dims=dims)])
+    spec = AncillaSpec(
+        h_ancilla=stack.h_ancilla[0],
+        beta=float(stack.beta[0]),
+        chi=stack.chi[0],
+        lam=float(stack.lam[0]),
+        tau=float(stack.tau[0]),
+    )
+    return DensityMatrix(stack.rho_system.matrix[0]), CollisionConfig(stack.h_system[0], stack.v_interaction[0], spec)

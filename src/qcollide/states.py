@@ -44,27 +44,13 @@ class DensityMatrix:
     semidefiniteness (eigenvalues above ``-psd_tol``), then stores the
     symmetrized matrix read-only together with its spectrum.  The von Neumann
     entropy is memoized on first use by :func:`von_neumann_entropy`.
-    :func:`density_matrices` runs the same gates on a stack in one pass.
+    :func:`state_spectra` runs the same gates on a stack in one pass.
     """
 
     __slots__ = ("matrix", "spectrum", "_entropy")
 
     def __init__(self, matrix, *, psd_tol: float = PSD_TOL):
         self._store(_gated(matrix, psd_tol, stack=False))
-
-    @classmethod
-    def from_spectrum(cls, spectrum: Spectrum) -> "DensityMatrix":
-        """State ``V diag(p) V^dag`` from an ascending spectrum, without a second eigensolve.
-
-        The trace and positivity gates read the given eigenvalues ``p``.
-        """
-        if np.any(np.diff(spectrum.eigenvalues) < 0.0):
-            raise ValueError("spectrum eigenvalues must be ascending")
-        _require_unit_trace(spectrum.eigenvalues.sum())
-        v = spectrum.eigenvectors
-        m = require_hermitian((v * spectrum.eigenvalues) @ dag(v), name="density matrix")
-        _require_positive(spectrum.eigenvalues[0], PSD_TOL)
-        return cls._wrap(Spectrum(spectrum.eigenvalues, v, m))
 
     @classmethod
     def _wrap(cls, spectrum: Spectrum) -> "DensityMatrix":
@@ -97,20 +83,29 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def density_matrices(matrices, *, psd_tol: float = PSD_TOL, keep: slice = slice(None)) -> list[DensityMatrix]:
-    """Gate a stack ``(n, d, d)`` of density matrices at once and wrap the ``keep`` slice.
+def state_spectra(matrices, *, psd_tol: float = PSD_TOL) -> Spectrum:
+    """Gate a stack ``(n, d, d)`` of density matrices at once; return their read-only spectra.
 
     One Hermiticity gate and batched ``eigh`` (:func:`hermitian_eig` on the
     stack) and one check of every trace and smallest eigenvalue serve the
-    whole stack.  Batched ``eigh`` gives each matrix the bits of a single
-    call, so the result equals ``[DensityMatrix(m, psd_tol=psd_tol) for m in
-    matrices[keep]]`` bit for bit, while the matrices outside ``keep`` are
-    gated but not wrapped.  Each state holds read-only views of the stacked
-    arrays.
+    whole stack, with the messages of :class:`DensityMatrix`.  Batched
+    ``eigh`` gives each matrix the bits of a single call.
     """
     stacked = _gated(matrices, psd_tol, stack=True)
     for array in (stacked.matrix, stacked.eigenvalues, stacked.eigenvectors):
         array.setflags(write=False)
+    return stacked
+
+
+def density_matrices(matrices, *, psd_tol: float = PSD_TOL, keep: slice = slice(None)) -> list[DensityMatrix]:
+    """Gate a stack ``(n, d, d)`` of density matrices at once and wrap the ``keep`` slice.
+
+    The gates are those of :func:`state_spectra`, so the result equals
+    ``[DensityMatrix(m, psd_tol=psd_tol) for m in matrices[keep]]`` bit for
+    bit, while the matrices outside ``keep`` are gated but not wrapped.  Each
+    state holds read-only views of the stacked arrays.
+    """
+    stacked = state_spectra(matrices, psd_tol=psd_tol)
     return [
         DensityMatrix._wrap(Spectrum(eigenvalues=w, eigenvectors=v, matrix=m))
         for w, v, m in zip(stacked.eigenvalues[keep], stacked.eigenvectors[keep], stacked.matrix[keep])
@@ -193,7 +188,7 @@ class AncillaSpec:
     @cached_property
     def thermal(self) -> DensityMatrix:
         """Gibbs state of ``h_ancilla`` at ``beta``, built from :attr:`basis`."""
-        return _gibbs_state(self.basis, self.beta)
+        return DensityMatrix._wrap(gibbs_spectrum(self.basis, self.beta))
 
 
 def thermal_state(h, beta: float) -> DensityMatrix:
@@ -205,15 +200,28 @@ def thermal_state(h, beta: float) -> DensityMatrix:
     """
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
-    return _gibbs_state(hermitian_eig(h, name="hamiltonian"), beta)
+    return DensityMatrix._wrap(gibbs_spectrum(hermitian_eig(h, name="hamiltonian"), beta))
 
 
-def _gibbs_state(spectrum: Spectrum, beta: float) -> DensityMatrix:
-    shifted = spectrum.eigenvalues - spectrum.eigenvalues[0]
-    weights = np.exp(-beta * shifted)
-    probs = weights / weights.sum()
+def gibbs_spectrum(spectrum: Spectrum, beta) -> Spectrum:
+    """Ascending spectrum of the Gibbs state of a Hamiltonian spectrum at ``beta``.
+
+    ``spectrum`` may be a stack, with one ``beta`` per matrix.  The
+    probabilities are the weights ``exp(-beta (E - E_min))`` over their sum;
+    the trace and positivity gates read them, and ``V diag(p) V^dag`` passes
+    the Hermiticity gate, so no second eigensolve is needed.
+    """
+    w = spectrum.eigenvalues
+    weights = np.exp(-np.asarray(beta)[..., None] * (w - w[..., :1]))
+    probs = weights / weights.sum(axis=-1, keepdims=True)
     # Gibbs weights fall as the energies rise; reverse both to keep them ascending.
-    return DensityMatrix.from_spectrum(Spectrum(probs[::-1], spectrum.eigenvectors[:, ::-1]))
+    p, v = probs[..., ::-1], spectrum.eigenvectors[..., ::-1]
+    if np.any(np.diff(p, axis=-1) < 0.0):
+        raise ValueError("spectrum eigenvalues must be ascending")
+    _require_unit_trace(p.sum(axis=-1))
+    m = require_hermitian((v * p[..., None, :]) @ dag(v), name="density matrix", stack=p.ndim > 1)
+    _require_positive(p[..., 0], PSD_TOL)
+    return Spectrum(p, v, m)
 
 
 def weakly_coherent_state(spec: AncillaSpec) -> DensityMatrix:
@@ -224,37 +232,57 @@ def weakly_coherent_state(spec: AncillaSpec) -> DensityMatrix:
     :class:`NotPositiveError` if ``lam * sqrt(tau)`` is too large for the
     state to stay positive at this finite ``tau``.
     """
-    chi_energy = dag(spec.basis.eigenvectors) @ spec.chi @ spec.basis.eigenvectors
-    diag_size = float(np.max(np.abs(np.diagonal(chi_energy))))
-    if diag_size > CHI_DIAGONAL_TOL:
+    return DensityMatrix(
+        coherent_preparation(spec.thermal.matrix, spec.chi, spec.basis.eigenvectors, spec.coherence_amplitude)
+    )
+
+
+def coherent_preparation(thermal, chi, basis, amplitude) -> np.ndarray:
+    """``thermal + amplitude * chi`` once ``chi`` has passed the diagonal check in ``basis``.
+
+    Takes one preparation, or stacks with one ``amplitude`` per matrix;
+    ``basis`` holds the ``h_ancilla`` eigenvectors as columns.
+    :class:`DiagonalCoherenceError` names the first ``chi`` that fails.
+    """
+    chi_energy = dag(basis) @ chi @ basis
+    diag_size = np.abs(np.diagonal(chi_energy, axis1=-2, axis2=-1)).max(axis=-1)
+    failed = diag_size > CHI_DIAGONAL_TOL
+    if np.count_nonzero(failed):
         raise DiagonalCoherenceError(
-            f"chi has diagonal weight {diag_size:.3e} in the ancilla energy basis"
+            f"chi has diagonal weight {np.ravel(diag_size)[np.argmax(failed)]:.3e} in the ancilla energy basis"
         )
-    return DensityMatrix(spec.thermal.matrix + spec.coherence_amplitude * spec.chi)
+    return thermal + np.asarray(amplitude)[..., None, None] * chi
 
 
-def _entropy_of_probs(probs: np.ndarray) -> float:
+def shannon_entropy(probs: np.ndarray) -> np.ndarray:
+    """``-sum p ln p`` of a probability vector, or of each row of a stack of them.
+
+    Raises :class:`NotPositiveError` for the first vector with an entry
+    below ``-PSD_TOL``.
+    """
     p = np.asarray(probs, dtype=float)
-    smallest = float(p.min())
-    if smallest < -PSD_TOL:
-        raise NotPositiveError(f"probability {smallest:.3e} below tolerance")
-    # Entries in [-PSD_TOL, 0] are numerical zeros and drop out with the zeros.
-    nonzero = p[p > 0.0]
-    return float(-(nonzero * np.log(nonzero)).sum())
+    below = p.min(axis=-1) < -PSD_TOL
+    if np.count_nonzero(below):
+        raise NotPositiveError(f"probability {np.ravel(p.min(axis=-1))[np.argmax(below)]:.3e} below tolerance")
+    # Entries in [-PSD_TOL, 0] are numerical zeros and, as 1 ln 1, add zero.
+    kept = np.where(p > 0.0, p, 1.0)
+    return -(kept * np.log(kept)).sum(axis=-1)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """``-sum p ln p`` over the eigenvalues, with ``0 ln 0 = 0``; computed once per state."""
     if rho._entropy is None:
-        object.__setattr__(rho, "_entropy", _entropy_of_probs(rho.eigenvalues))
+        object.__setattr__(rho, "_entropy", float(shannon_entropy(rho.eigenvalues)))
     return rho._entropy
 
 
 def log_on_support(spectrum: Spectrum) -> np.ndarray:
-    """``ln(sigma)`` restricted to the support of a state with this spectrum."""
-    mask = spectrum.eigenvalues > SUPPORT_EIGENVALUE_TOL
-    v = spectrum.eigenvectors[:, mask]
-    return (v * np.log(spectrum.eigenvalues[mask])) @ dag(v)
+    """``ln(sigma)`` restricted to the support of a state (or each of a stack) with this spectrum."""
+    w = spectrum.eigenvalues
+    # Outside the support the logarithm is taken as ln 1, so those eigenvectors drop out.
+    logs = np.log(np.where(w > SUPPORT_EIGENVALUE_TOL, w, 1.0))
+    v = spectrum.eigenvectors
+    return (v * logs[..., None, :]) @ dag(v)
 
 
 def support_kernel(sigma: DensityMatrix) -> np.ndarray:
@@ -309,15 +337,18 @@ def coherence_in_basis(rho: DensityMatrix, basis: Spectrum) -> float:
     if basis.dim != rho.dim:
         raise DimensionMismatchError("reference Hamiltonian dimension differs from state")
     populations = np.diagonal(dag(basis.eigenvectors) @ rho.matrix @ basis.eigenvectors).real
-    return coherence_from_populations(populations, rho)
+    return float(coherence_from_populations(populations, von_neumann_entropy(rho)))
 
 
-def coherence_from_populations(populations: np.ndarray, rho: DensityMatrix) -> float:
-    """``S(diag(populations)) - S(rho)`` for the dephased ``populations`` of ``rho``."""
-    value = _entropy_of_probs(populations) - von_neumann_entropy(rho)
+def coherence_from_populations(populations: np.ndarray, entropy) -> np.ndarray:
+    """``S(diag(populations)) - entropy`` for the dephased ``populations`` of a state of that entropy.
+
+    Takes one state's populations, or a stack of them with one entropy each.
+    """
+    value = shannon_entropy(populations) - entropy
     # The dephased state majorizes rho, so the true value is >= 0; tiny
     # negatives are cancellation noise.
-    return value if value > 0.0 else 0.0
+    return np.maximum(value, 0.0)
 
 
 def mutual_information(rho_joint: DensityMatrix, dim_system: int, dim_ancilla: int) -> float:
@@ -357,15 +388,20 @@ def ergotropy_exact(rho: DensityMatrix, h) -> float:
     return value if value > 0.0 else 0.0
 
 
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+def trace_distance(rho, sigma):
     """``(1/2) || rho - sigma ||_1`` from the eigenvalues of the difference.
 
-    Both stored matrices are exactly symmetrized and finite, so the
-    difference needs no Hermiticity gate and no eigenvectors.
+    ``rho`` and ``sigma`` are two states, or two stacks ``(n, d, d)`` of the
+    matrices of states, paired matrix by matrix into an array of ``n``
+    distances.  Stored state matrices are exactly symmetrized and finite, so
+    the difference needs no Hermiticity gate and no eigenvectors.
     """
-    if rho.dim != sigma.dim:
+    a = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    b = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma)
+    if a.shape != b.shape:
         raise DimensionMismatchError("states have different dimensions")
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix)).sum())
+    distances = 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
+    return float(distances) if distances.ndim == 0 else distances
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -4,6 +4,13 @@ Each study pits two independent computational routes against each other
 (stroboscopic vs integrated dynamics, exact functionals vs perturbative
 series, randomized exact inequalities) and reduces the comparison to a few
 scalars: max distances, fitted log-log slopes, halving ratios, suite minima.
+
+The randomized suite uses each random config for one stroke only, so it
+builds no :class:`~qcollide.collisions.CollisionConfig` and no stroke
+matrix: it draws every sample first, then builds and strokes each
+``(d_S, d_A)`` group as stacks, with the gates of the one-sample route
+``collide(*random_collision(rng))``.  Trajectories, which reuse one config
+for many strokes, keep the cached stroke matrix.
 """
 
 from __future__ import annotations
@@ -14,16 +21,29 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .collisions import CollisionConfig, collide, stroboscopic_states
-from .lindblad import LindbladGenerator, integrate, multi_bath_generator, rates, rk4_step
+from .collisions import CollisionConfig, collide, energy_conserving, joint_unitaries, stroboscopic_states
+from .errors import QCollideError
+from .lindblad import LindbladGenerator, coherent_generator, integrate, multi_bath_generator, rates, rk4_step
+from .linalg import commutator, dag, kron
+from .presets import collision_stack, draw_collision
 from .rng import SplitMix64
-from .presets import random_collision
 from .series import (
     ancilla_coherence_change_series,
     predicted_mutual_info,
     predicted_rel_entropy,
 )
-from .states import DensityMatrix, free_energy, trace_distance
+from .states import (
+    SUPPORT_EIGENVALUE_TOL,
+    DensityMatrix,
+    coherence_from_populations,
+    coherent_preparation,
+    free_energy,
+    log_on_support,
+    require_support,
+    shannon_entropy,
+    state_spectra,
+    trace_distance,
+)
 
 DEFAULT_DT_TARGET = 2e-3
 
@@ -40,10 +60,12 @@ def halving_ratios(values: Sequence[float]) -> list[float]:
 
 def h_scale(cfg: CollisionConfig) -> float:
     """``||H_S|| + ||H_A||`` in spectral norms, the energy scale of a species."""
-    return float(
-        np.max(np.abs(np.linalg.eigvalsh(cfg.h_system)))
-        + np.max(np.abs(np.linalg.eigvalsh(cfg.ancilla.h_ancilla)))
-    )
+    return float(_energy_scale(cfg.h_system, cfg.ancilla.h_ancilla))
+
+
+def _energy_scale(h_system, h_ancilla) -> np.ndarray:
+    """``||H_S|| + ||H_A||`` in spectral norms, per matrix of stacks."""
+    return np.abs(np.linalg.eigvalsh(h_system)).max(axis=-1) + np.abs(np.linalg.eigvalsh(h_ancilla)).max(axis=-1)
 
 
 def generator_for(cfgs: Sequence[CollisionConfig]) -> LindbladGenerator:
@@ -88,10 +110,11 @@ def stroboscopic_deviation(
         cap = 0.09 / max(gen.norm_estimate, 1e-12)
         substeps = max(1, math.ceil(tau / min(dt_target, cap)))
         reference = integrate(gen, rho0, n_rounds * tau, tau / substeps)
-        worst = max(
-            trace_distance(state, reference[(k + 1) * substeps][1]) for k, state in enumerate(strobes)
+        distances = trace_distance(
+            np.array([state.matrix for state in strobes]),
+            np.array([reference[(k + 1) * substeps][1].matrix for k in range(n_rounds)]),
         )
-        results.append((tau, worst))
+        results.append((tau, float(distances.max())))
     return results
 
 
@@ -185,29 +208,37 @@ def random_collision_suite(
     ``coherent_bound_scaled`` is ``(beta W_C + dC) / tau^{3/2}``, the scaled
     slack of the coherent-work bound.  Raises ``ValueError`` when ``count``
     is below 1, before any draw.
+
+    Sample ``k`` is ``collide(*random_collision(rng))`` for the ``k``-th
+    draw of ``SplitMix64(seed)``, computed in stacks: every sample is drawn
+    first (:func:`~qcollide.presets.draw_collision`), then each
+    ``(d_S, d_A)`` group is built by one
+    :func:`~qcollide.presets.collision_stack` and stroked in one batched
+    pass.  A failing gate raises the class and message that the one-sample
+    route raises, prefixed by ``"sample <k>: "`` for the first failing
+    sample ``k``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     rng = SplitMix64(seed)
-    samples: list[SuiteSample] = []
-    for index in range(count):
-        rho_system, cfg = random_collision(rng, eigenoperator=eigenoperator, dims=dims)
-        ledger = collide(rho_system, cfg).ledger
-        d_coherence = ledger.coherence_after - ledger.coherence_before
-        bound_slack = cfg.ancilla.beta * ledger.coherent_work + d_coherence
-        samples.append(
-            SuiteSample(
-                index=index,
-                dim_system=cfg.dim_system,
-                dim_ancilla=cfg.dim_ancilla,
-                tau=cfg.ancilla.tau,
-                entropy_production=ledger.entropy_production,
-                mutual_info=ledger.mutual_info,
-                rel_entropy_ancilla=ledger.rel_entropy_ancilla,
-                work_scaled=abs(ledger.work) / h_scale(cfg),
-                coherent_bound_scaled=bound_slack / cfg.ancilla.tau**1.5,
-            )
-        )
+    draws = [draw_collision(rng, eigenoperator=eigenoperator, dims=dims) for _ in range(count)]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for index, draw in enumerate(draws):
+        groups.setdefault(draw["dims"], []).append(index)
+    columns = np.empty((count, 5))
+    failures = []
+    for indices in groups.values():
+        try:
+            columns[indices] = _suite_columns([draws[i] for i in indices])
+        except (QCollideError, ValueError) as exc:
+            failures.append(_first_failure(draws, indices, exc))
+    if failures:
+        index, exc = min(failures, key=lambda failure: failure[0])
+        raise type(exc)(f"sample {index}: {exc}") from exc
+    samples = [
+        SuiteSample(index, *draw["dims"], draw["tau"], *row)
+        for index, (draw, row) in enumerate(zip(draws, columns.tolist()))
+    ]
     summary = SuiteSummary(
         count=count,
         min_entropy_production=min(s.entropy_production for s in samples),
@@ -217,6 +248,85 @@ def random_collision_suite(
         min_coherent_bound_scaled=min(s.coherent_bound_scaled for s in samples),
     )
     return summary, samples
+
+
+def _first_failure(draws: list[dict], indices: list[int], error: Exception) -> tuple[int, Exception]:
+    """The first sample of a failed group that fails on its own, with its error."""
+    for index in indices:
+        try:
+            _suite_columns([draws[index]])
+        except (QCollideError, ValueError) as exc:
+            return index, exc
+    return indices[0], error
+
+
+def _suite_columns(draws: list[dict]) -> np.ndarray:
+    """``Sigma, I, Srel, work_scaled, coherent_bound_scaled`` of each draw of one ``(d_S, d_A)``.
+
+    One stroke per draw, as :func:`~qcollide.collisions.collide` makes it,
+    with stacked ``@``, ``eigh`` and ``eigvalsh``: each unitary comes from a
+    batched eigensolve of the joint Hamiltonian, and the joint state
+    ``U (rho_S (x) rho_A) U^dag`` is traced down to both outputs.  The gates
+    of the one-sample route run on the stacks in its order: those of
+    :func:`~qcollide.collisions.build_unitary`, the ``chi`` diagonal check,
+    the state gates on ``rho_A``, the Hermiticity gate on the coherent
+    generator, the state gates on ``rho_S'`` and ``rho_A'``, the support
+    check of ``rho_A'`` where ``rho_A`` has a kernel, and the positivity of
+    the dephased populations.
+    """
+    stack = collision_stack(draws)
+    dim_system, dim_ancilla = draws[0]["dims"]
+    h_system, h_ancilla, v, chi = stack.h_system, stack.h_ancilla, stack.v_interaction, stack.chi
+    tau, beta, lam = stack.tau, stack.beta, stack.lam
+    free = kron(h_system, np.eye(dim_ancilla)) + kron(np.eye(dim_system), h_ancilla)
+    u = joint_unitaries(free, v, tau, energy_conserving(v, free))
+    basis = stack.basis.eigenvectors
+    rho_s = stack.rho_system
+    rho_a = state_spectra(coherent_preparation(stack.thermal.matrix, chi, basis, lam * np.sqrt(tau)))
+    work_operator = commutator(coherent_generator(v, chi, dim_system, dim_ancilla), h_system)
+
+    joint = (u @ kron(rho_s.matrix, rho_a.matrix) @ dag(u)).reshape(-1, dim_system, dim_ancilla, dim_system, dim_ancilla)
+    after_s = state_spectra(np.trace(joint, axis1=2, axis2=4))
+    after_a = state_spectra(np.trace(joint, axis1=1, axis2=3))
+    kernels = rho_a.eigenvalues <= SUPPORT_EIGENVALUE_TOL
+    for k in np.flatnonzero(kernels.any(axis=-1)):
+        require_support(DensityMatrix(after_a.matrix[k]), rho_a.eigenvectors[k][:, kernels[k]])
+
+    s_before, s_ancilla, s_after, s_a_after = (
+        shannon_entropy(state.eigenvalues) for state in (rho_s, rho_a, after_s, after_a)
+    )
+    # Unitary invariance: the joint entropy after the stroke is S(rho_S) + S(rho_A).
+    mutual = s_after + s_a_after - s_before - s_ancilla
+    rel_ancilla = -s_a_after - _traces(after_a.matrix, log_on_support(rho_a)).real
+    work = (
+        _traces(h_system, after_s.matrix).real
+        - _traces(h_system, rho_s.matrix).real
+        + _traces(h_ancilla, after_a.matrix).real
+        - _traces(h_ancilla, rho_a.matrix).real
+    )
+    # W_C = Re(i lam tau tr([G, H_S] rho_S)).
+    coherent_work = -(lam * tau * _traces(work_operator, rho_s.matrix).imag)
+
+    def populations(m: np.ndarray) -> np.ndarray:
+        return np.diagonal(dag(basis) @ m @ basis, axis1=-2, axis2=-1).real
+
+    d_coherence = coherence_from_populations(populations(after_a.matrix), s_a_after) - coherence_from_populations(
+        populations(rho_a.matrix), s_ancilla
+    )
+    return np.column_stack(
+        [
+            mutual + rel_ancilla,
+            mutual,
+            rel_ancilla,
+            np.abs(work) / _energy_scale(h_system, h_ancilla),
+            (beta * coherent_work + d_coherence) / tau**1.5,
+        ]
+    )
+
+
+def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``tr(a b)`` per matrix of stacks."""
+    return (a * b.swapaxes(-1, -2)).sum(axis=(-2, -1))
 
 
 def free_energy_rate_fd(

@@ -1,4 +1,5 @@
 import json
+import warnings
 import subprocess
 import sys
 from pathlib import Path
@@ -179,6 +180,12 @@ BAD_SCALAR_CONFIGS = {
     "converge-zero-t_final": ("t_final", {"scenario": "converge", "t_final": 0.0}),
     "converge-t_final-below-tau": ("t_final", {"scenario": "converge", "t_final": 0.001}),
     "converge-t_final-not-whole-rounds": ("t_final", {"scenario": "converge", "t_final": 0.06, "tau": [0.04, 0.01]}),
+    "output_dir-number": ("output_dir", {"scenario": "qubit-demo", "output_dir": 5}),
+    "output_dir-null": ("output_dir", {"scenario": "qubit-demo", "output_dir": None}),
+    "seed-negative": ("seed", {"scenario": "bound-check", "seed": -1}),
+    "seed-2^64+1": ("seed", {"scenario": "oracle-check", "seed": 2**64 + 1}),
+    # V^2 overflows, so the stroke matrix would hold inf and NaN.
+    "qubit-demo-huge-g": ("stroke matrix", {"scenario": "qubit-demo", "g": 1e300}),
 }
 
 
@@ -193,6 +200,21 @@ def test_bad_scalar_is_one_line_input_error(tmp_path, capsys, key, payload):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error:") and key in lines[0]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"scenario": "qubit-demo", "g": 1e300}, {"scenario": "multibath", "g": [0.8, 1e300]}],
+    ids=["qubit-demo", "multibath"],
+)
+def test_overflowing_coupling_is_one_line_error_without_warnings(tmp_path, capsys, payload):
+    path = write(tmp_path, "huge.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: stroke matrix of species") and "non-finite" in lines[0]
 
 
 class TestSubprocessDeterminism:

@@ -1,6 +1,7 @@
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,15 @@ def _rephase_sampler_eigenvectors(monkeypatch):
         return type(spectrum)(spectrum.eigenvalues, spectrum.eigenvectors * phases)
 
     monkeypatch.setattr(presets, "hermitian_eig", rephased)
+
+
+def test_overflowing_stroke_matrix_is_rejected_without_warnings():
+    # V^2 overflows at g = 1e300, so the heat row would hold inf and NaN.
+    cfg = qubit_collision(g=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^stroke matrix of species 'A' has non-finite entries$"):
+            cfg.stroke_matrix
 
 
 class TestRandomCollisionSampler:

@@ -163,6 +163,23 @@ class TestKron:
         b = random_hermitian(rng, 2)
         assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) <= 1e-12
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_np_kron_bit_for_bit_on_matrices_and_stacks(self, seed):
+        rng = np.random.default_rng(seed)
+        shape_a, shape_b = rng.integers(1, 4, size=2), rng.integers(1, 4, size=2)
+        a = rng.normal(size=(4, *shape_a)) + 1j * rng.normal(size=(4, *shape_a))
+        b = rng.normal(size=(4, *shape_b)) + 1j * rng.normal(size=(4, *shape_b))
+        stacked = kron(a, b)
+        for k in range(4):
+            want = np.kron(a[k], b[k])
+            assert kron(a[k], b[k]).tobytes() == want.tobytes()
+            assert stacked[k].tobytes() == want.tobytes()
+            assert kron(a[k], b)[k].tobytes() == want.tobytes()
+
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            kron(np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
 
 class TestPartialTrace:
     def test_product_state(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,14 @@ class TestBuildGenerator:
         v = kron(SIGMA_Z, SIGMA_Z)  # tr_A(V rho_th) = sz <sz>_th != 0
         with pytest.raises(FirstMomentError):
             build_generator(qubit_hamiltonian(), spec, v)
+
+    def test_overflowing_dissipator_is_rejected_without_warnings(self):
+        # V^2 overflows at g = 1e300, so the thermal dissipator holds inf and NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gen, _ = qubit_generator(g=1e300)
+            with pytest.raises(ValueError, match="^Lindblad generator matrix has non-finite entries$"):
+                gen.matrix
 
     def test_dissipator_annihilates_trace(self):
         gen, _ = qubit_generator()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qcollide.errors import (
     DiagonalCoherenceError,
+    DimensionMismatchError,
     NonHermitianError,
     NotPositiveError,
     SupportViolationError,
@@ -340,6 +341,16 @@ def test_trace_distance_basics():
     sigma = DensityMatrix(np.diag([0.0, 1.0]))
     assert abs(trace_distance(rho, sigma) - 1.0) <= 1e-12
     assert trace_distance(rho, rho) == 0.0
+
+
+def test_trace_distance_of_stacks_is_that_of_each_pair():
+    rng = np.random.default_rng(11)
+    rhos = [random_density(rng, 3) for _ in range(6)]
+    sigmas = [random_density(rng, 3) for _ in range(6)]
+    got = trace_distance(np.array([r.matrix for r in rhos]), np.array([s.matrix for s in sigmas]))
+    assert got.tolist() == [trace_distance(r, s) for r, s in zip(rhos, sigmas)]
+    with pytest.raises(DimensionMismatchError):
+        trace_distance(np.array([r.matrix for r in rhos]), np.array([s.matrix for s in sigmas[:5]]))
 
 
 def test_purity_and_diagonality_helpers():

@@ -148,13 +148,13 @@ def test_memoized_entropy_matches_fresh_spectrum(seed, eigenoperator):
 
 def test_entropy_is_computed_once_per_state(monkeypatch):
     calls = []
-    original = states._entropy_of_probs
+    original = states.shannon_entropy
 
     def counting(probs):
         calls.append(1)
         return original(probs)
 
-    monkeypatch.setattr(states, "_entropy_of_probs", counting)
+    monkeypatch.setattr(states, "shannon_entropy", counting)
     rho, cfg = draw(5, False)
     out = collide(rho, cfg)
     calls.clear()
