@@ -56,7 +56,6 @@ from .states import (
     density_matrices,
     ergotropy_exact,
     free_energy,
-    mutual_information,
     relative_entropy,
     relative_entropy_of_coherence,
     thermal_state,

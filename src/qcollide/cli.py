@@ -1,11 +1,17 @@
 """Batch front-end: JSON experiment configs, named scenarios, CSV/JSON reports.
 
+The CLI loads and validates configs, wires each scenario to the studies of
+:mod:`qcollide.verify` (trajectory scenarios to
+:func:`~qcollide.collisions.run_trajectory`), turns their scalars into checks
+and writes the reports; it defines no study of its own.
+
 Every scenario prints one ``CHECK <name> PASS|FAIL value=<v> bound=<b>`` line
 per verification, writes ``report.json`` (and scenario-specific CSV files)
 into the output directory, and exits 0 when all checks pass, 2 on any
-verification failure, 1 on input errors.  Outputs contain no timestamps and
-all randomness is drawn from the seeded generator, so identical
-(config, seed) pairs reproduce byte-identical files.
+verification failure, 1 on input errors, an output location that cannot be
+written among them.  Outputs contain no timestamps and all randomness is
+drawn from the seeded generator, so identical (config, seed) pairs reproduce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -23,41 +29,29 @@ import numpy as np
 from . import __version__
 from .collisions import CollisionConfig, run_trajectory
 from .errors import NonHermitianError, QCollideError
-from .lindblad import eigenoperator_dissipator, rates, steady_state
-from .linalg import dag, require_hermitian
+from .lindblad import rates
+from .linalg import require_hermitian
 from .presets import (
     DEFAULT_BETA,
     maximally_mixed,
     qubit_collision,
-    qubit_couplings,
-    qubit_hamiltonian,
     qutrit_ancilla_collision,
-    random_basis,
-    random_gapped_probs,
-    random_traceless_hermitian,
-    random_zero_diagonal,
     three_level_collision,
     three_level_state,
 )
-from .rng import SplitMix64
-from .series import PerturbedState, coherence_series, entropy_series, relative_entropy_series
-from .states import (
-    AncillaSpec,
-    DensityMatrix,
-    coherence_in_basis,
-    relative_entropy,
-    relative_entropy_of_coherence,
-    ergotropy_exact,
-    von_neumann_entropy,
-)
+from .states import AncillaSpec, von_neumann_entropy
 from .verify import (
+    IDENTITY_TAUS,
     entropic_identity_residuals,
+    ergotropy_ratio_deviations,
     generator_for,
     h_scale,
     halving_ratios,
     loglog_slope,
     random_collision_suite,
+    series_halving_ratios,
     stroboscopic_deviation,
+    two_bath_population_error,
 )
 
 SCENARIOS = ("qubit-demo", "converge", "bound-check", "oracle-check", "multibath", "custom")
@@ -68,8 +62,6 @@ SLOPE_WINDOW = (0.4, 0.7)
 HALVING_WINDOW = (2.4, 3.2)
 SERIES_WINDOW = (6.0, 10.0)
 COHERENT_BOUND_SCALE = -200.0
-IDENTITY_TAUS = (5e-4, 2.5e-4, 1.25e-4, 6.25e-5)
-SERIES_EPS = (2e-2, 1e-2, 5e-3, 2.5e-3)
 
 
 class ConfigError(Exception):
@@ -401,74 +393,18 @@ def _scenario_bound_check(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
     ])
 
 
-def _series_instance_residuals(rng: SplitMix64, dim: int, eps_list) -> dict[str, list[float]]:
-    probs = random_gapped_probs(rng, dim, min_gap=0.12)
-    basis = random_basis(rng, dim)
-    rho0 = DensityMatrix((basis * probs) @ dag(basis))
-    sigma = random_traceless_hermitian(rng, dim)
-    mu = random_traceless_hermitian(rng, dim)
-    chi = random_zero_diagonal(rng, basis)
-    h_ref = (basis * np.arange(1.0, dim + 1.0)) @ dag(basis)
-    out: dict[str, list[float]] = {"entropy": [], "coherence": [], "relative_entropy": []}
-    for eps in eps_list:
-        exact_s = von_neumann_entropy(DensityMatrix(rho0.matrix + eps * sigma))
-        out["entropy"].append(
-            abs(exact_s - entropy_series(PerturbedState(rho0=rho0, direction=sigma, epsilon=eps)))
-        )
-        exact_c = relative_entropy_of_coherence(DensityMatrix(rho0.matrix + eps * chi), h_ref)
-        out["coherence"].append(
-            abs(exact_c - coherence_series(PerturbedState(rho0=rho0, direction=chi, epsilon=eps)))
-        )
-        exact_kl = relative_entropy(
-            DensityMatrix(rho0.matrix + eps * mu), DensityMatrix(rho0.matrix + eps * sigma)
-        )
-        out["relative_entropy"].append(
-            abs(exact_kl - relative_entropy_series(rho0, sigma, mu, eps))
-        )
-    return out
-
-
-def ergotropy_ratio_deviations(eps_list=(1e-1, 1e-2, 1e-3)) -> list[float]:
-    """|ergotropy / (T * coherence) - 1| for the qubit fixture at each amplitude."""
-    deviations = []
-    for eps in eps_list:
-        spec = AncillaSpec(
-            h_ancilla=qubit_hamiltonian(1.0),
-            beta=DEFAULT_BETA,
-            chi=np.array([[0, 1], [1, 0]], dtype=complex),
-            lam=eps,
-            tau=1.0,
-        )
-        rho = DensityMatrix(spec.thermal.matrix + eps * spec.chi)
-        exact = ergotropy_exact(rho, spec.h_ancilla)
-        coherence = coherence_in_basis(rho, spec.basis)
-        deviations.append(abs(exact / (coherence / spec.beta) - 1.0))
-    return deviations
-
-
 def _scenario_oracle_check(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
     checks: list[Check] = []
     # Finite-duration identity residual orders on the two-channel fixture.
-    residuals = entropic_identity_residuals(
-        lambda tau: three_level_collision(tau), three_level_state(), IDENTITY_TAUS
-    )
+    residuals = entropic_identity_residuals(three_level_collision, three_level_state(), IDENTITY_TAUS)
     checks += _window_checks("identity_mutual_info", halving_ratios(residuals.mutual_info), HALVING_WINDOW)
     checks += _window_checks("identity_rel_entropy", halving_ratios(residuals.rel_entropy), HALVING_WINDOW)
     checks += _window_checks("first_law", halving_ratios(residuals.first_law), HALVING_WINDOW)
-    sigma_ratio = min(halving_ratios(residuals.entropy_production))
-    checks.append(
-        Check("entropy_production_ratio_min", sigma_ratio, HALVING_WINDOW[0], sigma_ratio >= HALVING_WINDOW[0])
+    checks += _limit_checks(
+        [("entropy_production_ratio_min", min(halving_ratios(residuals.entropy_production)), HALVING_WINDOW[0])]
     )
     # Series residual orders on seeded random instances.
-    rng = SplitMix64(cfg.seed)
-    families: dict[str, list[float]] = {"entropy": [], "coherence": [], "relative_entropy": []}
-    for dim in (2, 3):
-        res = _series_instance_residuals(rng, dim, SERIES_EPS)
-        for name in ("entropy", "relative_entropy"):
-            families[name] += halving_ratios(res[name])
-        if dim == 3:
-            families["coherence"] += halving_ratios(res["coherence"])
-    for name, ratios in families.items():
+    for name, ratios in series_halving_ratios(cfg.seed).items():
         checks += _window_checks(f"{name}_series", ratios, SERIES_WINDOW)
     # Ergotropy-to-coherence ratio.
     deviations = ergotropy_ratio_deviations()
@@ -495,21 +431,7 @@ def _scenario_multibath(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
     checks = [_convergence_check(data, out_dir)]
 
     # Two thermal qubit baths: stationary excited population from the jump rates.
-    pair = [
-        qubit_collision(g=gs[0], beta=betas[0], lam=0.0, tau=taus[-1], label="A"),
-        qubit_collision(g=gs[1], beta=betas[1], lam=0.0, tau=taus[-1], label="B"),
-    ]
-    gen = generator_for(pair)
-    stationary = steady_state(gen)
-    up = down = 0.0
-    for collision, g, beta in zip(pair, gs, betas):
-        jump_rates, _ = eigenoperator_dissipator(
-            qubit_couplings(g=g), collision.ancilla.h_ancilla, beta, h_system=collision.h_system
-        )
-        up += jump_rates[0].gamma_plus
-        down += jump_rates[0].gamma_minus
-    predicted = up / (up + down)
-    error = abs(float(stationary.matrix[0, 0].real) - predicted)
+    error = two_bath_population_error(gs, betas, taus[-1])
     checks.append(Check("steady_state_population_error", error, 1e-8, error <= 1e-8))
     return checks
 
@@ -563,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"OK scenario={cfg.scenario}")
             return 0
         return run_scenario(cfg, out_dir=args.out)
-    except (ConfigError, QCollideError, ValueError) as exc:
+    except (ConfigError, QCollideError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

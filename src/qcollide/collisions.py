@@ -14,12 +14,15 @@ formed.  What is fixed per config (``<H_A>``, ``S(rho_A)``, ``ln(rho_A)`` and
 the kernel of ``rho_A``) is computed once, and the support check of
 ``rho_A'`` runs only when ``rho_A`` has a kernel.
 
-:func:`run_trajectory` keeps a ledger per round.  When only the round-end
-states are read, :func:`stroboscopic_states` gives them bit for bit without
-ledgers: each stroke is the same matvec, all system outputs of the run
-pass the state gates in one stacked pass and each species' ancilla outputs
-in another, and a failing gate replays the run with :func:`run_trajectory`
-so the first failing stroke raises as it does there.
+:func:`run_trajectory` runs one species, or ``m`` species round-robin with
+each sub-collision a ``1/m`` share of the round, and keeps a ledger per
+round.  When only the round-end states are read, :func:`stroboscopic_states`
+gives them bit for bit without ledgers; the two loops share the run
+validation and the sub-collision configs of :func:`_round_configs`.  Each
+stroke is the same matvec, all system outputs of the run pass the state
+gates in one stacked pass and each species' ancilla outputs in another, and
+a failing gate replays the run with :func:`run_trajectory` so the first
+failing stroke raises as it does there.
 
 Sign conventions: ``heat_ancilla > 0`` means the ancilla gained energy, and
 the switching work is stored as ``work = d_energy + heat_ancilla``.
@@ -347,21 +350,16 @@ class TrajectoryRecord:
         return self.steps[-1].state if self.steps else None
 
 
-def run_trajectory(
-    rho0: DensityMatrix,
-    cfgs: list[CollisionConfig],
-    n_steps: int,
-    schedule: str = "single",
-) -> TrajectoryRecord:
+def run_trajectory(rho0: DensityMatrix, cfgs: list[CollisionConfig], n_steps: int) -> TrajectoryRecord:
     """Run repeated collisions against fresh, identically prepared ancillae.
 
-    ``schedule="single"`` accepts exactly one species.  ``"round-robin"``
-    interleaves ``m`` species in config order: each sub-collision lasts
-    ``tau/m`` with the interaction rescaled by ``sqrt(m)``, so one recorded
-    step is a full round of duration ``tau`` and cumulative columns compare
-    directly with the additive continuous-time generator.
+    One species collides as configured.  ``m`` species are interleaved
+    round-robin in config order: each sub-collision lasts ``tau/m`` with the
+    interaction rescaled by ``sqrt(m)``, so one recorded step is a full round
+    of duration ``tau`` and cumulative columns compare directly with the
+    additive continuous-time generator.
     """
-    subs = _scheduled(rho0, cfgs, n_steps, schedule)
+    subs = _round_configs(rho0, cfgs, n_steps)
     tau = cfgs[0].ancilla.tau
     labels = [sub.label for sub in subs]
     totals = {label: CollisionLedger.zero() for label in labels}
@@ -382,12 +380,7 @@ def run_trajectory(
     return TrajectoryRecord(steps=steps, cumulative=cumulative, species_totals=totals)
 
 
-def stroboscopic_states(
-    rho0: DensityMatrix,
-    cfgs: list[CollisionConfig],
-    n_steps: int,
-    schedule: str = "single",
-) -> list[DensityMatrix]:
+def stroboscopic_states(rho0: DensityMatrix, cfgs: list[CollisionConfig], n_steps: int) -> list[DensityMatrix]:
     """The round-end states of :func:`run_trajectory`, bit for bit, without its ledgers.
 
     Each sub-collision is the matvec of :func:`collide`; its system and
@@ -399,7 +392,7 @@ def stroboscopic_states(
     fails, the run is replayed by :func:`run_trajectory`, so the first
     failing stroke raises what it raises there.
     """
-    subs = _scheduled(rho0, cfgs, n_steps, schedule)
+    subs = _round_configs(rho0, cfgs, n_steps)
     m = len(subs)
     d_s = rho0.dim
     n_s = d_s * d_s
@@ -428,22 +421,15 @@ def stroboscopic_states(
             return rounds
         except (QCollideError, ValueError):
             pass
-    return [step.state for step in run_trajectory(rho0, cfgs, n_steps, schedule).steps]
+    return [step.state for step in run_trajectory(rho0, cfgs, n_steps).steps]
 
 
-def _scheduled(
-    rho0: DensityMatrix, cfgs: list[CollisionConfig], n_steps: int, schedule: str
-) -> list[CollisionConfig]:
+def _round_configs(rho0: DensityMatrix, cfgs: list[CollisionConfig], n_steps: int) -> list[CollisionConfig]:
     """Validate a run and return the sub-collision config of each species, in round order."""
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     if not cfgs:
         raise ValueError("need at least one collision config")
-    if schedule == "single":
-        if len(cfgs) != 1:
-            raise ValueError("single-species schedule takes exactly one config")
-    elif schedule != "round-robin":
-        raise ValueError(f"unknown schedule {schedule!r}")
     tau = cfgs[0].ancilla.tau
     dim = cfgs[0].dim_system
     labels = [cfg.label for cfg in cfgs]

@@ -41,10 +41,8 @@ from .linalg import (
     ancilla_average,
     commutator,
     dag,
-    double_commutator,
     kron,
     max_abs,
-    partial_trace,
     reduced_superoperator,
     require_hermitian,
 )
@@ -82,13 +80,6 @@ def coherent_generator(v_interaction, chi, dim_system: int, dim_ancilla: int) ->
 def thermal_first_moment(v_interaction, rho_thermal, dim_system: int, dim_ancilla: int) -> np.ndarray:
     """``tr_A( V (I (x) rho_th) )``; must vanish for the dissipator recipe."""
     return ancilla_average(v_interaction, rho_thermal, dim_system, dim_ancilla)
-
-
-def dissipator_apply(v_interaction, rho_system, rho_thermal, dim_system: int, dim_ancilla: int) -> np.ndarray:
-    """Thermal dissipator ``-(1/2) tr_A [V, [V, rho (x) rho_th]]``."""
-    joint = kron(rho_system, rho_thermal)
-    nested = double_commutator(v_interaction, joint)
-    return -0.5 * partial_trace(nested, dim_system, dim_ancilla, "system")
 
 
 @dataclass(frozen=True, eq=False)

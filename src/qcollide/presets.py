@@ -30,7 +30,6 @@ from .rng import SplitMix64
 from .states import AncillaSpec, DensityMatrix, gibbs_spectrum, state_spectra
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -220,11 +219,6 @@ def random_hermitian(rng: SplitMix64, dim: int, scale: float = 1.0) -> np.ndarra
 def random_basis(rng: SplitMix64, dim: int) -> np.ndarray:
     """Haar-ish random unitary with a deterministic phase convention."""
     return _rephased_q(random_matrix(rng, dim))
-
-
-def random_density_matrix(rng: SplitMix64, dim: int, floor: float = 0.08) -> DensityMatrix:
-    """Full-rank random state: a Wishart draw mixed with the identity."""
-    return DensityMatrix(_mixed_wishart(random_matrix(rng, dim), floor))
 
 
 def _mixed_wishart(a: np.ndarray, floor: float) -> np.ndarray:

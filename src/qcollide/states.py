@@ -24,8 +24,6 @@ from .linalg import (
     Spectrum,
     dag,
     hermitian_eig,
-    max_abs,
-    partial_trace,
     require_hermitian,
 )
 
@@ -351,21 +349,6 @@ def coherence_from_populations(populations: np.ndarray, entropy) -> np.ndarray:
     return np.maximum(value, 0.0)
 
 
-def mutual_information(rho_joint: DensityMatrix, dim_system: int, dim_ancilla: int) -> float:
-    """``S(rho_S) + S(rho_A) - S(rho_SA)`` for a bipartite state."""
-    if dim_system * dim_ancilla != rho_joint.dim:
-        raise DimensionMismatchError(
-            f"{dim_system} x {dim_ancilla} does not match joint dimension {rho_joint.dim}"
-        )
-    reduced_system = DensityMatrix(partial_trace(rho_joint.matrix, dim_system, dim_ancilla, "system"))
-    reduced_ancilla = DensityMatrix(partial_trace(rho_joint.matrix, dim_system, dim_ancilla, "ancilla"))
-    return (
-        von_neumann_entropy(reduced_system)
-        + von_neumann_entropy(reduced_ancilla)
-        - von_neumann_entropy(rho_joint)
-    )
-
-
 def free_energy(rho: DensityMatrix, h, beta: float) -> float:
     """Non-equilibrium free energy ``<H> - S(rho)/beta``."""
     if not (math.isfinite(beta) and beta > 0.0):
@@ -402,16 +385,3 @@ def trace_distance(rho, sigma):
         raise DimensionMismatchError("states have different dimensions")
     distances = 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
     return float(distances) if distances.ndim == 0 else distances
-
-
-def purity(rho: DensityMatrix) -> float:
-    """``tr(rho^2)``."""
-    return float(np.sum(rho.eigenvalues**2))
-
-
-def is_diagonal_in(rho: DensityMatrix, h_reference, tol: float = PSD_TOL) -> bool:
-    """True if ``rho`` has no off-diagonal weight in the basis of ``h_reference``."""
-    basis = hermitian_eig(h_reference, name="h_reference")
-    rotated = dag(basis.eigenvectors) @ rho.matrix @ basis.eigenvectors
-    off = rotated - np.diag(np.diagonal(rotated))
-    return max_abs(off) <= tol

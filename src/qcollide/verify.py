@@ -2,8 +2,11 @@
 
 Each study pits two independent computational routes against each other
 (stroboscopic vs integrated dynamics, exact functionals vs perturbative
-series, randomized exact inequalities) and reduces the comparison to a few
-scalars: max distances, fitted log-log slopes, halving ratios, suite minima.
+series, randomized exact inequalities, the steady state vs the jump rates)
+and reduces the comparison to a few scalars: max distances, fitted log-log
+slopes, halving ratios, suite minima.  Every study of the paper's claims
+lives here, with the ``tau`` and amplitude grids it runs on; the CLI only
+turns the scalars into checks.
 
 The randomized suite uses each random config for one stroke only, so it
 builds no :class:`~qcollide.collisions.CollisionConfig` and no stroke
@@ -23,29 +26,63 @@ import numpy as np
 
 from .collisions import CollisionConfig, collide, energy_conserving, joint_unitaries, stroboscopic_states
 from .errors import QCollideError
-from .lindblad import LindbladGenerator, coherent_generator, integrate, multi_bath_generator, rates, rk4_step
+from .lindblad import (
+    LindbladGenerator,
+    coherent_generator,
+    eigenoperator_dissipator,
+    integrate,
+    multi_bath_generator,
+    rates,
+    rk4_step,
+    steady_state,
+)
 from .linalg import commutator, dag, kron
-from .presets import collision_stack, draw_collision
+from .presets import (
+    DEFAULT_BETA,
+    collision_stack,
+    draw_collision,
+    qubit_collision,
+    qubit_couplings,
+    qubit_hamiltonian,
+    random_basis,
+    random_gapped_probs,
+    random_traceless_hermitian,
+    random_zero_diagonal,
+)
 from .rng import SplitMix64
 from .series import (
+    PerturbedState,
     ancilla_coherence_change_series,
+    coherence_series,
+    entropy_series,
     predicted_mutual_info,
     predicted_rel_entropy,
+    relative_entropy_series,
 )
 from .states import (
     SUPPORT_EIGENVALUE_TOL,
+    AncillaSpec,
     DensityMatrix,
     coherence_from_populations,
+    coherence_in_basis,
     coherent_preparation,
+    ergotropy_exact,
     free_energy,
     log_on_support,
+    relative_entropy,
+    relative_entropy_of_coherence,
     require_support,
     shannon_entropy,
     state_spectra,
     trace_distance,
+    von_neumann_entropy,
 )
 
 DEFAULT_DT_TARGET = 2e-3
+# Collision durations of the entropic-identity study, halved step by step.
+IDENTITY_TAUS = (5e-4, 2.5e-4, 1.25e-4, 6.25e-5)
+# Perturbation amplitudes of the series study, halved step by step.
+SERIES_EPS = (2e-2, 1e-2, 5e-3, 2.5e-3)
 
 
 def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -104,8 +141,7 @@ def stroboscopic_deviation(
     results = []
     for tau, n_rounds in zip(taus, rounds):
         cfgs = list(build_cfgs(tau))
-        schedule = "single" if len(cfgs) == 1 else "round-robin"
-        strobes = stroboscopic_states(rho0, cfgs, n_rounds, schedule=schedule)
+        strobes = stroboscopic_states(rho0, cfgs, n_rounds)
         gen = generator_for(cfgs)
         cap = 0.09 / max(gen.norm_estimate, 1e-12)
         substeps = max(1, math.ceil(tau / min(dt_target, cap)))
@@ -166,6 +202,92 @@ def entropic_identity_residuals(
         first_law=tuple(r_first),
         entropy_production=tuple(r_sigma),
     )
+
+
+def series_instance_residuals(rng: SplitMix64, dim: int) -> dict[str, list[float]]:
+    """|exact - series| of the entropy, coherence and relative entropy on one seeded instance.
+
+    The instance is a full-rank ``rho0`` with gapped populations in a random
+    basis, two traceless Hermitian directions ``sigma`` and ``mu``, and a
+    coherence direction ``chi`` with no diagonal in that basis.  Each family
+    holds one residual per amplitude in :data:`SERIES_EPS`.
+    """
+    probs = random_gapped_probs(rng, dim, min_gap=0.12)
+    basis = random_basis(rng, dim)
+    rho0 = DensityMatrix((basis * probs) @ dag(basis))
+    sigma = random_traceless_hermitian(rng, dim)
+    mu = random_traceless_hermitian(rng, dim)
+    chi = random_zero_diagonal(rng, basis)
+    h_ref = (basis * np.arange(1.0, dim + 1.0)) @ dag(basis)
+    out: dict[str, list[float]] = {"entropy": [], "coherence": [], "relative_entropy": []}
+    for eps in SERIES_EPS:
+        along_sigma = DensityMatrix(rho0.matrix + eps * sigma)
+        exact_s = von_neumann_entropy(along_sigma)
+        exact_c = relative_entropy_of_coherence(DensityMatrix(rho0.matrix + eps * chi), h_ref)
+        exact_kl = relative_entropy(DensityMatrix(rho0.matrix + eps * mu), along_sigma)
+        out["entropy"].append(abs(exact_s - entropy_series(PerturbedState(rho0, sigma, eps))))
+        out["coherence"].append(abs(exact_c - coherence_series(PerturbedState(rho0, chi, eps))))
+        out["relative_entropy"].append(abs(exact_kl - relative_entropy_series(rho0, sigma, mu, eps)))
+    return out
+
+
+def series_halving_ratios(seed: int) -> dict[str, list[float]]:
+    """Halving ratios of the series residuals over :data:`SERIES_EPS`, per family.
+
+    One instance of dimension 2, then one of dimension 3, are drawn from
+    ``SplitMix64(seed)``.  The coherence family is read at dimension 3 only:
+    for a qubit, a phase flip in the instance basis maps ``chi`` to ``-chi``
+    and fixes ``rho0``, so the coherence is even in the amplitude and its
+    residual falls as ``eps^4`` (ratio 16).
+    """
+    rng = SplitMix64(seed)
+    families: dict[str, list[float]] = {"entropy": [], "coherence": [], "relative_entropy": []}
+    for dim in (2, 3):
+        residuals = series_instance_residuals(rng, dim)
+        for name in ("entropy", "relative_entropy"):
+            families[name] += halving_ratios(residuals[name])
+        if dim == 3:
+            families["coherence"] += halving_ratios(residuals["coherence"])
+    return families
+
+
+def ergotropy_ratio_deviations(eps_list: Sequence[float] = (1e-1, 1e-2, 1e-3)) -> list[float]:
+    """|ergotropy / (T * coherence) - 1| for the qubit fixture at each amplitude."""
+    deviations = []
+    for eps in eps_list:
+        spec = AncillaSpec(
+            h_ancilla=qubit_hamiltonian(1.0),
+            beta=DEFAULT_BETA,
+            chi=np.array([[0, 1], [1, 0]], dtype=complex),
+            lam=eps,
+            tau=1.0,
+        )
+        rho = DensityMatrix(spec.thermal.matrix + eps * spec.chi)
+        exact = ergotropy_exact(rho, spec.h_ancilla)
+        coherence = coherence_in_basis(rho, spec.basis)
+        deviations.append(abs(exact / (coherence / spec.beta) - 1.0))
+    return deviations
+
+
+def two_bath_population_error(gs: Sequence[float], betas: Sequence[float], tau: float) -> float:
+    """Steady-state excited population of a qubit between two thermal qubit baths, against its rates.
+
+    The baths are resonant-qubit species ``A`` and ``B`` with couplings
+    ``gs``, inverse temperatures ``betas`` and no ancilla coherence.  The
+    stationary state of their additive generator should hold the excited
+    population ``sum gamma^+ / sum (gamma^+ + gamma^-)`` of the jump rates;
+    the absolute difference is returned.
+    """
+    pair = [qubit_collision(g=g, beta=b, lam=0.0, tau=tau, label=label) for g, b, label in zip(gs, betas, "AB")]
+    stationary = steady_state(generator_for(pair))
+    up = down = 0.0
+    for collision, g, beta in zip(pair, gs, betas):
+        jump_rates, _ = eigenoperator_dissipator(
+            qubit_couplings(g=g), collision.ancilla.h_ancilla, beta, h_system=collision.h_system
+        )
+        up += jump_rates[0].gamma_plus
+        down += jump_rates[0].gamma_minus
+    return abs(float(stationary.matrix[0, 0].real) - up / (up + down))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from qcollide.lindblad import (
     build_generator,
     eigenoperator_dissipator,
     integrate,
-    steady_state,
 )
 from qcollide.linalg import max_abs
 from qcollide.presets import (
@@ -33,22 +32,24 @@ from qcollide.presets import (
     three_level_collision,
     three_level_state,
 )
-from qcollide.cli import ergotropy_ratio_deviations
 from qcollide.rng import SplitMix64
 from qcollide.verify import (
+    IDENTITY_TAUS,
     entropic_identity_residuals,
+    ergotropy_ratio_deviations,
     generator_for,
     halving_ratios,
     loglog_slope,
     random_collision_suite,
     second_law_defects,
+    series_halving_ratios,
     stroboscopic_deviation,
+    two_bath_population_error,
 )
 
 LN3 = math.log(3.0)
 SUITE_SEED = 42
 SUITE_SIZE = 1000
-IDENTITY_TAUS = (5e-4, 2.5e-4, 1.25e-4, 6.25e-5)
 SLOPE_TAUS = (4e-2, 1e-2, 2.5e-3)
 
 
@@ -233,17 +234,7 @@ def test_10_multi_bath_additivity():
 
     data = stroboscopic_deviation(build, maximally_mixed(2), SLOPE_TAUS, t_final=2.0)
     slope = loglog_slope([t for t, _ in data], [d for _, d in data])
-    pair = [
-        qubit_collision(beta=0.5, g=1.0, lam=0.0, label="A"),
-        qubit_collision(beta=2.0, g=0.7, lam=0.0, label="B"),
-    ]
-    stationary = steady_state(generator_for(pair))
-    up = down = 0.0
-    for g, beta in ((1.0, 0.5), (0.7, 2.0)):
-        jumps, _ = eigenoperator_dissipator(qubit_couplings(g=g), qubit_hamiltonian(), beta)
-        up += jumps[0].gamma_plus
-        down += jumps[0].gamma_minus
-    population_error = abs(float(stationary.matrix[0, 0].real) - up / (up + down))
+    population_error = two_bath_population_error(gs=(1.0, 0.7), betas=(0.5, 2.0), tau=1e-2)
     passed = 0.4 <= slope <= 0.7 and population_error <= 1e-8
     report(
         10,
@@ -254,16 +245,7 @@ def test_10_multi_bath_additivity():
 
 
 def test_11_perturbation_series_orders():
-    from qcollide.cli import _series_instance_residuals, SERIES_EPS
-
-    rng = SplitMix64(11)
-    ratios: list[float] = []
-    for dim in (2, 3):
-        residuals = _series_instance_residuals(rng, dim, SERIES_EPS)
-        ratios += halving_ratios(residuals["entropy"])
-        ratios += halving_ratios(residuals["relative_entropy"])
-        if dim == 3:
-            ratios += halving_ratios(residuals["coherence"])
+    ratios = [r for family in series_halving_ratios(11).values() for r in family]
     passed = all(6.0 <= r <= 10.0 for r in ratios)
     report(
         11,

@@ -217,6 +217,24 @@ def test_overflowing_coupling_is_one_line_error_without_warnings(tmp_path, capsy
     assert lines[0].startswith("error: stroke matrix of species") and "non-finite" in lines[0]
 
 
+@pytest.mark.parametrize("route", ["--out under a file", "output_dir is a file"])
+def test_unwritable_output_location_is_one_line_error(tmp_path, capsys, route):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    payload = {"scenario": "qubit-demo", "n_steps": 2}
+    argv = ["run", "--config"]
+    if route == "--out under a file":
+        argv += [str(write(tmp_path, "demo.json", payload)), "--out", str(blocker / "out")]
+    else:
+        argv += [str(write(tmp_path, "demo.json", {**payload, "output_dir": str(blocker)}))]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and str(blocker) in lines[0]
+
+
 class TestSubprocessDeterminism:
     def test_bound_check_reproducible(self, tmp_path):
         config = tmp_path / "bound.json"

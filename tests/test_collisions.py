@@ -34,7 +34,8 @@ from qcollide.states import (
     trace_distance,
     von_neumann_entropy,
 )
-from qcollide.verify import entropic_identity_residuals, halving_ratios
+from qcollide.verify import IDENTITY_TAUS, entropic_identity_residuals, halving_ratios, random_collision_suite
+from reference import mutual_information
 
 LN3 = math.log(3.0)
 
@@ -111,8 +112,6 @@ class TestCollide:
         before = von_neumann_entropy(rho) + von_neumann_entropy(cfg.ancilla_state)
         assert abs(von_neumann_entropy(joint) - before) <= 1e-9
         # the ledger's correlation entry is the joint-state mutual information
-        from qcollide.states import mutual_information
-
         assert abs(mutual_information(joint, 2, 2) - out.ledger.mutual_info) <= 1e-12
 
     def test_qubit_ledger_within_half_order_envelope(self):
@@ -187,22 +186,19 @@ class TestGenericRandomCollisionSampler:
 
 class TestRandomizedPositivity:
     def test_exact_inequalities_hold(self):
-        # generic Hermitian interactions, shifted to zero thermal first moment
-        rng = SplitMix64(20260810)
+        # generic Hermitian interactions, shifted to zero thermal first moment;
+        # sample k is collide(*random_collision(rng)) for the k-th draw of the seed
         start = time.perf_counter()
-        for _ in range(1000):
-            rho, cfg = random_collision(rng, eigenoperator=False)
-            led = collide(rho, cfg).ledger
-            assert led.entropy_production >= -1e-9
-            assert led.mutual_info >= -1e-9
-            assert led.rel_entropy_ancilla >= -1e-9
+        summary, _ = random_collision_suite(20260810, 1000, eigenoperator=False)
+        assert summary.min_entropy_production >= -1e-9
+        assert summary.min_mutual_info >= -1e-9
+        assert summary.min_rel_entropy >= -1e-9
         assert time.perf_counter() - start < 60.0
 
 
 @pytest.fixture(scope="module")
 def residuals():
-    taus = (5e-4, 2.5e-4, 1.25e-4, 6.25e-5)
-    return entropic_identity_residuals(three_level_collision, three_level_state(), taus)
+    return entropic_identity_residuals(three_level_collision, three_level_state(), IDENTITY_TAUS)
 
 
 class TestPerturbativeScaling:
@@ -246,30 +242,15 @@ class TestRunTrajectory:
         target = thermal_state(cfg.h_system, LN3)
         assert trace_distance(record.final_state, target) <= 1e-6
 
-    def test_round_robin_single_species_matches_single(self):
-        cfg = qubit_collision(tau=1e-2)
-        a = run_trajectory(maximally_mixed(2), [cfg], 10, schedule="single")
-        b = run_trajectory(maximally_mixed(2), [cfg], 10, schedule="round-robin")
-        assert trace_distance(a.final_state, b.final_state) == 0.0
-
     def test_two_bath_heat_flow(self):
         # hot species feeds energy in, cold species takes it out, entropy grows
         hot = qubit_collision(beta=0.4, lam=0.0, tau=2e-2, label="hot")
         cold = qubit_collision(beta=2.2, g=0.8, lam=0.0, tau=2e-2, label="cold")
-        record = run_trajectory(maximally_mixed(2), [hot, cold], 600, schedule="round-robin")
+        record = run_trajectory(maximally_mixed(2), [hot, cold], 600)
         tail = record.species_totals
         assert tail["hot"].heat_ancilla < 0.0  # hot ancillae lose energy
         assert tail["cold"].heat_ancilla > 0.0
         assert record.cumulative[-1].entropy_production >= -1e-9
-
-    def test_schedule_validation(self):
-        cfg = qubit_collision()
-        with pytest.raises(ValueError):
-            run_trajectory(maximally_mixed(2), [cfg, cfg], 1, schedule="single")
-        with pytest.raises(ValueError):
-            run_trajectory(maximally_mixed(2), [cfg], 1, schedule="zigzag")
-        with pytest.raises(ValueError):
-            run_trajectory(maximally_mixed(2), [cfg, cfg], 1, schedule="round-robin")
 
 
 def raised(fn, *args, **kwargs):
@@ -292,26 +273,20 @@ def with_stroke_matrix(cfg, system_factor, ancilla_factor):
 
 
 BAD_RUNS = {
-    "negative n_steps": (lambda: ([qubit_collision()], -1, "single"), ValueError, "n_steps must be >= 0"),
-    "no species": (lambda: ([], 1, "round-robin"), ValueError, "need at least one collision config"),
-    "single with two": (
-        lambda: ([qubit_collision(label="A"), qubit_collision(label="B")], 1, "single"),
-        ValueError,
-        "single-species schedule takes exactly one config",
-    ),
-    "unknown schedule": (lambda: ([qubit_collision()], 1, "zigzag"), ValueError, "unknown schedule 'zigzag'"),
+    "negative n_steps": (lambda: ([qubit_collision()], -1), ValueError, "n_steps must be >= 0"),
+    "no species": (lambda: ([], 1), ValueError, "need at least one collision config"),
     "repeated label": (
-        lambda: ([qubit_collision(), qubit_collision()], 1, "round-robin"),
+        lambda: ([qubit_collision(), qubit_collision()], 1),
         ValueError,
         "species labels must be distinct",
     ),
     "system dimensions differ": (
-        lambda: ([qubit_collision(), three_level_collision(1e-2, label="B")], 1, "round-robin"),
+        lambda: ([qubit_collision(), three_level_collision(1e-2, label="B")], 1),
         DimensionMismatchError,
         "species disagree on the system dimension",
     ),
     "taus differ": (
-        lambda: ([qubit_collision(tau=1e-2), qubit_collision(tau=2e-2, label="B")], 1, "round-robin"),
+        lambda: ([qubit_collision(tau=1e-2), qubit_collision(tau=2e-2, label="B")], 1),
         ValueError,
         "species must share the round duration tau",
     ),
@@ -325,9 +300,9 @@ class TestStroboscopicStates:
     @pytest.mark.parametrize("case", sorted(BAD_RUNS))
     def test_schedule_validation(self, run, case):
         make, error, message = BAD_RUNS[case]
-        cfgs, n_steps, schedule = make()
+        cfgs, n_steps = make()
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            run(maximally_mixed(2), cfgs, n_steps, schedule=schedule)
+            run(maximally_mixed(2), cfgs, n_steps)
 
     @pytest.mark.parametrize("run", RUNS)
     def test_state_dimension_must_match(self, run):
@@ -371,4 +346,4 @@ class TestStroboscopicStates:
 
         monkeypatch.setattr(collisions, "collide", refuse)
         cfgs = [qubit_collision(label="A"), qubit_collision(beta=0.5, label="B")]
-        assert len(stroboscopic_states(maximally_mixed(2), cfgs, 5, schedule="round-robin")) == 5
+        assert len(stroboscopic_states(maximally_mixed(2), cfgs, 5)) == 5

@@ -2,11 +2,11 @@
 
 The reference is the column-by-column route: column ``k`` of a superoperator
 matrix is the column-stacked image of the ``k``-th matrix unit under the map
-written out in operator form (a commutator plus :func:`dissipator_apply`
+written out in operator form (a commutator plus ``reference.dissipator_apply``
 for the thermal dissipators, ``J rho J^dag - {J^dag J, rho}/2`` for the jump
 dissipators).  Draws come from the seeded random-collision sampler in both
 branches; the file also checks the steady state of drawn two-bath generators
-and the sub-collision rescaling of round-robin schedules.  The RK4 propagator
+and the sub-collision rescaling of round-robin runs.  The RK4 propagator
 is checked against stage-by-stage :func:`rk4_step`, and every
 :class:`RateLedger` field against the same operator-form maps.
 """
@@ -21,7 +21,6 @@ from qcollide.collisions import run_trajectory
 from qcollide.lindblad import (
     STEADY_STATE_RESIDUAL_TOL,
     EigenoperatorCoupling,
-    dissipator_apply,
     eigenoperator_dissipator,
     integrate,
     rates,
@@ -37,11 +36,11 @@ from qcollide.presets import (
     qutrit_ancilla_collision,
     random_basis,
     random_collision,
-    random_density_matrix,
     random_matrix,
 )
 from qcollide.rng import SplitMix64
 from qcollide.verify import generator_for
+from reference import dissipator_apply, random_density_matrix
 from test_stroke_properties import TOL, seeds, stroke_settings
 
 
@@ -154,8 +153,7 @@ def test_subdivided_keeps_coherence_amplitude_and_round(parts, lam, tau):
     assert abs(sub.ancilla.lam * math.sqrt(sub.ancilla.tau) - amplitude) <= TOL * max(1.0, amplitude)
     assert abs(parts * sub.ancilla.tau - tau) <= TOL * tau
     species = [qutrit_ancilla_collision(lam=lam, tau=tau, label=f"S{k}") for k in range(parts)]
-    schedule = "single" if parts == 1 else "round-robin"
-    record = run_trajectory(maximally_mixed(2), species, 1, schedule=schedule)
+    record = run_trajectory(maximally_mixed(2), species, 1)
     assert record.steps[0].time == tau
 
 

@@ -14,7 +14,8 @@ from qcollide.linalg import (
     partial_trace,
     require_hermitian,
 )
-from qcollide.presets import SIGMA_X, SIGMA_Y, SIGMA_Z
+from qcollide.presets import SIGMA_X, SIGMA_Z
+from reference import SIGMA_Y
 
 from test_stroke_properties import TOL, seeds, stroke_settings
 

