@@ -431,7 +431,7 @@ def _scenario_multibath(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
     checks = [_convergence_check(data, out_dir)]
 
     # Two thermal qubit baths: stationary excited population from the jump rates.
-    error = two_bath_population_error(gs, betas, taus[-1])
+    error = two_bath_population_error(gs, betas)
     checks.append(Check("steady_state_population_error", error, 1e-8, error <= 1e-8))
     return checks
 

@@ -83,6 +83,8 @@ DEFAULT_DT_TARGET = 2e-3
 IDENTITY_TAUS = (5e-4, 2.5e-4, 1.25e-4, 6.25e-5)
 # Perturbation amplitudes of the series study, halved step by step.
 SERIES_EPS = (2e-2, 1e-2, 5e-3, 2.5e-3)
+# Coherence amplitudes of the ergotropy study, decreasing by decades.
+ERGOTROPY_EPS = (1e-1, 1e-2, 1e-3)
 
 
 def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -251,10 +253,10 @@ def series_halving_ratios(seed: int) -> dict[str, list[float]]:
     return families
 
 
-def ergotropy_ratio_deviations(eps_list: Sequence[float] = (1e-1, 1e-2, 1e-3)) -> list[float]:
-    """|ergotropy / (T * coherence) - 1| for the qubit fixture at each amplitude."""
+def ergotropy_ratio_deviations() -> list[float]:
+    """|ergotropy / (T * coherence) - 1| for the qubit fixture at each of :data:`ERGOTROPY_EPS`."""
     deviations = []
-    for eps in eps_list:
+    for eps in ERGOTROPY_EPS:
         spec = AncillaSpec(
             h_ancilla=qubit_hamiltonian(1.0),
             beta=DEFAULT_BETA,
@@ -269,7 +271,7 @@ def ergotropy_ratio_deviations(eps_list: Sequence[float] = (1e-1, 1e-2, 1e-3)) -
     return deviations
 
 
-def two_bath_population_error(gs: Sequence[float], betas: Sequence[float], tau: float) -> float:
+def two_bath_population_error(gs: Sequence[float], betas: Sequence[float]) -> float:
     """Steady-state excited population of a qubit between two thermal qubit baths, against its rates.
 
     The baths are resonant-qubit species ``A`` and ``B`` with couplings
@@ -278,7 +280,7 @@ def two_bath_population_error(gs: Sequence[float], betas: Sequence[float], tau: 
     population ``sum gamma^+ / sum (gamma^+ + gamma^-)`` of the jump rates;
     the absolute difference is returned.
     """
-    pair = [qubit_collision(g=g, beta=b, lam=0.0, tau=tau, label=label) for g, b, label in zip(gs, betas, "AB")]
+    pair = [qubit_collision(g=g, beta=b, lam=0.0, label=label) for g, b, label in zip(gs, betas, "AB")]
     stationary = steady_state(generator_for(pair))
     up = down = 0.0
     for collision, g, beta in zip(pair, gs, betas):

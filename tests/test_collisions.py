@@ -195,6 +195,16 @@ class TestRandomizedPositivity:
         assert summary.min_rel_entropy >= -1e-9
         assert time.perf_counter() - start < 60.0
 
+    def test_stroke_inequalities_on_generic_draws(self):
+        # the one-sample stroke itself, on the first draws of the same seed
+        rng = SplitMix64(20260810)
+        for _ in range(40):
+            rho, cfg = random_collision(rng, eigenoperator=False)
+            led = collide(rho, cfg).ledger
+            assert led.entropy_production >= -1e-9
+            assert led.mutual_info >= -1e-9
+            assert led.rel_entropy_ancilla >= -1e-9
+
 
 @pytest.fixture(scope="module")
 def residuals():
