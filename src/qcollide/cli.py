@@ -31,17 +31,9 @@ from .collisions import CollisionConfig, run_trajectory
 from .errors import NonHermitianError, QCollideError
 from .lindblad import rates
 from .linalg import require_hermitian
-from .presets import (
-    DEFAULT_BETA,
-    maximally_mixed,
-    qubit_collision,
-    qutrit_ancilla_collision,
-    three_level_collision,
-    three_level_state,
-)
+from .presets import DEFAULT_BETA, maximally_mixed, qubit_collision, qutrit_ancilla_collision
 from .states import AncillaSpec, von_neumann_entropy
 from .verify import (
-    IDENTITY_TAUS,
     entropic_identity_residuals,
     ergotropy_ratio_deviations,
     generator_for,
@@ -92,7 +84,16 @@ _SCALAR_KEYS = {
     "seed": int,
 }
 _LIST_OK = {"beta", "lambda", "g", "tau"}
-_ALLOWED_KEYS = {"scenario", "output_dir", *_MATRIX_KEYS, *_SCALAR_KEYS}
+# The keys each scenario reads, besides "scenario" and "output_dir".
+_SCENARIO_KEYS = {
+    "qubit-demo": {"omega", "g", "beta", "lambda", "tau", "n_steps"},
+    "converge": {"tau", "lambda", "t_final"},
+    "bound-check": {"n_steps", "seed"},
+    "oracle-check": {"seed"},
+    "multibath": {"tau", "t_final", "beta", "g", "lambda"},
+    "custom": {*_MATRIX_KEYS, "beta", "lambda", "tau", "n_steps"},
+}
+_ALLOWED_KEYS = {"scenario", "output_dir"}.union(*_SCENARIO_KEYS.values())
 
 
 @dataclass
@@ -159,6 +160,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     scenario = raw.get("scenario")
     if scenario not in SCENARIOS:
         raise SchemaError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+    unread = sorted(set(raw) - {"scenario", "output_dir"} - _SCENARIO_KEYS[scenario])
+    if unread:
+        raise SchemaError(f"key {unread[0]!r} is not read by scenario {scenario!r}")
 
     def scalar_list(key: str) -> list[float] | None:
         if key not in raw:
@@ -272,11 +276,10 @@ def _window_checks(name: str, ratios: list[float], window: tuple[float, float]) 
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
 
 
-def _write_trajectory_csv(path: Path, record, gen, h_system) -> None:
+def _write_trajectory_csv(path: Path, record, gen) -> None:
     header = (
         "step,t,E_S,Q_A_cum,W_cum,W_C_cum,Q_inc_cum,Sigma_cum,I_cum,Srel_cum,"
         "C_anc_before,C_anc_after,S_system,Pi_rate"
@@ -284,11 +287,11 @@ def _write_trajectory_csv(path: Path, record, gen, h_system) -> None:
     lines = [header]
     for step, cum in zip(record.steps, record.cumulative):
         state = step.state
-        pi_rate = rates(gen, state, h_system).entropy_production_rate
+        pi_rate = rates(gen, state).entropy_production_rate
         row = [
             str(step.index),
             _fmt(step.time),
-            _fmt(state.expectation(h_system)),
+            _fmt(state.expectation(gen.h_system)),
             _fmt(cum.heat_ancilla),
             _fmt(cum.work),
             _fmt(cum.coherent_work),
@@ -308,7 +311,7 @@ def _write_trajectory_csv(path: Path, record, gen, h_system) -> None:
 def _trajectory_checks(collision: CollisionConfig, n_steps: int, out_dir: Path) -> list[Check]:
     """Run one species from the maximally mixed state, write ``trajectory.csv``, check the ledger."""
     record = run_trajectory(maximally_mixed(collision.dim_system), [collision], n_steps)
-    _write_trajectory_csv(out_dir / "trajectory.csv", record, generator_for([collision]), collision.h_system)
+    _write_trajectory_csv(out_dir / "trajectory.csv", record, generator_for([collision]))
     if record.steps:
         min_sigma = min(s.ledger.entropy_production for s in record.steps)
         min_mutual = min(s.ledger.mutual_info for s in record.steps)
@@ -363,12 +366,7 @@ def _scenario_converge(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
     taus = cfg.taus or [4e-2, 1e-2, 2.5e-3]
     lam = cfg.lams[0] if cfg.lams else 0.3
     t_final = cfg.t_final if cfg.t_final is not None else 2.0
-    data = stroboscopic_deviation(
-        lambda tau: [qutrit_ancilla_collision(lam=lam, tau=tau)],
-        maximally_mixed(2),
-        taus,
-        t_final,
-    )
+    data = stroboscopic_deviation(lambda tau: [qutrit_ancilla_collision(lam=lam, tau=tau)], taus, t_final)
     return [_convergence_check(data, out_dir)]
 
 
@@ -396,7 +394,7 @@ def _scenario_bound_check(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
 def _scenario_oracle_check(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
     checks: list[Check] = []
     # Finite-duration identity residual orders on the two-channel fixture.
-    residuals = entropic_identity_residuals(three_level_collision, three_level_state(), IDENTITY_TAUS)
+    residuals = entropic_identity_residuals()
     checks += _window_checks("identity_mutual_info", halving_ratios(residuals.mutual_info), HALVING_WINDOW)
     checks += _window_checks("identity_rel_entropy", halving_ratios(residuals.rel_entropy), HALVING_WINDOW)
     checks += _window_checks("first_law", halving_ratios(residuals.first_law), HALVING_WINDOW)
@@ -427,7 +425,7 @@ def _scenario_multibath(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
             qutrit_ancilla_collision(g=gs[1], beta=betas[1], lam=lams[1], tau=tau, label="B"),
         ]
 
-    data = stroboscopic_deviation(build, maximally_mixed(2), taus, t_final)
+    data = stroboscopic_deviation(build, taus, t_final)
     checks = [_convergence_check(data, out_dir)]
 
     # Two thermal qubit baths: stationary excited population from the jump rates.
@@ -449,6 +447,7 @@ _SCENARIO_RUNNERS = {
 def run_scenario(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> int:
     """Execute a scenario, emit CHECK lines and report.json, return exit code."""
     target = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
+    target.mkdir(parents=True, exist_ok=True)
     checks = _SCENARIO_RUNNERS[cfg.scenario](cfg, target)
     for check in checks:
         state = "PASS" if check.passed else "FAIL"

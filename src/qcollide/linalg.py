@@ -21,12 +21,12 @@ from .errors import DimensionMismatchError, NonHermitianError, NonSquareError
 HERMITICITY_RTOL = 1e-10
 
 
-def as_complex_matrix(m, *, square: bool = False) -> np.ndarray:
-    """Return ``m`` as a fresh complex128 2-d array, rejecting NaN/Inf."""
+def as_complex_matrix(m) -> np.ndarray:
+    """Return ``m`` as a fresh complex128 square matrix, rejecting NaN/Inf."""
     a = np.array(m, dtype=complex)
     if a.ndim != 2:
         raise NonSquareError(f"expected a 2-d matrix, got shape {a.shape}")
-    if square and a.shape[0] != a.shape[1]:
+    if a.shape[0] != a.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
@@ -48,19 +48,18 @@ def max_abs_each(a: np.ndarray) -> np.ndarray:
     return np.abs(a).max(axis=(-2, -1))
 
 
-def require_hermitian(
-    m, *, name: str = "matrix", rtol: float = HERMITICITY_RTOL, stack: bool = False
-) -> np.ndarray:
+def require_hermitian(m, *, name: str = "matrix", stack: bool = False) -> np.ndarray:
     """Gate ``m`` on Hermiticity and return its symmetrized copy.
 
     ``m`` is one matrix, or with ``stack`` a stack ``(n, d, d)`` of them.
-    Each matrix's deviation ``max|M - M^dag|`` must not exceed ``rtol`` times
-    its own ``max|M|``, and every entry must be finite.  Matrices passing the
-    gate are symmetrized to ``(M + M^dag)/2`` so that downstream spectral
-    code sees exactly Hermitian arrays.  A NaN or infinite entry makes its
-    matrix's scale NaN or infinite, so the input is scanned for non-finite
-    entries only when a scale is not finite.  :class:`NonHermitianError`
-    names the first matrix that fails.
+    Each matrix's deviation ``max|M - M^dag|`` must not exceed
+    :data:`HERMITICITY_RTOL` times its own ``max|M|``, and every entry must
+    be finite.  Matrices passing the gate are symmetrized to
+    ``(M + M^dag)/2`` so that downstream spectral code sees exactly Hermitian
+    arrays.  A NaN or infinite entry makes its matrix's scale NaN or
+    infinite, so the input is scanned for non-finite entries only when a
+    scale is not finite.  :class:`NonHermitianError` names the first matrix
+    that fails.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 + stack:
@@ -76,7 +75,7 @@ def require_hermitian(
         raise ValueError(f"{name} contains non-finite entries")
     a_dag = a.swapaxes(-1, -2).conj()
     deviation = np.abs(a - a_dag).max(axis=(-2, -1), initial=0.0)
-    failed = deviation > rtol * scale
+    failed = deviation > HERMITICITY_RTOL * scale
     if np.count_nonzero(failed):
         first = np.flatnonzero(failed)[0]
         raise NonHermitianError(
@@ -161,7 +160,7 @@ def partial_trace(m, dim_system: int, dim_ancilla: int, keep: str) -> np.ndarray
     ``keep`` selects the surviving factor, ``"system"`` or ``"ancilla"``.
     The trace of the result equals the trace of the input.
     """
-    a = as_complex_matrix(m, square=True)
+    a = as_complex_matrix(m)
     if a.shape[0] != dim_system * dim_ancilla:
         raise DimensionMismatchError(
             f"matrix of dimension {a.shape[0]} is not {dim_system} x {dim_ancilla}"
@@ -217,7 +216,7 @@ def commutator(a, b) -> np.ndarray:
 
 def double_commutator(a, b) -> np.ndarray:
     """Nested commutator ``[A, [A, B]]``."""
-    a = as_complex_matrix(a, square=True)
-    b = as_complex_matrix(b, square=True)
+    a = as_complex_matrix(a)
+    b = as_complex_matrix(b)
     _conformable(a, b)
     return commutator(a, commutator(a, b))

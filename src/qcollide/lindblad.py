@@ -13,9 +13,11 @@ The same matrices carry the time stepping and the rates.  One classical RK4
 step over ``h`` is the fixed matrix ``R(h) = sum_{k<=4} (hL)^k / k!``
 (:func:`rk4_propagator`), so :func:`integrate` applies one matvec per step,
 gates all its step states in one batched pass and returns one snapshot per
-step.  :func:`rates` reads each species' work and heat rate, and the energy
-rate, off per-generator rows: a row ``x.reshape(-1)`` dotted with
-``vec(rho)`` is ``tr(x rho)``.
+step.  The generator keeps the system Hamiltonian it is built from, so
+:func:`rates` needs only the generator and the state: it reads each
+species' work and heat rate, and the energy rate, off rows cached on the
+generator, since a row ``x.reshape(-1)`` dotted with ``vec(rho)`` is
+``tr(x rho)``.
 """
 
 from __future__ import annotations
@@ -94,20 +96,26 @@ class SpeciesTerm:
 
 
 class LindbladGenerator:
-    """Dense master-equation generator with per-species bookkeeping."""
+    """Dense master-equation generator with per-species bookkeeping.
 
-    def __init__(self, h_eff: np.ndarray, species: list[SpeciesTerm]):
-        self.h_eff = require_hermitian(h_eff, name="effective Hamiltonian")
+    Built from the system Hamiltonian ``H_S``, which it keeps gated as
+    :attr:`h_system`, and the species terms; the effective Hamiltonian is
+    ``H_S + sum_j lam_j G_j``, exactly Hermitian as a real-weighted sum of
+    symmetrized matrices.
+    """
+
+    def __init__(self, h_system, species: list[SpeciesTerm]):
+        self.h_system = require_hermitian(h_system, name="h_system")
         if not species:
             raise ValueError("generator needs at least one species term")
         self.species = list(species)
-        self.dim = self.h_eff.shape[0]
+        self.h_eff = self.h_system + sum(term.lam * term.coherent_op for term in self.species)
+        self.dim = self.h_system.shape[0]
         expected = self.dim * self.dim
         for term in self.species:
             if term.dissipator.shape != (expected, expected):
                 raise DimensionMismatchError("dissipator dimension mismatch")
         self.dissipator = sum(term.dissipator for term in self.species)
-        self._rate_rows: tuple[tuple[tuple[int, ...], bytes], np.ndarray] | None = None
 
     def apply(self, rho_matrix: np.ndarray) -> np.ndarray:
         """``-i [H_eff, rho] + D(rho)``, through :attr:`matrix`."""
@@ -142,28 +150,21 @@ class LindbladGenerator:
         rayleigh = float(np.real(np.conj(x) @ (gram @ x)))
         return math.sqrt(max(rayleigh, 0.0))
 
-    def rate_rows(self, h_system) -> np.ndarray:
+    @cached_property
+    def rate_rows(self) -> np.ndarray:
         """Rows that map ``vec(rho)`` to the rates of :func:`rates`.
 
         One row per species for the coherent work ``i lam_j tr([G_j, H_S] rho)``,
         then one per species for the heat ``tr(H_S D_j(rho))``, then the energy
-        rate ``tr(H_S L(rho))``.  The rows of the last ``h_system`` are kept,
-        keyed by its shape and bytes as given, so ``h_system`` passes
-        :func:`~qcollide.linalg.require_hermitian` once per new array and
-        the rows are built from its symmetrized copy.
+        rate ``tr(H_S L(rho))``.
         """
-        a = np.asarray(h_system, dtype=complex)
-        key = (a.shape, a.tobytes())
-        if self._rate_rows is None or self._rate_rows[0] != key:
-            h_s = require_hermitian(a, name="h_system")
-            h_row = h_s.reshape(-1)
-            rows = np.array(
-                [1j * t.lam * commutator(t.coherent_op, h_s).reshape(-1) for t in self.species]
-                + [h_row @ t.dissipator for t in self.species]
-                + [h_row @ self.matrix]
-            )
-            self._rate_rows = (key, rows)
-        return self._rate_rows[1]
+        h_s = self.h_system
+        h_row = h_s.reshape(-1)
+        return np.array(
+            [1j * t.lam * commutator(t.coherent_op, h_s).reshape(-1) for t in self.species]
+            + [h_row @ t.dissipator for t in self.species]
+            + [h_row @ self.matrix]
+        )
 
 
 def build_generator(h_system, spec: AncillaSpec, v_interaction, label: str = "A") -> LindbladGenerator:
@@ -172,7 +173,7 @@ def build_generator(h_system, spec: AncillaSpec, v_interaction, label: str = "A"
 
 
 def multi_bath_generator(
-    h_system, species: list[tuple[AncillaSpec, np.ndarray]], labels: list[str] | None = None
+    h_system, species: list[tuple[AncillaSpec, np.ndarray]], labels: list[str]
 ) -> LindbladGenerator:
     """Additive generator for several independent ancilla species.
 
@@ -180,14 +181,11 @@ def multi_bath_generator(
     """
     if not species:
         raise ValueError("need at least one species")
-    if labels is None:
-        labels = [f"species-{i}" for i in range(len(species))]
     if len(labels) != len(species):
         raise ValueError("labels length does not match species")
     h_s = require_hermitian(h_system, name="h_system")
     terms = [_species_term(h_s, spec, v, label) for (spec, v), label in zip(species, labels)]
-    h_eff = h_s + sum(term.lam * term.coherent_op for term in terms)
-    return LindbladGenerator(h_eff=h_eff, species=terms)
+    return LindbladGenerator(h_s, terms)
 
 
 def _species_term(h_s: np.ndarray, spec: AncillaSpec, v_interaction, label: str) -> SpeciesTerm:
@@ -229,7 +227,7 @@ class EigenoperatorCoupling:
     frequency: float
     amplitude: complex
 
-    def validate(self, h_system=None, h_ancilla=None, tol: float = EIGENOPERATOR_TOL) -> None:
+    def validate(self, h_system=None, h_ancilla=None) -> None:
         for h, op, side in (
             (h_system, self.lowering_system, "system"),
             (h_ancilla, self.lowering_ancilla, "ancilla"),
@@ -239,7 +237,7 @@ class EigenoperatorCoupling:
             h = np.asarray(h, dtype=complex)
             defect = commutator(h, op) + self.frequency * np.asarray(op, dtype=complex)
             scale = max(1.0, max_abs(h) * max_abs(np.asarray(op)))
-            if max_abs(defect) > tol * scale:
+            if max_abs(defect) > EIGENOPERATOR_TOL * scale:
                 raise EigenoperatorError(
                     f"{side} operator is not an eigenoperator at frequency {self.frequency}"
                 )
@@ -449,17 +447,16 @@ class RateLedger:
         return float(sum(self.incoherent_heat_rates))
 
 
-def rates(gen: LindbladGenerator, rho: DensityMatrix, h_system) -> RateLedger:
+def rates(gen: LindbladGenerator, rho: DensityMatrix) -> RateLedger:
     """Energy, work, heat and entropy rates of the generator at ``rho``.
 
-    One matvec with :meth:`LindbladGenerator.rate_rows` gives each species'
+    One matvec with :attr:`LindbladGenerator.rate_rows` gives each species'
     coherent work and heat rate and the energy rate; the entropy rate is
     ``-tr(L(rho) ln rho)`` from one more matvec, valid because the generator
     annihilates the trace.  Rank-deficient states are reported as errors
     rather than regularized, and the energy rate must close against the
     work and heat rates.
     """
-    rows = gen.rate_rows(h_system)
     if rho.dim != gen.dim:
         raise DimensionMismatchError("state dimension differs from generator")
     smallest = float(rho.eigenvalues[0])
@@ -467,7 +464,7 @@ def rates(gen: LindbladGenerator, rho: DensityMatrix, h_system) -> RateLedger:
         raise RankDeficientError(f"eigenvalue {smallest:.3e} too small for ln(rho)")
     state = vec(rho.matrix)
     n = len(gen.species)
-    values = (rows @ state).real.tolist()
+    values = (gen.rate_rows @ state).real.tolist()
     work, heat, energy_rate = tuple(values[:n]), tuple(values[n : 2 * n]), values[2 * n]
     log_rho = rho.spectrum.apply(np.log)
     entropy_rate = -float((log_rho.reshape(-1) @ (gen.matrix @ state)).real)
@@ -475,8 +472,7 @@ def rates(gen: LindbladGenerator, rho: DensityMatrix, h_system) -> RateLedger:
     scale = max(1.0, abs(energy_rate), sum(abs(x) for x in work) + sum(abs(x) for x in heat))
     if closure > 1e-10 * scale:
         raise ValueError(
-            f"energy rate {energy_rate!r} does not close against work+heat "
-            f"(defect {closure:.3e}); h_system inconsistent with the generator?"
+            f"energy rate {energy_rate!r} does not close against work+heat (defect {closure:.3e})"
         )
     pi = entropy_rate - sum(term.beta * q for term, q in zip(gen.species, heat))
     return RateLedger(

@@ -35,6 +35,10 @@ SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 DEFAULT_BETA = math.log(3.0)
+# System and ancilla dimensions of the random sampler, each drawn uniformly.
+RANDOM_DIMS = (2, 3)
+# Smallest pairwise gap of the populations drawn by random_gapped_probs.
+MIN_POPULATION_GAP = 0.12
 
 
 def qubit_hamiltonian(omega: float = 1.0) -> np.ndarray:
@@ -52,15 +56,9 @@ def qubit_ancilla(
     beta: float = DEFAULT_BETA,
     lam: float = 0.3,
     tau: float = 1e-2,
-    chi: np.ndarray | None = None,
 ) -> AncillaSpec:
-    return AncillaSpec(
-        h_ancilla=qubit_hamiltonian(omega),
-        beta=beta,
-        chi=SIGMA_X.copy() if chi is None else chi,
-        lam=lam,
-        tau=tau,
-    )
+    """Qubit ancilla of the resonant-qubit fixture, with coherence direction ``sigma_x``."""
+    return AncillaSpec(h_ancilla=qubit_hamiltonian(omega), beta=beta, chi=SIGMA_X.copy(), lam=lam, tau=tau)
 
 
 def qubit_collision(
@@ -212,8 +210,9 @@ def random_matrix(rng: SplitMix64, dim: int) -> np.ndarray:
     return np.array(_normals(rng, dim * dim), dtype=complex).reshape(dim, dim)
 
 
-def random_hermitian(rng: SplitMix64, dim: int, scale: float = 1.0) -> np.ndarray:
-    return _hermitian_part(random_matrix(rng, dim), scale)
+def random_hermitian(rng: SplitMix64, dim: int) -> np.ndarray:
+    """Hermitian part of a complex-normal matrix, scaled to unit max-norm."""
+    return _hermitian_part(random_matrix(rng, dim), 1.0)
 
 
 def random_basis(rng: SplitMix64, dim: int) -> np.ndarray:
@@ -237,11 +236,12 @@ def random_traceless_hermitian(rng: SplitMix64, dim: int) -> np.ndarray:
     return h / top if top > 0 else h
 
 
-def random_gapped_probs(rng: SplitMix64, dim: int, min_gap: float = 0.1) -> np.ndarray:
-    """Probability vector with all pairwise gaps at least ``min_gap``.
+def random_gapped_probs(rng: SplitMix64, dim: int) -> np.ndarray:
+    """Probability vector with all pairwise gaps at least :data:`MIN_POPULATION_GAP`.
 
     Raises ``ValueError`` when no vector with entries >= 0.05 has such gaps.
     """
+    min_gap = MIN_POPULATION_GAP
     # Sorted entries >= 0.05 spaced min_gap apart sum to at least this.
     if dim * 0.05 + min_gap * dim * (dim - 1) / 2 >= 1.0:
         raise ValueError(f"no {dim}-level probability vector has all gaps >= {min_gap}")
@@ -260,17 +260,18 @@ def random_zero_diagonal(rng: SplitMix64, basis: np.ndarray) -> np.ndarray:
     return _zero_diagonal(np.array(_normals(rng, dim * (dim - 1) // 2), dtype=complex), basis)
 
 
-def draw_collision(rng: SplitMix64, *, eigenoperator: bool = True, dims: tuple[int, ...] = (2, 3)) -> dict:
+def draw_collision(rng: SplitMix64, *, eigenoperator: bool = True) -> dict:
     """Every random number of one :func:`random_collision` instance, in stream order.
 
     No draw depends on a linear-algebra result, so a whole suite can be
     drawn before any matrix is built.  The draw is a dict of scalars and
     lists of complex normals, keyed by what :func:`collision_stack` builds
-    from them; ``"dims"`` is ``(d_S, d_A)``, and ``"spacing"`` is present
-    exactly for the eigenoperator branch.
+    from them; ``"dims"`` is ``(d_S, d_A)``, each drawn from
+    :data:`RANDOM_DIMS`, and ``"spacing"`` is present exactly for the
+    eigenoperator branch.
     """
-    dim_system = dims[rng.next_below(len(dims))]
-    dim_ancilla = dims[rng.next_below(len(dims))]
+    dim_system = RANDOM_DIMS[rng.next_below(len(RANDOM_DIMS))]
+    dim_ancilla = RANDOM_DIMS[rng.next_below(len(RANDOM_DIMS))]
     draw = {
         "dims": (dim_system, dim_ancilla),
         "beta": rng.uniform(0.2, 2.5),
@@ -425,9 +426,7 @@ def collision_stack(draws: list[dict]) -> CollisionStack:
     )
 
 
-def random_collision(
-    rng: SplitMix64, *, eigenoperator: bool = True, dims: tuple[int, ...] = (2, 3)
-) -> tuple[DensityMatrix, CollisionConfig]:
+def random_collision(rng: SplitMix64, *, eigenoperator: bool = True) -> tuple[DensityMatrix, CollisionConfig]:
     """Draw one random collision instance (initial system state plus config).
 
     With ``eigenoperator=True`` the interaction is built from matched
@@ -438,7 +437,7 @@ def random_collision(
     the prepared ancilla state.  This is the one-instance case of
     :func:`draw_collision` and :func:`collision_stack`.
     """
-    stack = collision_stack([draw_collision(rng, eigenoperator=eigenoperator, dims=dims)])
+    stack = collision_stack([draw_collision(rng, eigenoperator=eigenoperator)])
     spec = AncillaSpec(
         h_ancilla=stack.h_ancilla[0],
         beta=float(stack.beta[0]),

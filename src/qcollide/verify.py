@@ -6,7 +6,9 @@ series, randomized exact inequalities, the steady state vs the jump rates)
 and reduces the comparison to a few scalars: max distances, fitted log-log
 slopes, halving ratios, suite minima.  Every study of the paper's claims
 lives here, with the ``tau`` and amplitude grids it runs on; the CLI only
-turns the scalars into checks.
+turns the scalars into checks.  A study takes only what its callers vary:
+a fixture, grid, step or sample count with one value in use is fixed here,
+and the start state of the convergence study is derived from the species.
 
 The randomized suite uses each random config for one stroke only, so it
 builds no :class:`~qcollide.collisions.CollisionConfig` and no stroke
@@ -41,6 +43,7 @@ from .presets import (
     DEFAULT_BETA,
     collision_stack,
     draw_collision,
+    maximally_mixed,
     qubit_collision,
     qubit_couplings,
     qubit_hamiltonian,
@@ -48,6 +51,8 @@ from .presets import (
     random_gapped_probs,
     random_traceless_hermitian,
     random_zero_diagonal,
+    three_level_collision,
+    three_level_state,
 )
 from .rng import SplitMix64
 from .series import (
@@ -79,6 +84,10 @@ from .states import (
 )
 
 DEFAULT_DT_TARGET = 2e-3
+# Evenly spaced trajectory samples of the second-law study, and the step of its
+# centered finite difference of the free energy.
+SECOND_LAW_SAMPLES = 20
+FREE_ENERGY_FD_DT = 1e-5
 # Collision durations of the entropic-identity study, halved step by step.
 IDENTITY_TAUS = (5e-4, 2.5e-4, 1.25e-4, 6.25e-5)
 # Perturbation amplitudes of the series study, halved step by step.
@@ -118,19 +127,18 @@ def generator_for(cfgs: Sequence[CollisionConfig]) -> LindbladGenerator:
 
 def stroboscopic_deviation(
     build_cfgs: Callable[[float], list[CollisionConfig]],
-    rho0: DensityMatrix,
     taus: Sequence[float],
     t_final: float,
-    dt_target: float = DEFAULT_DT_TARGET,
 ) -> list[tuple[float, float]]:
     """Max-over-time trace distance between collisions and the integrated flow.
 
     For each ``tau`` the stroboscopic trajectory (round-robin over the built
-    species) is compared at every multiple of ``tau`` against an RK4
-    reference on a commensurate grid.  Every ``tau`` runs to the same horizon
-    ``t_final``: raises ``ValueError`` when ``t_final`` is shorter than one
-    round of some ``tau``, or not a whole number of its rounds (relative
-    tolerance ``1e-9``).
+    species), started from the maximally mixed system state, is compared at
+    every multiple of ``tau`` against an RK4 reference on a commensurate
+    grid, with steps no longer than :data:`DEFAULT_DT_TARGET`.  Every ``tau``
+    runs to the same horizon ``t_final``: raises ``ValueError`` when
+    ``t_final`` is shorter than one round of some ``tau``, or not a whole
+    number of its rounds (relative tolerance ``1e-9``).
     """
     rounds = []
     for tau in taus:
@@ -143,10 +151,13 @@ def stroboscopic_deviation(
     results = []
     for tau, n_rounds in zip(taus, rounds):
         cfgs = list(build_cfgs(tau))
+        if not cfgs:
+            raise ValueError("need at least one collision config")
+        rho0 = maximally_mixed(cfgs[0].dim_system)
         strobes = stroboscopic_states(rho0, cfgs, n_rounds)
         gen = generator_for(cfgs)
         cap = 0.09 / max(gen.norm_estimate, 1e-12)
-        substeps = max(1, math.ceil(tau / min(dt_target, cap)))
+        substeps = max(1, math.ceil(tau / min(DEFAULT_DT_TARGET, cap)))
         reference = integrate(gen, rho0, n_rounds * tau, tau / substeps)
         distances = trace_distance(
             np.array([state.matrix for state in strobes]),
@@ -167,20 +178,19 @@ class IdentityResiduals:
     entropy_production: tuple[float, ...]
 
 
-def entropic_identity_residuals(
-    build_cfg: Callable[[float], CollisionConfig],
-    rho_system: DensityMatrix,
-    taus: Sequence[float],
-) -> IdentityResiduals:
-    """Residuals of the four leading-order identities across a ``tau`` grid.
+def entropic_identity_residuals() -> IdentityResiduals:
+    """Residuals of the four leading-order identities across :data:`IDENTITY_TAUS`.
 
-    Mutual-information and ancilla-relative-entropy predictions use the
-    series value of the coherence change; the first-law and
-    entropy-production residuals use exact ledger entries only.
+    Each ``tau`` strokes :func:`~qcollide.presets.three_level_state` once
+    with :func:`~qcollide.presets.three_level_collision`.  Mutual-information
+    and ancilla-relative-entropy predictions use the series value of the
+    coherence change; the first-law and entropy-production residuals use
+    exact ledger entries only.
     """
+    rho_system = three_level_state()
     r_mutual, r_rel, r_first, r_sigma = [], [], [], []
-    for tau in taus:
-        cfg = build_cfg(tau)
+    for tau in IDENTITY_TAUS:
+        cfg = three_level_collision(tau)
         ledger = collide(rho_system, cfg).ledger
         beta = cfg.ancilla.beta
         c_before, c_after = ancilla_coherence_change_series(
@@ -198,7 +208,7 @@ def entropic_identity_residuals(
             abs(ledger.entropy_production - beta * (ledger.coherent_work - ledger.d_free_energy))
         )
     return IdentityResiduals(
-        taus=tuple(taus),
+        taus=IDENTITY_TAUS,
         mutual_info=tuple(r_mutual),
         rel_entropy=tuple(r_rel),
         first_law=tuple(r_first),
@@ -214,7 +224,7 @@ def series_instance_residuals(rng: SplitMix64, dim: int) -> dict[str, list[float
     coherence direction ``chi`` with no diagonal in that basis.  Each family
     holds one residual per amplitude in :data:`SERIES_EPS`.
     """
-    probs = random_gapped_probs(rng, dim, min_gap=0.12)
+    probs = random_gapped_probs(rng, dim)
     basis = random_basis(rng, dim)
     rho0 = DensityMatrix((basis * probs) @ dag(basis))
     sigma = random_traceless_hermitian(rng, dim)
@@ -320,11 +330,7 @@ class SuiteSummary:
 
 
 def random_collision_suite(
-    seed: int,
-    count: int,
-    *,
-    eigenoperator: bool = True,
-    dims: tuple[int, ...] = (2, 3),
+    seed: int, count: int, *, eigenoperator: bool = True
 ) -> tuple[SuiteSummary, list[SuiteSample]]:
     """Run ``count`` seeded random collisions and collect the exact inequalities.
 
@@ -345,7 +351,7 @@ def random_collision_suite(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     rng = SplitMix64(seed)
-    draws = [draw_collision(rng, eigenoperator=eigenoperator, dims=dims) for _ in range(count)]
+    draws = [draw_collision(rng, eigenoperator=eigenoperator) for _ in range(count)]
     groups: dict[tuple[int, int], list[int]] = {}
     for index, draw in enumerate(draws):
         groups.setdefault(draw["dims"], []).append(index)
@@ -453,44 +459,35 @@ def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b.swapaxes(-1, -2)).sum(axis=(-2, -1))
 
 
-def free_energy_rate_fd(
-    gen: LindbladGenerator,
-    rho: DensityMatrix,
-    h_system,
-    beta: float,
-    dt: float = 1e-5,
-) -> float:
+def free_energy_rate_fd(gen: LindbladGenerator, rho: DensityMatrix, beta: float) -> float:
     """Centered finite difference of the free energy along the generator flow.
 
-    One RK4 micro-step of ``+dt`` and one of ``-dt`` from ``rho`` give the
-    two evaluation points; independent of the algebraic rate formulas.
+    One RK4 micro-step of ``+dt`` and one of ``-dt`` from ``rho``, with
+    ``dt`` = :data:`FREE_ENERGY_FD_DT`, give the two evaluation points;
+    independent of the algebraic rate formulas.
     """
+    dt = FREE_ENERGY_FD_DT
 
     def step(sign: float) -> DensityMatrix:
         moved = rk4_step(gen.matrix, rho.matrix.reshape(-1, order="F"), sign * dt)
         return DensityMatrix(moved.reshape((gen.dim, gen.dim), order="F"))
 
-    forward = free_energy(step(+1.0), h_system, beta)
-    backward = free_energy(step(-1.0), h_system, beta)
+    forward = free_energy(step(+1.0), gen.h_system, beta)
+    backward = free_energy(step(-1.0), gen.h_system, beta)
     return (forward - backward) / (2.0 * dt)
 
 
 def second_law_defects(
-    gen: LindbladGenerator,
-    trajectory: Sequence[tuple[float, DensityMatrix]],
-    h_system,
-    beta: float,
-    sample_count: int = 20,
-    fd_dt: float = 1e-5,
+    gen: LindbladGenerator, trajectory: Sequence[tuple[float, DensityMatrix]], beta: float
 ) -> list[float]:
-    """|Pi - beta (W_C_rate - F_rate)| at evenly spaced trajectory samples."""
-    stride = max(1, (len(trajectory) - 1) // sample_count)
-    picks = list(range(stride, len(trajectory), stride))[:sample_count]
+    """|Pi - beta (W_C_rate - F_rate)| at :data:`SECOND_LAW_SAMPLES` evenly spaced trajectory samples."""
+    stride = max(1, (len(trajectory) - 1) // SECOND_LAW_SAMPLES)
+    picks = list(range(stride, len(trajectory), stride))[:SECOND_LAW_SAMPLES]
     defects = []
     for k in picks:
         _, rho = trajectory[k]
-        ledger = rates(gen, rho, h_system)
-        f_rate = free_energy_rate_fd(gen, rho, h_system, beta, dt=fd_dt)
+        ledger = rates(gen, rho)
+        f_rate = free_energy_rate_fd(gen, rho, beta)
         defects.append(
             abs(ledger.entropy_production_rate - beta * (ledger.coherent_work_rate - f_rate))
         )

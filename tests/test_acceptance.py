@@ -68,7 +68,7 @@ def random_suite():
 
 @pytest.fixture(scope="module")
 def identity_residuals():
-    return entropic_identity_residuals(three_level_collision, three_level_state(), IDENTITY_TAUS)
+    return entropic_identity_residuals()
 
 
 def test_01_entropy_production_positivity(random_suite):
@@ -145,7 +145,6 @@ def test_05_continuous_time_limit():
     start = time.perf_counter()
     data = stroboscopic_deviation(
         lambda tau: [qutrit_ancilla_collision(lam=0.3, tau=tau)],
-        maximally_mixed(2),
         SLOPE_TAUS,
         t_final=2.0,
     )
@@ -202,7 +201,7 @@ def test_08_modified_second_law():
     cfg = qubit_collision(lam=0.3)
     gen = generator_for([cfg])
     trajectory = integrate(gen, maximally_mixed(2), 2.0, 1e-2)
-    defects = second_law_defects(gen, trajectory, cfg.h_system, LN3, sample_count=20)
+    defects = second_law_defects(gen, trajectory, LN3)
     worst = max(defects)
     passed = len(defects) == 20 and worst <= 1e-7
     report(
@@ -232,7 +231,7 @@ def test_10_multi_bath_additivity():
             qutrit_ancilla_collision(g=0.8, beta=0.5 * LN3, lam=0.25, tau=tau, label="B"),
         ]
 
-    data = stroboscopic_deviation(build, maximally_mixed(2), SLOPE_TAUS, t_final=2.0)
+    data = stroboscopic_deviation(build, SLOPE_TAUS, t_final=2.0)
     slope = loglog_slope([t for t, _ in data], [d for _, d in data])
     population_error = two_bath_population_error(gs=(1.0, 0.7), betas=(0.5, 2.0))
     passed = 0.4 <= slope <= 0.7 and population_error <= 1e-8

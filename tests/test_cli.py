@@ -218,7 +218,13 @@ def test_overflowing_coupling_is_one_line_error_without_warnings(tmp_path, capsy
 
 
 @pytest.mark.parametrize("route", ["--out under a file", "output_dir is a file"])
-def test_unwritable_output_location_is_one_line_error(tmp_path, capsys, route):
+def test_unwritable_output_location_is_one_line_error(tmp_path, capsys, monkeypatch, route):
+    import qcollide.cli as cli
+
+    def refuse(cfg, out_dir):
+        raise AssertionError("ran the study before checking the output location")
+
+    monkeypatch.setitem(cli._SCENARIO_RUNNERS, "qubit-demo", refuse)
     blocker = tmp_path / "blocker"
     blocker.write_text("", encoding="utf-8")
     payload = {"scenario": "qubit-demo", "n_steps": 2}
@@ -233,6 +239,36 @@ def test_unwritable_output_location_is_one_line_error(tmp_path, capsys, route):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error:") and str(blocker) in lines[0]
+
+
+# A valid value for every config key.  Each bundled config holds every key its
+# scenario reads, so a key it lacks is one its scenario never reads.
+KEY_VALUES = {
+    "omega": 1.0,
+    "g": 1.0,
+    "beta": 1.0,
+    "lambda": 0.3,
+    "tau": 0.01,
+    "t_final": 1.0,
+    "n_steps": 2,
+    "seed": 1,
+    **{key: CUSTOM[key] for key in ("H_S", "H_A", "V", "chi")},
+}
+UNREAD_KEYS = [
+    (scenario, key)
+    for scenario in ("qubit-demo", "converge", "bound-check", "oracle-check", "multibath", "custom")
+    for key in KEY_VALUES
+    if key not in json.loads((CONFIG_DIR / f"{scenario}.json").read_text(encoding="utf-8"))
+]
+
+
+@pytest.mark.parametrize("scenario,key", UNREAD_KEYS, ids=[f"{s}-{k}" for s, k in UNREAD_KEYS])
+def test_key_the_scenario_never_reads_is_one_line_error(tmp_path, capsys, scenario, key):
+    payload = json.loads((CONFIG_DIR / f"{scenario}.json").read_text(encoding="utf-8"))
+    path = write(tmp_path, "unread.json", {**payload, key: KEY_VALUES[key]})
+    assert main(["validate", "--config", str(path)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == [f"error: key {key!r} is not read by scenario {scenario!r}"]
 
 
 class TestSubprocessDeterminism:

@@ -22,7 +22,6 @@ from qcollide.presets import (
     qubit_hamiltonian,
     maximally_mixed,
     three_level_collision,
-    three_level_state,
     SIGMA_X,
 )
 from qcollide.rng import SplitMix64
@@ -34,7 +33,7 @@ from qcollide.states import (
     trace_distance,
     von_neumann_entropy,
 )
-from qcollide.verify import IDENTITY_TAUS, entropic_identity_residuals, halving_ratios, random_collision_suite
+from qcollide.verify import entropic_identity_residuals, halving_ratios, random_collision_suite
 from reference import mutual_information
 
 LN3 = math.log(3.0)
@@ -208,7 +207,7 @@ class TestRandomizedPositivity:
 
 @pytest.fixture(scope="module")
 def residuals():
-    return entropic_identity_residuals(three_level_collision, three_level_state(), IDENTITY_TAUS)
+    return entropic_identity_residuals()
 
 
 class TestPerturbativeScaling:

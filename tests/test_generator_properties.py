@@ -57,9 +57,9 @@ def column_by_column(apply_map, dim):
 def draw_species(seed, eigenoperator, count):
     """``count`` sampler configs that share the system dimension of the first draw."""
     rng = SplitMix64(seed)
-    cfgs = [random_collision(rng, eigenoperator=eigenoperator, dims=(2, 3))[1]]
+    cfgs = [random_collision(rng, eigenoperator=eigenoperator)[1]]
     while len(cfgs) < count:
-        _, cfg = random_collision(rng, eigenoperator=eigenoperator, dims=(2, 3))
+        _, cfg = random_collision(rng, eigenoperator=eigenoperator)
         if cfg.dim_system == cfgs[0].dim_system:
             cfgs.append(cfg)
     return cfgs
@@ -210,7 +210,7 @@ def test_rates_match_operator_form(seed, eigenoperator, count):
     cfgs = draw_species(seed, eigenoperator, count)
     gen = generator_for(cfgs)
     rho = random_density_matrix(SplitMix64(seed ^ 0x5EED), gen.dim)
-    ledger = rates(gen, rho, cfgs[0].h_system)
+    ledger = rates(gen, rho)
     for name, want in operator_form_rates(cfgs, gen, rho).items():
         got = getattr(ledger, name)
         assert np.shape(got) == np.shape(want), name

@@ -9,7 +9,6 @@ from qcollide.errors import (
     DimensionMismatchError,
     EigenoperatorError,
     FirstMomentError,
-    NonHermitianError,
     RankDeficientError,
     StepSizeError,
 )
@@ -242,7 +241,7 @@ class TestRates:
     def test_stationary_rates(self):
         gen, cfg = qubit_generator(lam=0.4)
         stationary = steady_state(gen)
-        ledger = rates(gen, stationary, cfg.h_system)
+        ledger = rates(gen, stationary)
         assert abs(ledger.energy_rate) <= 1e-9
         assert ledger.entropy_production_rate >= -1e-9
         want = -sum(
@@ -253,7 +252,7 @@ class TestRates:
     def test_equilibrium_is_silent(self):
         gen, cfg = qubit_generator(lam=0.0)
         thermal = thermal_state(cfg.h_system, LN3)
-        ledger = rates(gen, thermal, cfg.h_system)
+        ledger = rates(gen, thermal)
         for value in (
             ledger.energy_rate,
             ledger.coherent_work_rate,
@@ -267,7 +266,7 @@ class TestRates:
         gen, cfg = qubit_generator(lam=0.3)
         trajectory = integrate(gen, maximally_mixed(2), 1.0, 5e-3)
         for _, state in trajectory[::40]:
-            ledger = rates(gen, state, cfg.h_system)
+            ledger = rates(gen, state)
             closure = ledger.coherent_work_rate + ledger.incoherent_heat_rate
             assert abs(ledger.energy_rate - closure) <= 1e-10
 
@@ -275,28 +274,7 @@ class TestRates:
         gen, cfg = qubit_generator()
         pure = DensityMatrix(np.diag([1.0, 0.0]))
         with pytest.raises(RankDeficientError):
-            rates(gen, pure, cfg.h_system)
-
-    def test_h_system_is_gated_once_per_array(self, monkeypatch):
-        from qcollide import lindblad
-
-        gen, cfg = qubit_generator()
-        rho = maximally_mixed(2)
-        calls = []
-        gate = lindblad.require_hermitian
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return gate(*args, **kwargs)
-
-        monkeypatch.setattr(lindblad, "require_hermitian", counting)
-        first = rates(gen, rho, cfg.h_system)
-        for _ in range(9):
-            assert rates(gen, rho, cfg.h_system.copy()) == first
-        assert len(calls) == 1
-        with pytest.raises(NonHermitianError):
-            rates(gen, rho, cfg.h_system + np.array([[0.0, 0.5], [0.0, 0.0]]))
-        assert len(calls) == 2
+            rates(gen, pure)
 
 
 class TestEntropyProductionRate:
@@ -314,7 +292,7 @@ class TestEntropyProductionRate:
             dt = min(1e-2, 0.09 / max(gen.norm_estimate, 1e-12))
             trajectory = integrate(gen, rho0, 30 * dt, dt)
             for _, state in trajectory[::10]:
-                ledger = rates(gen, state, cfg.h_system)
+                ledger = rates(gen, state)
                 assert ledger.entropy_production_rate >= -1e-9
                 checked += 1
         assert checked > 50
@@ -334,7 +312,7 @@ class TestPositivityGuard:
         from qcollide.lindblad import LindbladGenerator
         from qcollide.errors import PositivityLostError
 
-        bad = LindbladGenerator(h_eff=gen.h_eff, species=[bad_species])
+        bad = LindbladGenerator(gen.h_system, [bad_species])
         nearly_pure = DensityMatrix(np.diag([0.999, 0.001]))
         with pytest.raises(PositivityLostError):
             integrate(bad, nearly_pure, 2.0, 1e-2)
@@ -354,7 +332,7 @@ class TestPositivityGuard:
         from qcollide.lindblad import LindbladGenerator
         from qcollide.errors import TraceDriftError
 
-        bad = LindbladGenerator(h_eff=gen.h_eff, species=[leaky])
+        bad = LindbladGenerator(gen.h_system, [leaky])
         with pytest.raises(TraceDriftError, match="at t=0.01$"):
             integrate(bad, maximally_mixed(2), 1.0, 1e-2)
 
@@ -381,7 +359,6 @@ class TestConvergenceOrders:
 
         data = stroboscopic_deviation(
             lambda tau: [qubit_collision(lam=0.3, tau=tau)],
-            maximally_mixed(2),
             (4e-2, 1e-2, 2.5e-3),
             t_final=2.0,
         )
@@ -394,7 +371,7 @@ class TestMultiBath:
     def test_single_species_matches_build(self):
         cfg = qubit_collision()
         single = build_generator(cfg.h_system, cfg.ancilla, cfg.v_interaction)
-        multi = multi_bath_generator(cfg.h_system, [(cfg.ancilla, cfg.v_interaction)])
+        multi = multi_bath_generator(cfg.h_system, [(cfg.ancilla, cfg.v_interaction)], ["A"])
         assert max_abs(single.h_eff - multi.h_eff) == 0.0
         assert max_abs(single.dissipator - multi.dissipator) == 0.0
 
@@ -404,5 +381,6 @@ class TestMultiBath:
         double = multi_bath_generator(
             cfg.h_system,
             [(cfg.ancilla, cfg.v_interaction), (cfg.ancilla, cfg.v_interaction)],
+            ["A", "B"],
         )
         assert max_abs(double.dissipator - 2.0 * single.dissipator) <= 1e-12

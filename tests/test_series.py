@@ -50,15 +50,15 @@ EPS_GRID = (2e-2, 1e-2, 5e-3, 2.5e-3)
 
 
 def gapped_state(rng, dim):
-    probs = random_gapped_probs(rng, dim, min_gap=0.12)
+    probs = random_gapped_probs(rng, dim)
     basis = random_basis(rng, dim)
     return DensityMatrix((basis * probs) @ dag(basis)), basis
 
 
 def test_infeasible_gap_raises_instead_of_looping():
-    # four entries >= 0.05 spaced 0.3 apart would need a total of at least 2
+    # five entries >= 0.05 spaced 0.12 apart would need a total of at least 1.45
     with pytest.raises(ValueError):
-        random_gapped_probs(SplitMix64(0), 4, min_gap=0.3)
+        random_gapped_probs(SplitMix64(0), 5)
 
 
 class TestPerturbedState:
@@ -133,7 +133,7 @@ class TestCoherenceSeries:
 
     def test_qutrit_residual_order(self):
         rng = SplitMix64(9)
-        probs = random_gapped_probs(rng, 3, min_gap=0.12)
+        probs = random_gapped_probs(rng, 3)
         rho0 = DensityMatrix(np.diag(probs))
         chi = random_zero_diagonal(rng, np.eye(3, dtype=complex))
         h_ref = np.diag([0.0, 1.0, 2.0])

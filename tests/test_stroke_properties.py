@@ -56,7 +56,7 @@ def explicit_maps(cfg):
 
 
 def draw(seed, eigenoperator):
-    return random_collision(SplitMix64(seed), eigenoperator=eigenoperator, dims=(2, 3))
+    return random_collision(SplitMix64(seed), eigenoperator=eigenoperator)
 
 
 def joint_state_ledger(rho, cfg):
