@@ -8,21 +8,22 @@ changes, the coherent work and incoherent heat (``tau`` times the
 master-equation rate formulas at the pre-collision state), the cross term
 ``tr(rho_A' ln rho_A)`` of the ancilla relative entropy and the dephased
 populations of ``rho_A'``.  Each config stacks all of them into one matrix,
-so a stroke is one matvec on the column-stacked ``vec(rho_S)``, the spectra
-of the two output states and scalar arithmetic; the joint state is never
-formed.  What is fixed per config (``<H_A>``, ``S(rho_A)``, ``ln(rho_A)`` and
-the kernel of ``rho_A``) is computed once, and the support check of
-``rho_A'`` runs only when ``rho_A`` has a kernel.
+so a stroke is one matvec on the column-stacked ``vec(rho_S)``; the joint
+state is never formed.  What is fixed per config (``<H_A>``, ``S(rho_A)``,
+``ln(rho_A)`` and the kernel of ``rho_A``) is computed once, and the support
+check of ``rho_A'`` runs only when ``rho_A`` has a kernel.
 
-:func:`run_trajectory` runs one species, or ``m`` species round-robin with
-each sub-collision a ``1/m`` share of the round, and keeps a ledger per
-round.  When only the round-end states are read, :func:`stroboscopic_states`
-gives them bit for bit without ledgers; the two loops share the run
-validation and the sub-collision configs of :func:`_round_configs`.  Each
-stroke is the same matvec, all system outputs of the run pass the state
-gates in one stacked pass and each species' ancilla outputs in another, and
-a failing gate replays the run with :func:`run_trajectory` so the first
-failing stroke raises as it does there.
+:func:`collide` is one stroke: the matvec, the state gates on both outputs,
+their spectra and the ledger.  :func:`run_trajectory` runs one species, or
+``m`` species round-robin with each sub-collision a ``1/m`` share of the
+round, and keeps a ledger per round; :func:`stroboscopic_states` gives its
+round-end states without ledgers.  Both run one stroke loop of matvecs, then
+gate all system outputs in one stacked pass and each species' ancilla
+outputs in another.  A trajectory's ledger fields are columns over its
+strokes, with the formulas of :func:`collide` and the entropies of the gated
+spectra, so its record is that of a ``collide`` per stroke bit for bit.  When
+a gate fails, the run is replayed through :func:`collide`, which locates the
+first failing stroke and raises what it raises.
 
 Sign conventions: ``heat_ancilla > 0`` means the ancilla gained energy, and
 the switching work is stored as ``work = d_energy + heat_ancilla``.
@@ -40,6 +41,7 @@ import numpy as np
 from .errors import DimensionMismatchError, QCollideError, UnitaryDefectError
 from .lindblad import coherent_generator, unvec, vec
 from .linalg import (
+    Spectrum,
     ancilla_average,
     commutator,
     dag,
@@ -55,9 +57,10 @@ from .states import (
     DensityMatrix,
     coherence_from_populations,
     coherence_in_basis,
-    density_matrices,
     log_on_support,
     require_support,
+    shannon_entropy,
+    state_spectra,
     support_kernel,
     von_neumann_entropy,
     weakly_coherent_state,
@@ -294,37 +297,43 @@ def collide(rho_system: DensityMatrix, cfg: CollisionConfig) -> CollisionOutcome
         raise DimensionMismatchError("system state dimension differs from config")
     d_s, d_a = cfg.dim_system, cfg.dim_ancilla
     n_s = d_s * d_s
-    n_a = n_s + d_a * d_a
     rows = cfg.stroke_matrix @ vec(rho_system.matrix)
     rho_s_after = DensityMatrix(unvec(rows[:n_s], d_s))
-    rho_a_after = DensityMatrix(unvec(rows[n_s:n_a], d_a))
+    rho_a_after = DensityMatrix(unvec(rows[n_s : n_s + d_a * d_a], d_a))
     if cfg.ancilla_kernel.shape[1]:
         require_support(rho_a_after, cfg.ancilla_kernel)
-    d_energy, energy_a_after, _, heat_rate, cross = rows[n_a : n_a + 5].real.tolist()
+    entropies = np.array([[von_neumann_entropy(rho)] for rho in (rho_system, rho_s_after, rho_a_after)])
+    ledger = CollisionLedger(*_ledger_columns(cfg, rows[None], *entropies)[0].tolist())
+    return CollisionOutcome(system=rho_s_after, ancilla=rho_a_after, ledger=ledger)
+
+
+def _ledger_columns(cfg: CollisionConfig, rows: np.ndarray, s_before, s_after, s_a_after) -> np.ndarray:
+    """Ledgers of strokes of ``cfg`` as rows ``(n, fields)``, in the field order of :class:`CollisionLedger`.
+
+    ``rows`` holds ``stroke_matrix @ vec(rho_S)`` of each stroke, and the
+    entropies of ``rho_S``, ``rho_S'`` and ``rho_A'`` have one entry per stroke.
+    """
+    n_a = cfg.dim_system**2 + cfg.dim_ancilla**2
+    d_energy, energy_a_after, _, heat_rate, cross = rows[:, n_a : n_a + 5].real.T
     tau = cfg.ancilla.tau
     heat_ancilla = energy_a_after - cfg.ancilla_energy
-    coherent_work = float((1j * cfg.ancilla.lam * tau * rows[n_a + 2]).real)
-
-    s_before = von_neumann_entropy(rho_system)
-    s_after = von_neumann_entropy(rho_s_after)
-    s_a_after = von_neumann_entropy(rho_a_after)
     # Unitary invariance: the joint entropy after the stroke is S(rho_S) + S(rho_A).
     mutual = s_after + s_a_after - s_before - cfg.ancilla_entropy
     rel_ancilla = -s_a_after - cross
-    ledger = CollisionLedger(
+    columns = dict(
         d_energy=d_energy,
         heat_ancilla=heat_ancilla,
         work=d_energy + heat_ancilla,
-        coherent_work=coherent_work,
+        coherent_work=(1j * cfg.ancilla.lam * tau * rows[:, n_a + 2]).real,
         incoherent_heat=tau * heat_rate,
         entropy_production=mutual + rel_ancilla,
         mutual_info=mutual,
         rel_entropy_ancilla=rel_ancilla,
-        coherence_before=cfg.coherence_before,
-        coherence_after=float(coherence_from_populations(rows[n_a + 5 :].real, von_neumann_entropy(rho_a_after))),
+        coherence_before=np.full(len(rows), cfg.coherence_before),
+        coherence_after=coherence_from_populations(rows[:, n_a + 5 :].real, s_a_after),
         d_free_energy=d_energy - (s_after - s_before) / cfg.ancilla.beta,
     )
-    return CollisionOutcome(system=rho_s_after, ancilla=rho_a_after, ledger=ledger)
+    return np.column_stack([columns[f.name] for f in fields(CollisionLedger)])
 
 
 @dataclass(frozen=True)
@@ -357,71 +366,103 @@ def run_trajectory(rho0: DensityMatrix, cfgs: list[CollisionConfig], n_steps: in
     round-robin in config order: each sub-collision lasts ``tau/m`` with the
     interaction rescaled by ``sqrt(m)``, so one recorded step is a full round
     of duration ``tau`` and cumulative columns compare directly with the
-    additive continuous-time generator.
+    additive continuous-time generator.  The record is that of a
+    :func:`collide` per stroke with its ledgers summed as
+    :class:`CollisionLedger`, bit for bit.
     """
-    subs = _round_configs(rho0, cfgs, n_steps)
-    tau = cfgs[0].ancilla.tau
-    labels = [sub.label for sub in subs]
-    totals = {label: CollisionLedger.zero() for label in labels}
-    running = CollisionLedger.zero()
-    steps: list[TrajectoryStep] = []
-    cumulative: list[CollisionLedger] = []
-    state = rho0
-    for n in range(1, n_steps + 1):
-        round_ledger = CollisionLedger.zero()
-        for label, sub in zip(labels, subs):
-            outcome = collide(state, sub)
-            state = outcome.system
-            round_ledger = round_ledger + outcome.ledger
-            totals[label] = totals[label] + outcome.ledger
-        running = running + round_ledger
-        steps.append(TrajectoryStep(index=n, time=n * tau, state=state, ledger=round_ledger))
-        cumulative.append(running)
-    return TrajectoryRecord(steps=steps, cumulative=cumulative, species_totals=totals)
+    return _gated_run(rho0, cfgs, n_steps, ledgers=True)
 
 
 def stroboscopic_states(rho0: DensityMatrix, cfgs: list[CollisionConfig], n_steps: int) -> list[DensityMatrix]:
-    """The round-end states of :func:`run_trajectory`, bit for bit, without its ledgers.
+    """The round-end states of :func:`run_trajectory`, bit for bit, without its ledgers."""
+    return _gated_run(rho0, cfgs, n_steps, ledgers=False)
 
-    Each sub-collision is the matvec of :func:`collide`; its system and
-    ancilla outputs are kept in stacks, and the symmetrized system block
-    feeds the next stroke.  After the run, every system output and each
-    species' ancilla outputs pass the state gates in one stacked pass, and
-    the ancilla outputs of a species whose prepared state has a kernel pass
-    the support check.  Only the round-end states are wrapped.  When a gate
-    fails, the run is replayed by :func:`run_trajectory`, so the first
-    failing stroke raises what it raises there.
+
+def _gated_run(rho0, cfgs, n_steps, *, ledgers: bool):
+    """Round-end states of a validated, stroked and gated run, or with ``ledgers`` its record.
+
+    A failing gate replays the run by :func:`collide` to raise at the first failing stroke.
     """
     subs = _round_configs(rho0, cfgs, n_steps)
-    m = len(subs)
-    d_s = rho0.dim
-    n_s = d_s * d_s
+    try:
+        # Strokes after one that leaves the state space run before the gates find it;
+        # should they overflow, the gates reject them, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows, systems, ancillas = _gated_strokes(rho0, subs, n_steps)
+            if ledgers:
+                return _record(rho0, cfgs[0].ancilla.tau, subs, rows, systems, ancillas)
+            return _round_ends(systems, len(subs), [None] * n_steps)
+    except (QCollideError, ValueError) as exc:
+        failure = exc
+    state = rho0
+    for _ in range(n_steps):
+        for sub in subs:
+            state = collide(state, sub).system
+    raise failure
+
+
+def _gated_strokes(rho0, subs, n_steps):
+    """Each species' stroke rows ``(n_steps, len(stroke_matrix))``, and the gated spectra of the outputs.
+
+    The symmetrized system block of each stroke feeds the next.  The system
+    spectra are in stroke order, the ancilla spectra one stack per species.
+    """
+    n_s = rho0.dim**2
     # vec(rho^T) = vec(rho)[transposed], so the symmetrization stays on vectors.
-    transposed = np.arange(n_s).reshape(d_s, d_s).T.reshape(-1)
-    systems = np.empty((n_steps * m, d_s, d_s), dtype=complex)
-    ancillas = [np.empty((n_steps, sub.dim_ancilla, sub.dim_ancilla), dtype=complex) for sub in subs]
+    transposed = np.arange(n_s).reshape(rho0.dim, rho0.dim).T.reshape(-1)
+    matrices = [sub.stroke_matrix for sub in subs]
+    rows = [np.empty((n_steps, len(matrix)), dtype=complex) for matrix in matrices]
     state = vec(rho0.matrix)
-    # Strokes after one that leaves the state space run before the gates find it;
-    # should they overflow, the gates reject them, so numpy need not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            for j, sub in enumerate(subs):
-                rows = sub.stroke_matrix @ state
-                step = rows[:n_s]
-                systems[n * m + j] = unvec(step, d_s)
-                ancillas[j][n] = unvec(rows[n_s : n_s + sub.dim_ancilla**2], sub.dim_ancilla)
-                state = 0.5 * (step + step[transposed].conj())
-        try:
-            rounds = density_matrices(systems, keep=slice(m - 1, None, m))
-            for sub, outputs in zip(subs, ancillas):
-                kernel = sub.ancilla_kernel
-                # An ancilla output is wrapped only to have its support checked.
-                for rho_a in density_matrices(outputs, keep=slice(None if kernel.shape[1] else 0)):
-                    require_support(rho_a, kernel)
-            return rounds
-        except (QCollideError, ValueError):
-            pass
-    return [step.state for step in run_trajectory(rho0, cfgs, n_steps).steps]
+    for n in range(n_steps):
+        for matrix, out in zip(matrices, rows):
+            step = np.matmul(matrix, state, out=out[n])[:n_s]
+            state = 0.5 * (step + step[transposed].conj())
+    systems = state_spectra(unvec(np.stack([r[:, :n_s] for r in rows], axis=1).reshape(-1, n_s), rho0.dim))
+    ancillas = []
+    for sub, r in zip(subs, rows):
+        spectra = state_spectra(unvec(r[:, n_s : n_s + sub.dim_ancilla**2], sub.dim_ancilla))
+        if sub.ancilla_kernel.shape[1]:
+            for spectrum in zip(spectra.eigenvalues, spectra.eigenvectors, spectra.matrix):
+                require_support(DensityMatrix._wrap(Spectrum(*spectrum)), sub.ancilla_kernel)
+        ancillas.append(spectra)
+    return rows, systems, ancillas
+
+
+def _record(rho0, tau, subs, rows, systems, ancillas) -> TrajectoryRecord:
+    """The record of a gated run, from each species' ledger columns over its strokes.
+
+    Rounds add their species in config order and running sums their strokes
+    in order, each from ``0.0``, as a loop of :class:`CollisionLedger` sums would.
+    """
+    m, n_steps = len(subs), len(rows[0])
+    s_system = shannon_entropy(systems.eigenvalues)
+    # A stroke starts from the entropy of the state the previous one left; rho0's
+    # is taken, and memoized, only when a stroke reads it.
+    s_start = np.concatenate([[von_neumann_entropy(rho0)] if n_steps else [], s_system[:-1]])
+    zero = np.zeros(len(fields(CollisionLedger)))
+    rounds = zero
+    totals = {}
+    for j, (sub, r, ancilla) in enumerate(zip(subs, rows, ancillas)):
+        ledgers = _ledger_columns(sub, r, s_start[j::m], s_system[j::m], shannon_entropy(ancilla.eigenvalues))
+        rounds = rounds + ledgers
+        totals[sub.label] = CollisionLedger(*np.add.accumulate(np.vstack([zero, ledgers]))[-1].tolist())
+    states = _round_ends(systems, m, s_system[m - 1 :: m].tolist())
+    return TrajectoryRecord(
+        steps=[
+            TrajectoryStep(index=n, time=n * tau, state=state, ledger=CollisionLedger(*ledger))
+            for n, (state, ledger) in enumerate(zip(states, rounds.tolist()), start=1)
+        ],
+        # Each round already starts from 0.0, and accumulate adds in order.
+        cumulative=[CollisionLedger(*ledger) for ledger in np.add.accumulate(rounds).tolist()],
+        species_totals=totals,
+    )
+
+
+def _round_ends(systems: Spectrum, m: int, entropies: list) -> list[DensityMatrix]:
+    """The round-end states of a run of ``m`` species, each with its memoized entropy or ``None``."""
+    keep = slice(m - 1, None, m)
+    spectra = zip(systems.eigenvalues[keep], systems.eigenvectors[keep], systems.matrix[keep])
+    return [DensityMatrix._wrap(Spectrum(*spectrum), entropy) for spectrum, entropy in zip(spectra, entropies)]
 
 
 def _round_configs(rho0: DensityMatrix, cfgs: list[CollisionConfig], n_steps: int) -> list[CollisionConfig]:

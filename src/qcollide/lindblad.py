@@ -64,8 +64,9 @@ def vec(matrix: np.ndarray) -> np.ndarray:
 
 
 def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    return np.asarray(vector, dtype=complex).reshape((dim, dim), order="F")
+    """Inverse of :func:`vec`, of one vector or of each vector along the last axis of a stack."""
+    v = np.asarray(vector, dtype=complex)
+    return v.reshape(*v.shape[:-1], dim, dim).swapaxes(-1, -2)
 
 
 def coherent_generator(v_interaction, chi, dim_system: int, dim_ancilla: int) -> np.ndarray:

@@ -41,7 +41,8 @@ class DensityMatrix:
     Construction gates on Hermiticity, unit trace and positive
     semidefiniteness (eigenvalues above ``-psd_tol``), then stores the
     symmetrized matrix read-only together with its spectrum.  The von Neumann
-    entropy is memoized on first use by :func:`von_neumann_entropy`.
+    entropy is memoized on first use by :func:`von_neumann_entropy`, unless
+    the code that wrapped a gated spectrum already took it.
     :func:`state_spectra` runs the same gates on a stack in one pass.
     """
 
@@ -51,16 +52,16 @@ class DensityMatrix:
         self._store(_gated(matrix, psd_tol, stack=False))
 
     @classmethod
-    def _wrap(cls, spectrum: Spectrum) -> "DensityMatrix":
+    def _wrap(cls, spectrum: Spectrum, entropy: float | None = None) -> "DensityMatrix":
         rho = object.__new__(cls)
-        rho._store(spectrum)
+        rho._store(spectrum, entropy)
         return rho
 
-    def _store(self, spectrum: Spectrum) -> None:
+    def _store(self, spectrum: Spectrum, entropy: float | None = None) -> None:
         spectrum.matrix.setflags(write=False)
         object.__setattr__(self, "matrix", spectrum.matrix)
         object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "_entropy", None)
+        object.__setattr__(self, "_entropy", entropy)
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")

@@ -169,9 +169,8 @@ def stroboscopic_deviation(
 
 @dataclass(frozen=True)
 class IdentityResiduals:
-    """Finite-duration defects of the leading-order entropic identities."""
+    """Finite-duration defects of the leading-order entropic identities, one per ``IDENTITY_TAUS`` entry."""
 
-    taus: tuple[float, ...]
     mutual_info: tuple[float, ...]
     rel_entropy: tuple[float, ...]
     first_law: tuple[float, ...]
@@ -208,7 +207,6 @@ def entropic_identity_residuals() -> IdentityResiduals:
             abs(ledger.entropy_production - beta * (ledger.coherent_work - ledger.d_free_energy))
         )
     return IdentityResiduals(
-        taus=IDENTITY_TAUS,
         mutual_info=tuple(r_mutual),
         rel_entropy=tuple(r_rel),
         first_law=tuple(r_first),

@@ -1,12 +1,16 @@
 """Reference routes and fixtures that only the tests use.
 
 The reference routes are written out the slow, explicit way (full joint
-states, nested commutators, partial traces) so that the tests can hold the
-package's closed-form paths against them.
+states, nested commutators, partial traces, one ``collide`` per stroke) so
+that the tests can hold the package's closed-form and stacked paths against
+them.
 """
+
+from dataclasses import fields
 
 import numpy as np
 
+from qcollide.collisions import CollisionLedger, TrajectoryRecord, TrajectoryStep, collide
 from qcollide.errors import DimensionMismatchError
 from qcollide.linalg import double_commutator, kron, partial_trace
 from qcollide.presets import _mixed_wishart, random_matrix
@@ -41,3 +45,59 @@ def dissipator_apply(v_interaction, rho_system, rho_thermal, dim_system: int, di
 def random_density_matrix(rng: SplitMix64, dim: int, floor: float = 0.08) -> DensityMatrix:
     """Full-rank random state: a Wishart draw mixed with the identity, as the sampler makes ``rho_S``."""
     return DensityMatrix(_mixed_wishart(random_matrix(rng, dim), floor))
+
+
+def stroke_by_stroke_trajectory(rho0: DensityMatrix, cfgs, n_steps: int) -> TrajectoryRecord:
+    """``run_trajectory`` as a loop of ``collide`` calls whose ledgers are summed as ``CollisionLedger``s.
+
+    Takes a schedule that ``run_trajectory`` accepts; the first failing
+    stroke raises what ``collide`` raises.
+    """
+    subs = [cfg.subdivided(len(cfgs)) for cfg in cfgs]
+    tau = cfgs[0].ancilla.tau
+    totals = {sub.label: CollisionLedger.zero() for sub in subs}
+    running = CollisionLedger.zero()
+    steps, cumulative = [], []
+    state = rho0
+    for n in range(1, n_steps + 1):
+        round_ledger = CollisionLedger.zero()
+        for sub in subs:
+            outcome = collide(state, sub)
+            state = outcome.system
+            round_ledger = round_ledger + outcome.ledger
+            totals[sub.label] = totals[sub.label] + outcome.ledger
+        running = running + round_ledger
+        steps.append(TrajectoryStep(index=n, time=n * tau, state=state, ledger=round_ledger))
+        cumulative.append(running)
+    return TrajectoryRecord(steps=steps, cumulative=cumulative, species_totals=totals)
+
+
+def record_bits(record: TrajectoryRecord) -> tuple:
+    """Everything a trajectory record holds, with every float and array as its bytes.
+
+    Per step: index, time, the state's matrix, eigenvalues, eigenvectors
+    and memoized entropy, and the round ledger; then every cumulative ledger
+    and the per-species totals in species order.
+    """
+
+    def ledger_bits(ledger: CollisionLedger) -> bytes:
+        values = [getattr(ledger, f.name) for f in fields(ledger)]
+        assert all(type(v) is float for v in values)
+        return np.array(values).tobytes()
+
+    return (
+        [
+            (
+                step.index,
+                np.float64(step.time).tobytes(),
+                step.state.matrix.tobytes(),
+                step.state.eigenvalues.tobytes(),
+                step.state.spectrum.eigenvectors.tobytes(),
+                np.float64(step.state._entropy).tobytes(),
+                ledger_bits(step.ledger),
+            )
+            for step in record.steps
+        ],
+        [ledger_bits(ledger) for ledger in record.cumulative],
+        [(label, ledger_bits(ledger)) for label, ledger in record.species_totals.items()],
+    )

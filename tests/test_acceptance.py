@@ -177,7 +177,7 @@ def test_07_coherence_bound(random_suite, identity_residuals):
     exact_ok = summary.min_rel_entropy >= -1e-9
     # K from the tau-halving fit of the relative-entropy identity residuals
     k_fit = 3.0 * max(
-        r / t**1.5 for r, t in zip(identity_residuals.rel_entropy, identity_residuals.taus)
+        r / t**1.5 for r, t in zip(identity_residuals.rel_entropy, IDENTITY_TAUS)
     )
     worst_slack = math.inf
     for tau in IDENTITY_TAUS:

@@ -21,6 +21,7 @@ from qcollide.presets import (
     qubit_collision,
     qubit_hamiltonian,
     maximally_mixed,
+    qutrit_ancilla_collision,
     three_level_collision,
     SIGMA_X,
 )
@@ -33,8 +34,8 @@ from qcollide.states import (
     trace_distance,
     von_neumann_entropy,
 )
-from qcollide.verify import entropic_identity_residuals, halving_ratios, random_collision_suite
-from reference import mutual_information
+from qcollide.verify import IDENTITY_TAUS, entropic_identity_residuals, halving_ratios, random_collision_suite
+from reference import mutual_information, record_bits, stroke_by_stroke_trajectory
 
 LN3 = math.log(3.0)
 
@@ -221,8 +222,8 @@ class TestPerturbativeScaling:
         # edge of the generic window applies.
         for ratio in halving_ratios(residuals.entropy_production):
             assert ratio >= 2.4
-        envelope = 3.0 * max(r / t**1.5 for r, t in zip(residuals.entropy_production, residuals.taus))
-        for r, t in zip(residuals.entropy_production, residuals.taus):
+        envelope = 3.0 * max(r / t**1.5 for r, t in zip(residuals.entropy_production, IDENTITY_TAUS))
+        for r, t in zip(residuals.entropy_production, IDENTITY_TAUS):
             assert r <= envelope * t**1.5
 
 
@@ -325,6 +326,7 @@ class TestStroboscopicStates:
         rho0 = DensityMatrix(np.diag([1.0, 0.0]))
         with pytest.raises(SupportViolationError, match="^first state has weight 1.000e\\+00 outside"):
             run(rho0, [cfg], 3)
+        assert raised(run, rho0, [cfg], 3) == raised(stroke_by_stroke_trajectory, rho0, [cfg], 3)
 
     def test_support_kept_matches_trajectory(self):
         cfg = qubit_collision(beta=40.0, lam=0.0)
@@ -345,9 +347,10 @@ class TestStroboscopicStates:
             cfg = with_stroke_matrix(qubit_collision(), system_factor, ancilla_factor)
             return raised(fn, maximally_mixed(2), [cfg], 20)
 
-        expected = run(run_trajectory)
+        expected = run(stroke_by_stroke_trajectory)
         assert expected is not None and expected[0] is ValueError
-        assert run(stroboscopic_states) == expected
+        for fn in RUNS:
+            assert run(fn) == expected
 
     def test_builds_no_ledger(self, monkeypatch):
         def refuse(*args):
@@ -356,3 +359,58 @@ class TestStroboscopicStates:
         monkeypatch.setattr(collisions, "collide", refuse)
         cfgs = [qubit_collision(label="A"), qubit_collision(beta=0.5, label="B")]
         assert len(stroboscopic_states(maximally_mixed(2), cfgs, 5)) == 5
+
+
+REFERENCE_RUNS = {
+    "one species": (maximally_mixed(2), lambda: [qubit_collision(lam=0.3)], 40),
+    "round robin": (
+        DensityMatrix(np.diag([0.8, 0.2])),
+        lambda: [qubit_collision(label="A"), qubit_collision(beta=0.5, g=0.7, lam=0.2, label="B")],
+        30,
+    ),
+    "three species": (
+        maximally_mixed(2),
+        lambda: [
+            qubit_collision(lam=0.3, tau=2e-2, label="A"),
+            qutrit_ancilla_collision(g=0.8, beta=0.7, lam=0.1, tau=2e-2, label="B"),
+            qubit_collision(beta=2.0, tau=2e-2, label="C"),
+        ],
+        30,
+    ),
+    # rho_A has a kernel, so every ancilla output passes the support check.
+    "support check": (DensityMatrix(np.diag([0.0, 1.0])), lambda: [qubit_collision(beta=40.0, lam=0.0)], 12),
+    "no strokes": (maximally_mixed(2), lambda: [qubit_collision(label="A"), qubit_collision(label="B")], 0),
+}
+
+
+class TestTrajectoryMatchesReference:
+    @pytest.mark.parametrize("case", sorted(REFERENCE_RUNS))
+    def test_record_is_bit_for_bit_the_stroke_by_stroke_one(self, case):
+        rho0, make, n_steps = REFERENCE_RUNS[case]
+        expected = stroke_by_stroke_trajectory(rho0, make(), n_steps)
+        assert record_bits(run_trajectory(rho0, make(), n_steps)) == record_bits(expected)
+        assert [s.matrix.tobytes() for s in stroboscopic_states(rho0, make(), n_steps)] == [
+            s.state.matrix.tobytes() for s in expected.steps
+        ]
+
+    def test_passing_run_makes_no_collide_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("collide called")
+
+        monkeypatch.setattr(collisions, "collide", refuse)
+        cfgs = [qubit_collision(label="A"), qubit_collision(beta=0.5, label="B")]
+        assert len(run_trajectory(maximally_mixed(2), cfgs, 5).steps) == 5
+
+    def test_failing_run_is_replayed_through_collide(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return collide(*args)
+
+        monkeypatch.setattr(collisions, "collide", counting)
+        cfg = with_stroke_matrix(qubit_collision(), 1.0 + 1e-11, 1.0)
+        with pytest.raises(ValueError, match="^density matrix trace .* is not 1$"):
+            run_trajectory(maximally_mixed(2), [cfg], 20)
+        # The system trace leaves its tolerance at stroke 11, where the replay stops.
+        assert len(calls) == 11

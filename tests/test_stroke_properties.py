@@ -8,8 +8,8 @@ from the joint and reduced states.  Draws come from the seeded
 random-collision sampler in both branches at dimensions (2, 3).  The file
 also checks ledger properties over strokes and rounds, counts the
 eigensolves and Hermiticity gates that one stroke's states cost, and checks
-that ``stroboscopic_states`` gives the round-end states of
-``run_trajectory`` bit for bit.
+that ``run_trajectory`` and ``stroboscopic_states`` give the record and the
+round-end states of a ``collide`` per stroke bit for bit.
 """
 
 from dataclasses import fields
@@ -32,7 +32,7 @@ from qcollide.states import (
     relative_entropy,
     von_neumann_entropy,
 )
-from reference import dissipator_apply, mutual_information
+from reference import dissipator_apply, mutual_information, record_bits, stroke_by_stroke_trajectory
 
 TOL = 1e-12
 
@@ -196,7 +196,8 @@ def test_round_robin_ledger_is_additive(beta_a, beta_b, lam, tau):
 
 
 def assert_round_states_match_trajectory(rho0, cfgs, n_steps):
-    record = run_trajectory(rho0, cfgs, n_steps)
+    record = stroke_by_stroke_trajectory(rho0, cfgs, n_steps)
+    assert record_bits(run_trajectory(rho0, cfgs, n_steps)) == record_bits(record)
     rounds = stroboscopic_states(rho0, cfgs, n_steps)
     assert len(rounds) == len(record.steps) == n_steps
     for step, state in zip(record.steps, rounds):
