@@ -5,6 +5,10 @@ The CLI loads and validates configs, wires each scenario to the studies of
 :func:`~qcollide.collisions.run_trajectory`), turns their scalars into checks
 and writes the reports; it defines no study of its own.
 
+``_SCENARIO_KEYS`` declares once the keys each scenario reads and their
+defaults; :func:`load_config` returns them, with ``scenario`` and
+``output_dir``, as a plain dict.
+
 Every scenario prints one ``CHECK <name> PASS|FAIL value=<v> bound=<b>`` line
 per verification, writes ``report.json`` (and scenario-specific CSV files)
 into the output directory, and exits 0 when all checks pass, 2 on any
@@ -17,8 +21,10 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,8 +52,6 @@ from .verify import (
     two_bath_population_error,
 )
 
-SCENARIOS = ("qubit-demo", "converge", "bound-check", "oracle-check", "multibath", "custom")
-
 POSITIVITY_BOUND = -1e-9
 WORK_BOUND = 1e-9
 SLOPE_WINDOW = (0.4, 0.7)
@@ -73,50 +77,27 @@ class ValidationError(ConfigError):
 
 
 _MATRIX_KEYS = ("H_S", "H_A", "V", "chi")
-_SCALAR_KEYS = {
-    "beta": float,
-    "lambda": float,
-    "g": float,
-    "omega": float,
-    "tau": float,
-    "t_final": float,
-    "n_steps": int,
-    "seed": int,
-}
-_LIST_OK = {"beta", "lambda", "g", "tau"}
-# The keys each scenario reads, besides "scenario" and "output_dir".
+_INTEGER_KEYS = ("n_steps", "seed")
+_SWEEP = [4e-2, 1e-2, 2.5e-3]
+# The keys each scenario reads, besides "scenario" and "output_dir", and their
+# defaults.  None marks a required key.  A key whose default is a list takes a
+# list: a tau sweep, or one value per multibath species.  Every other key takes
+# one number, or one matrix for the keys of _MATRIX_KEYS.
 _SCENARIO_KEYS = {
-    "qubit-demo": {"omega", "g", "beta", "lambda", "tau", "n_steps"},
-    "converge": {"tau", "lambda", "t_final"},
-    "bound-check": {"n_steps", "seed"},
-    "oracle-check": {"seed"},
-    "multibath": {"tau", "t_final", "beta", "g", "lambda"},
-    "custom": {*_MATRIX_KEYS, "beta", "lambda", "tau", "n_steps"},
+    "qubit-demo": {"omega": 1.0, "g": 1.0, "beta": DEFAULT_BETA, "lambda": 0.3, "tau": 1e-2, "n_steps": 200},
+    "converge": {"tau": _SWEEP, "lambda": 0.3, "t_final": 2.0},
+    "bound-check": {"n_steps": 1000, "seed": None},
+    "oracle-check": {"seed": None},
+    "multibath": {"tau": _SWEEP, "t_final": 2.0, "beta": [DEFAULT_BETA, 0.5 * DEFAULT_BETA], "g": [1.0, 0.8],
+                  "lambda": [0.3, 0.25]},
+    "custom": {**dict.fromkeys(_MATRIX_KEYS), "beta": 1.0, "lambda": 0.0, "tau": 1e-2, "n_steps": 100},
 }
+SCENARIOS = tuple(_SCENARIO_KEYS)
 _ALLOWED_KEYS = {"scenario", "output_dir"}.union(*_SCENARIO_KEYS.values())
 
 
-@dataclass
-class ExperimentConfig:
-    """Validated scenario configuration; per-species scalars are lists, matrices single."""
-
-    scenario: str
-    h_system: np.ndarray | None
-    h_ancilla: np.ndarray | None
-    interaction: np.ndarray | None
-    coherence: np.ndarray | None
-    betas: list[float] | None
-    lams: list[float] | None
-    gs: list[float] | None
-    taus: list[float] | None
-    omega: float | None
-    t_final: float | None
-    n_steps: int | None
-    seed: int | None
-    output_dir: str
-
-
 def _parse_matrix(key: str, raw: Any) -> np.ndarray:
+    """One Hermitian matrix from nested ``[re, im]`` pairs, symmetrized and finite."""
     if not isinstance(raw, list) or not raw:
         raise SchemaError(f"{key}: expected a nested array of [re, im] pairs")
     dim = len(raw)
@@ -131,19 +112,55 @@ def _parse_matrix(key: str, raw: Any) -> np.ndarray:
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)
             ):
                 raise SchemaError(f"{key}: entry ({i},{j}) is not an [re, im] pair")
-            out[i, j] = complex(cell[0], cell[1])
+            try:
+                out[i, j] = complex(cell[0], cell[1])
+            except OverflowError as exc:
+                raise ValidationError(f"{key}: entry ({i},{j}) is too large for a float") from exc
+    try:
+        # Entries near the float limit overflow in the symmetrization; the check below names them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = require_hermitian(out, name=key)
+    except (NonHermitianError, ValueError) as exc:
+        raise ValidationError(str(exc)) from exc
+    if not np.isfinite(out).all():
+        raise ValidationError(f"{key}: its Hermitian part overflows a float")
     return out
 
 
-def _hermitian_gate(key: str, m: np.ndarray) -> np.ndarray:
+def _parse_number(key: str, v: Any) -> float | int:
+    """One finite number; an integer for the keys of ``_INTEGER_KEYS``."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise SchemaError(f"{key}: expected a number, got {reprlib.repr(v)}")
+    if isinstance(v, int) and key in _INTEGER_KEYS:
+        return v
     try:
-        return require_hermitian(m, name=key)
-    except (NonHermitianError, ValueError) as exc:
-        raise ValidationError(str(exc)) from exc
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValidationError(f"{key}: expected a finite number, got {reprlib.repr(v)}")
+    if key in _INTEGER_KEYS:
+        if not x.is_integer():
+            raise SchemaError(f"{key}: expected an integer, got {v!r}")
+        return int(x)
+    return x
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a JSON experiment configuration (strict schema)."""
+def _parse_value(key: str, raw: Any, default: Any) -> Any:
+    if key in _MATRIX_KEYS:
+        return _parse_matrix(key, raw)
+    if isinstance(raw, list) != isinstance(default, list):
+        shape = "a list of numbers" if isinstance(default, list) else "one number"
+        raise ValidationError(f"{key}: expected {shape}, got {reprlib.repr(raw)}")
+    return [_parse_number(key, v) for v in raw] if isinstance(raw, list) else _parse_number(key, raw)
+
+
+def load_config(path: str | Path) -> dict[str, Any]:
+    """Parse and validate a JSON experiment configuration (strict schema).
+
+    Returns ``scenario``, ``output_dir`` and every key the scenario reads,
+    each absent key set to its default in ``_SCENARIO_KEYS``.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -152,6 +169,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("top level must be a JSON object")
     unknown = sorted(set(raw) - _ALLOWED_KEYS)
@@ -159,86 +178,33 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise SchemaError(f"unknown key {unknown[0]!r}")
     scenario = raw.get("scenario")
     if scenario not in SCENARIOS:
-        raise SchemaError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    unread = sorted(set(raw) - {"scenario", "output_dir"} - _SCENARIO_KEYS[scenario])
+        raise SchemaError(f"scenario must be one of {SCENARIOS}, got {reprlib.repr(scenario)}")
+    keys = _SCENARIO_KEYS[scenario]
+    unread = sorted(set(raw) - {"scenario", "output_dir"} - set(keys))
     if unread:
         raise SchemaError(f"key {unread[0]!r} is not read by scenario {scenario!r}")
-
-    def scalar_list(key: str) -> list[float] | None:
-        if key not in raw:
-            return None
-        values = raw[key] if isinstance(raw[key], list) else [raw[key]]
-        if isinstance(raw[key], list) and key not in _LIST_OK:
-            raise SchemaError(f"{key}: lists are not allowed")
-        kind = _SCALAR_KEYS[key]
-        out = []
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise SchemaError(f"{key}: expected a number, got {v!r}")
-            if not math.isfinite(v):
-                raise ValidationError(f"{key}: expected a finite number, got {v!r}")
-            if kind is int and int(v) != v:
-                raise SchemaError(f"{key}: expected an integer, got {v!r}")
-            out.append(kind(v))
-        return out
-
-    def scalar(key: str) -> float | int | None:
-        if key not in raw:
-            return None
-        if isinstance(raw[key], list):
-            raise SchemaError(f"{key}: a single number is required")
-        return scalar_list(key)[0]
-
-    def matrix(key: str) -> np.ndarray | None:
-        if key not in raw:
-            return None
-        return _hermitian_gate(key, _parse_matrix(key, raw[key]))
-
     output_dir = raw.get("output_dir", ".")
     if not isinstance(output_dir, str):
-        raise SchemaError(f"output_dir: expected a string, got {output_dir!r}")
-    taus = scalar_list("tau")
-    if taus is not None and len(taus) > 1 and scenario not in ("converge", "multibath"):
-        raise ValidationError("tau: a list is only meaningful for converge/multibath")
-    for key in ("beta", "lambda", "g"):
-        if isinstance(raw.get(key), list) and scenario != "multibath":
-            raise ValidationError(f"{key}: per-species lists are only meaningful for multibath")
+        raise SchemaError(f"output_dir: expected a string, got {reprlib.repr(output_dir)}")
 
-    cfg = ExperimentConfig(
-        scenario=scenario,
-        h_system=matrix("H_S"),
-        h_ancilla=matrix("H_A"),
-        interaction=matrix("V"),
-        coherence=matrix("chi"),
-        betas=scalar_list("beta"),
-        lams=scalar_list("lambda"),
-        gs=scalar_list("g"),
-        taus=taus,
-        omega=scalar("omega"),
-        t_final=scalar("t_final"),
-        n_steps=scalar("n_steps"),
-        seed=scalar("seed"),
-        output_dir=output_dir,
-    )
-    if cfg.seed is not None and not 0 <= cfg.seed < 2**64:
-        raise ValidationError(f"seed: expected an integer in [0, 2^64), got {cfg.seed}")
-    if cfg.scenario in ("bound-check", "oracle-check") and cfg.seed is None:
-        raise ValidationError("seed: required for randomized scenarios")
-    if cfg.scenario == "bound-check" and cfg.n_steps is not None and cfg.n_steps < 1:
-        raise ValidationError(f"n_steps: bound-check needs n_steps >= 1, got {cfg.n_steps}")
-    if cfg.omega == 0.0:
+    cfg = {"scenario": scenario, "output_dir": output_dir}
+    for key, default in keys.items():
+        cfg[key] = _parse_value(key, raw[key], default) if key in raw else copy.copy(default)
+    missing = [key for key in keys if cfg[key] is None]
+    if missing:
+        raise ValidationError(f"{missing[0]}: required for scenario {scenario!r}")
+    if "seed" in cfg and not 0 <= cfg["seed"] < 2**64:
+        raise ValidationError(f"seed: expected an integer in [0, 2^64), got {reprlib.repr(cfg['seed'])}")
+    if scenario == "bound-check" and cfg["n_steps"] < 1:
+        raise ValidationError(f"n_steps: bound-check needs n_steps >= 1, got {reprlib.repr(cfg['n_steps'])}")
+    if cfg.get("omega") == 0.0:
         raise ValidationError("omega: must be nonzero, since work_scaled divides by the Hamiltonian scale")
-    if cfg.scenario in ("converge", "multibath") and taus is not None and len(set(taus)) < 2:
+    if isinstance(cfg.get("tau"), list) and len(set(cfg["tau"])) < 2:
         raise ValidationError("tau: a sweep needs at least 2 distinct values")
-    if cfg.scenario == "multibath":
-        for key, values in (("beta", cfg.betas), ("lambda", cfg.lams), ("g", cfg.gs)):
-            if values is not None and len(values) != 2:
-                raise ValidationError(f"{key}: multibath needs one value per species (2), got {len(values)}")
-    if cfg.scenario == "custom":
-        for key, value in (("H_S", cfg.h_system), ("H_A", cfg.h_ancilla),
-                           ("V", cfg.interaction), ("chi", cfg.coherence)):
-            if value is None:
-                raise ValidationError(f"{key}: required for the custom scenario")
+    if scenario == "multibath":
+        for key in ("beta", "lambda", "g"):
+            if len(cfg[key]) != 2:
+                raise ValidationError(f"{key}: multibath needs one value per species (2), got {len(cfg[key])}")
     return cfg
 
 
@@ -327,28 +293,18 @@ def _trajectory_checks(collision: CollisionConfig, n_steps: int, out_dir: Path) 
     ])
 
 
-def _scenario_qubit_demo(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
-    omega = cfg.omega if cfg.omega is not None else 1.0
-    g = cfg.gs[0] if cfg.gs else 1.0
-    beta = cfg.betas[0] if cfg.betas else DEFAULT_BETA
-    lam = cfg.lams[0] if cfg.lams else 0.3
-    tau = cfg.taus[0] if cfg.taus else 1e-2
-    n_steps = cfg.n_steps if cfg.n_steps is not None else 200
-    collision = qubit_collision(omega=omega, g=g, beta=beta, lam=lam, tau=tau)
-    return _trajectory_checks(collision, n_steps, out_dir)
+def _scenario_qubit_demo(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
+    collision = qubit_collision(omega=cfg["omega"], g=cfg["g"], beta=cfg["beta"], lam=cfg["lambda"], tau=cfg["tau"])
+    return _trajectory_checks(collision, cfg["n_steps"], out_dir)
 
 
-def _scenario_custom(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
-    beta = cfg.betas[0] if cfg.betas else 1.0
-    lam = cfg.lams[0] if cfg.lams else 0.0
-    tau = cfg.taus[0] if cfg.taus else 1e-2
-    n_steps = cfg.n_steps if cfg.n_steps is not None else 100
+def _scenario_custom(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
     try:
-        spec = AncillaSpec(h_ancilla=cfg.h_ancilla, beta=beta, chi=cfg.coherence, lam=lam, tau=tau)
-        collision = CollisionConfig(cfg.h_system, cfg.interaction, spec)
+        spec = AncillaSpec(h_ancilla=cfg["H_A"], beta=cfg["beta"], chi=cfg["chi"], lam=cfg["lambda"], tau=cfg["tau"])
+        collision = CollisionConfig(cfg["H_S"], cfg["V"], spec)
     except (QCollideError, ValueError) as exc:
         raise ValidationError(str(exc)) from exc
-    return _trajectory_checks(collision, n_steps, out_dir)
+    return _trajectory_checks(collision, cfg["n_steps"], out_dir)
 
 
 def _convergence_check(data: list[tuple[float, float]], out_dir: Path) -> Check:
@@ -362,17 +318,14 @@ def _convergence_check(data: list[tuple[float, float]], out_dir: Path) -> Check:
     return Check("slope", slope, list(SLOPE_WINDOW), lo <= slope <= hi)
 
 
-def _scenario_converge(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
-    taus = cfg.taus or [4e-2, 1e-2, 2.5e-3]
-    lam = cfg.lams[0] if cfg.lams else 0.3
-    t_final = cfg.t_final if cfg.t_final is not None else 2.0
-    data = stroboscopic_deviation(lambda tau: [qutrit_ancilla_collision(lam=lam, tau=tau)], taus, t_final)
+def _scenario_converge(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
+    lam = cfg["lambda"]
+    data = stroboscopic_deviation(lambda tau: [qutrit_ancilla_collision(lam=lam, tau=tau)], cfg["tau"], cfg["t_final"])
     return [_convergence_check(data, out_dir)]
 
 
-def _scenario_bound_check(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
-    count = cfg.n_steps if cfg.n_steps is not None else 1000
-    summary, samples = random_collision_suite(cfg.seed, count, eigenoperator=True)
+def _scenario_bound_check(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
+    summary, samples = random_collision_suite(cfg["seed"], cfg["n_steps"], eigenoperator=True)
     lines = ["index,d_S,d_A,tau,Sigma,I,Srel,work_scaled,coherent_bound_scaled"]
     for s in samples:
         lines.append(
@@ -391,7 +344,7 @@ def _scenario_bound_check(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
     ])
 
 
-def _scenario_oracle_check(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
+def _scenario_oracle_check(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
     checks: list[Check] = []
     # Finite-duration identity residual orders on the two-channel fixture.
     residuals = entropic_identity_residuals()
@@ -402,7 +355,7 @@ def _scenario_oracle_check(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
         [("entropy_production_ratio_min", min(halving_ratios(residuals.entropy_production)), HALVING_WINDOW[0])]
     )
     # Series residual orders on seeded random instances.
-    for name, ratios in series_halving_ratios(cfg.seed).items():
+    for name, ratios in series_halving_ratios(cfg["seed"]).items():
         checks += _window_checks(f"{name}_series", ratios, SERIES_WINDOW)
     # Ergotropy-to-coherence ratio.
     deviations = ergotropy_ratio_deviations()
@@ -412,12 +365,8 @@ def _scenario_oracle_check(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
     return checks
 
 
-def _scenario_multibath(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
-    taus = cfg.taus or [4e-2, 1e-2, 2.5e-3]
-    t_final = cfg.t_final if cfg.t_final is not None else 2.0
-    betas = cfg.betas or [DEFAULT_BETA, 0.5 * DEFAULT_BETA]
-    gs = cfg.gs or [1.0, 0.8]
-    lams = cfg.lams or [0.3, 0.25]
+def _scenario_multibath(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
+    betas, gs, lams = cfg["beta"], cfg["g"], cfg["lambda"]
 
     def build(tau: float) -> list[CollisionConfig]:
         return [
@@ -425,7 +374,7 @@ def _scenario_multibath(cfg: ExperimentConfig, out_dir: Path) -> list[Check]:
             qutrit_ancilla_collision(g=gs[1], beta=betas[1], lam=lams[1], tau=tau, label="B"),
         ]
 
-    data = stroboscopic_deviation(build, taus, t_final)
+    data = stroboscopic_deviation(build, cfg["tau"], cfg["t_final"])
     checks = [_convergence_check(data, out_dir)]
 
     # Two thermal qubit baths: stationary excited population from the jump rates.
@@ -444,17 +393,17 @@ _SCENARIO_RUNNERS = {
 }
 
 
-def run_scenario(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> int:
-    """Execute a scenario, emit CHECK lines and report.json, return exit code."""
-    target = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
+def run_scenario(cfg: dict[str, Any], out_dir: str | Path | None = None) -> int:
+    """Execute a scenario of :func:`load_config`, emit CHECK lines and report.json, return exit code."""
+    target = Path(out_dir) if out_dir is not None else Path(cfg["output_dir"])
     target.mkdir(parents=True, exist_ok=True)
-    checks = _SCENARIO_RUNNERS[cfg.scenario](cfg, target)
+    checks = _SCENARIO_RUNNERS[cfg["scenario"]](cfg, target)
     for check in checks:
         state = "PASS" if check.passed else "FAIL"
         print(f"CHECK {check.name} {state} value={check.value!r} bound={_bound_text(check.bound)}")
     report = {
-        "scenario": cfg.scenario,
-        "seed": cfg.seed,
+        "scenario": cfg["scenario"],
+        "seed": cfg.get("seed"),
         "checks": [
             {"name": c.name, "value": float(c.value), "bound": c.bound, "pass": c.passed}
             for c in checks
@@ -481,11 +430,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.command == "validate":
-            print(f"OK scenario={cfg.scenario}")
+            print(f"OK scenario={cfg['scenario']}")
             return 0
         return run_scenario(cfg, out_dir=args.out)
-    except (ConfigError, QCollideError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, QCollideError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -96,18 +96,17 @@ def state_spectra(matrices, *, psd_tol: float = PSD_TOL) -> Spectrum:
     return stacked
 
 
-def density_matrices(matrices, *, psd_tol: float = PSD_TOL, keep: slice = slice(None)) -> list[DensityMatrix]:
-    """Gate a stack ``(n, d, d)`` of density matrices at once and wrap the ``keep`` slice.
+def density_matrices(matrices, *, psd_tol: float = PSD_TOL) -> list[DensityMatrix]:
+    """Gate a stack ``(n, d, d)`` of density matrices at once and wrap each.
 
     The gates are those of :func:`state_spectra`, so the result equals
-    ``[DensityMatrix(m, psd_tol=psd_tol) for m in matrices[keep]]`` bit for
-    bit, while the matrices outside ``keep`` are gated but not wrapped.  Each
-    state holds read-only views of the stacked arrays.
+    ``[DensityMatrix(m, psd_tol=psd_tol) for m in matrices]`` bit for bit.
+    Each state holds read-only views of the stacked arrays.
     """
     stacked = state_spectra(matrices, psd_tol=psd_tol)
     return [
         DensityMatrix._wrap(Spectrum(eigenvalues=w, eigenvectors=v, matrix=m))
-        for w, v, m in zip(stacked.eigenvalues[keep], stacked.eigenvectors[keep], stacked.matrix[keep])
+        for w, v, m in zip(stacked.eigenvalues, stacked.eigenvectors, stacked.matrix)
     ]
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 import subprocess
 import sys
@@ -6,8 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qcollide.cli import (
+    _ALLOWED_KEYS,
+    _SCENARIO_KEYS,
+    ConfigError,
     ParseError,
     SchemaError,
     ValidationError,
@@ -28,16 +34,16 @@ def write(tmp_path, name, payload):
 class TestLoadConfig:
     def test_bundled_fixture(self):
         cfg = load_config(CONFIG_DIR / "qubit-demo.json")
-        assert cfg.scenario == "qubit-demo"
-        assert cfg.taus == [0.01]
-        assert cfg.n_steps == 200
+        assert cfg["scenario"] == "qubit-demo"
+        assert cfg["tau"] == 0.01
+        assert cfg["n_steps"] == 200
 
     @pytest.mark.parametrize(
         "name", ["qubit-demo", "converge", "bound-check", "oracle-check", "multibath", "custom"]
     )
     def test_all_bundled_configs_load(self, name):
         cfg = load_config(CONFIG_DIR / f"{name}.json")
-        assert cfg.scenario == name
+        assert cfg["scenario"] == name
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write(tmp_path, "bad.json", {"scenario": "qubit-demo", "foo": 1})
@@ -269,6 +275,137 @@ def test_key_the_scenario_never_reads_is_one_line_error(tmp_path, capsys, scenar
     assert main(["validate", "--config", str(path)]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert lines == [f"error: key {key!r} is not read by scenario {scenario!r}"]
+
+
+@pytest.mark.parametrize("scenario", list(_SCENARIO_KEYS))
+def test_bundled_config_names_exactly_the_keys_its_scenario_reads(scenario):
+    payload = json.loads((CONFIG_DIR / f"{scenario}.json").read_text(encoding="utf-8"))
+    assert set(payload) - {"scenario", "output_dir"} == set(_SCENARIO_KEYS[scenario])
+
+
+@pytest.mark.parametrize("scenario", ["qubit-demo", "converge", "multibath"])
+def test_defaults_are_the_bundled_values(tmp_path, scenario):
+    bundled = load_config(CONFIG_DIR / f"{scenario}.json")
+    defaults = load_config(write(tmp_path, "bare.json", {"scenario": scenario}))
+    assert {**defaults, "output_dir": bundled["output_dir"]} == bundled
+
+
+HUGE = 10**400  # a 401-digit JSON integer, too large for a float
+
+LOADER_OVERFLOWS = {
+    "g-huge-int": ("g", {"scenario": "qubit-demo", "g": HUGE}),
+    "seed-huge-int": ("seed", {"scenario": "oracle-check", "seed": HUGE}),
+    "matrix-entry-huge-int": ("H_A", {**CUSTOM, "H_A": [[[HUGE, 0], [0, 0]], [[0, 0], [-0.5, 0]]]}),
+    # Finite entries whose symmetrized sum overflows.
+    "matrix-entry-near-float-max": ("H_A", {**CUSTOM, "H_A": [[[1.7e308, 0], [0, 0]], [[0, 0], [-0.5, 0]]]}),
+}
+
+
+@pytest.mark.parametrize(
+    "key,payload", list(LOADER_OVERFLOWS.values()), ids=list(LOADER_OVERFLOWS)
+)
+def test_number_beyond_float_is_one_line_error(tmp_path, capsys, key, payload):
+    path = write(tmp_path, "huge.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--config", str(path)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {key}:")
+
+
+def test_deeply_nested_document_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {path}:")
+
+
+def test_unallocatable_run_is_one_line_error(tmp_path, capsys):
+    # numpy refuses the 1e15-stroke array at once, without touching memory.
+    path = write(tmp_path, "long.json", {"scenario": "qubit-demo", "n_steps": 1e15})
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: Unable to allocate")
+
+
+# Config documents over the table's keys plus junk ones, with values of every
+# JSON kind: numbers up to 10**400 and the float limits, wrong types, nested lists.
+JUNK_KEYS = ["dt", "Scenario", ""]
+json_numbers = st.one_of(
+    st.floats(),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.integers(min_value=-HUGE, max_value=HUGE),
+    st.integers(min_value=-2, max_value=2**64),
+    st.sampled_from([0.5, 1e-300, 1e300, 1.7e308, -1.7e308]),
+)
+json_scalars = st.one_of(json_numbers, st.booleans(), st.none(), st.text(max_size=4))
+json_values = st.recursive(json_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+
+
+@st.composite
+def hermitian_pairs(draw):
+    """Nested [re, im] pairs of a Hermitian matrix of dimension 1-3, entries from ``json_numbers``."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    out = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        out[i][i] = [draw(json_numbers), 0.0]
+        for j in range(i + 1, dim):
+            re, im = draw(json_numbers), draw(json_numbers)
+            out[i][j], out[j][i] = [re, im], [re, -im]
+    return out
+
+
+@st.composite
+def config_documents(draw):
+    scenario = draw(st.sampled_from(list(_SCENARIO_KEYS)))
+    read = list(_SCENARIO_KEYS[scenario])
+    keys = draw(st.lists(st.sampled_from(read), max_size=len(read), unique=True))
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        keys.append(draw(st.sampled_from(sorted(_ALLOWED_KEYS - {"scenario"}) + JUNK_KEYS)))
+    doc = {"scenario": scenario}
+    for key in keys:
+        if key in ("H_S", "H_A", "V", "chi"):
+            doc[key] = draw(st.one_of(hermitian_pairs(), hermitian_pairs(), json_values))
+        elif isinstance(_SCENARIO_KEYS[scenario].get(key), list):
+            doc[key] = draw(st.one_of(st.lists(json_numbers, min_size=2, max_size=2), json_values))
+        else:
+            doc[key] = draw(st.one_of(json_numbers, json_numbers, json_values))
+    if draw(st.booleans()):
+        doc = {**json.loads((CONFIG_DIR / f"{scenario}.json").read_text(encoding="utf-8")), **doc}
+    return doc
+
+
+def all_finite(value) -> bool:
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
+    if isinstance(value, list):
+        return all(map(all_finite, value))
+    return isinstance(value, int) or math.isfinite(value)
+
+
+@settings(
+    derandomize=True, database=None, deadline=None, max_examples=200,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(config_documents())
+def test_load_config_rejects_or_returns_the_scenario_keys(tmp_path, doc):
+    path = write(tmp_path, "doc.json", doc)
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        return
+    keys = _SCENARIO_KEYS[cfg["scenario"]]
+    assert set(cfg) == {"scenario", "output_dir", *keys}
+    assert isinstance(cfg["output_dir"], str)
+    for key, default in keys.items():
+        value = cfg[key]
+        assert not isinstance(value, bool) and isinstance(value, (int, float, list, np.ndarray))
+        assert isinstance(value, list) == isinstance(default, list), key
+        assert all_finite(value), key
 
 
 class TestSubprocessDeterminism:
