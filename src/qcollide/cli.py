@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .collisions import CollisionConfig, run_trajectory
 from .errors import NonHermitianError, QCollideError
-from .lindblad import rates
+from .lindblad import rate_columns
 from .linalg import require_hermitian
 from .presets import DEFAULT_BETA, maximally_mixed, qubit_collision, qutrit_ancilla_collision
 from .states import AncillaSpec, von_neumann_entropy
@@ -245,32 +245,27 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+# "%.17g" writes a float as _fmt does, nan and -0 included.
+_TRAJECTORY_ROW = "%d" + ",%.17g" * 13
+
+
 def _write_trajectory_csv(path: Path, record, gen) -> None:
+    """One row per round; the rates and energies of all round-end states come from one stacked pass each."""
     header = (
         "step,t,E_S,Q_A_cum,W_cum,W_C_cum,Q_inc_cum,Sigma_cum,I_cum,Srel_cum,"
         "C_anc_before,C_anc_after,S_system,Pi_rate"
     )
+    states = [step.state for step in record.steps]
+    pi_rates = rate_columns(gen, states)[:, -1].tolist()
+    matrices = np.array([rho.matrix for rho in states]).reshape(-1, gen.dim, gen.dim)
+    energies = np.trace(gen.h_system @ matrices, axis1=1, axis2=2).real.tolist()
     lines = [header]
-    for step, cum in zip(record.steps, record.cumulative):
-        state = step.state
-        pi_rate = rates(gen, state).entropy_production_rate
-        row = [
-            str(step.index),
-            _fmt(step.time),
-            _fmt(state.expectation(gen.h_system)),
-            _fmt(cum.heat_ancilla),
-            _fmt(cum.work),
-            _fmt(cum.coherent_work),
-            _fmt(cum.incoherent_heat),
-            _fmt(cum.entropy_production),
-            _fmt(cum.mutual_info),
-            _fmt(cum.rel_entropy_ancilla),
-            _fmt(step.ledger.coherence_before),
-            _fmt(step.ledger.coherence_after),
-            _fmt(von_neumann_entropy(state)),
-            _fmt(pi_rate),
-        ]
-        lines.append(",".join(row))
+    for step, cum, energy, pi_rate in zip(record.steps, record.cumulative, energies, pi_rates):
+        lines.append(_TRAJECTORY_ROW % (
+            step.index, step.time, energy, cum.heat_ancilla, cum.work, cum.coherent_work,
+            cum.incoherent_heat, cum.entropy_production, cum.mutual_info, cum.rel_entropy_ancilla,
+            step.ledger.coherence_before, step.ledger.coherence_after, von_neumann_entropy(step.state), pi_rate,
+        ))
     _write(path, "\n".join(lines) + "\n")
 
 

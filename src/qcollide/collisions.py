@@ -41,6 +41,7 @@ import numpy as np
 from .errors import DimensionMismatchError, QCollideError, UnitaryDefectError
 from .lindblad import coherent_generator, unvec, vec
 from .linalg import (
+    ENERGY_CONSERVING_RTOL,
     Spectrum,
     ancilla_average,
     commutator,
@@ -66,7 +67,6 @@ from .states import (
     weakly_coherent_state,
 )
 
-ENERGY_CONSERVING_RTOL = 1e-10
 UNITARITY_TOL = 1e-10
 
 
@@ -384,11 +384,13 @@ def _gated_run(rho0, cfgs, n_steps, *, ledgers: bool):
     A failing gate replays the run by :func:`collide` to raise at the first failing stroke.
     """
     subs = _round_configs(rho0, cfgs, n_steps)
+    # Allocated before the gates run, so that numpy refusing a run too long for memory raises at once.
+    rows = [np.empty((n_steps, len(sub.stroke_matrix)), dtype=complex) for sub in subs]
     try:
         # Strokes after one that leaves the state space run before the gates find it;
         # should they overflow, the gates reject them, so numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
-            rows, systems, ancillas = _gated_strokes(rho0, subs, n_steps)
+            systems, ancillas = _gated_strokes(rho0, subs, rows)
             if ledgers:
                 return _record(rho0, cfgs[0].ancilla.tau, subs, rows, systems, ancillas)
             return _round_ends(systems, len(subs), [None] * n_steps)
@@ -401,8 +403,8 @@ def _gated_run(rho0, cfgs, n_steps, *, ledgers: bool):
     raise failure
 
 
-def _gated_strokes(rho0, subs, n_steps):
-    """Each species' stroke rows ``(n_steps, len(stroke_matrix))``, and the gated spectra of the outputs.
+def _gated_strokes(rho0, subs, rows):
+    """Fill each species' stroke rows ``(n_steps, len(stroke_matrix))``; return the gated spectra of the outputs.
 
     The symmetrized system block of each stroke feeds the next.  The system
     spectra are in stroke order, the ancilla spectra one stack per species.
@@ -411,9 +413,8 @@ def _gated_strokes(rho0, subs, n_steps):
     # vec(rho^T) = vec(rho)[transposed], so the symmetrization stays on vectors.
     transposed = np.arange(n_s).reshape(rho0.dim, rho0.dim).T.reshape(-1)
     matrices = [sub.stroke_matrix for sub in subs]
-    rows = [np.empty((n_steps, len(matrix)), dtype=complex) for matrix in matrices]
     state = vec(rho0.matrix)
-    for n in range(n_steps):
+    for n in range(len(rows[0])):
         for matrix, out in zip(matrices, rows):
             step = np.matmul(matrix, state, out=out[n])[:n_s]
             state = 0.5 * (step + step[transposed].conj())
@@ -425,7 +426,7 @@ def _gated_strokes(rho0, subs, n_steps):
             for spectrum in zip(spectra.eigenvalues, spectra.eigenvectors, spectra.matrix):
                 require_support(DensityMatrix._wrap(Spectrum(*spectrum)), sub.ancilla_kernel)
         ancillas.append(spectra)
-    return rows, systems, ancillas
+    return systems, ancillas
 
 
 def _record(rho0, tau, subs, rows, systems, ancillas) -> TrajectoryRecord:

@@ -19,6 +19,8 @@ from .errors import DimensionMismatchError, NonHermitianError, NonSquareError
 
 # Relative Hermiticity gate applied before any spectral operation.
 HERMITICITY_RTOL = 1e-10
+# Relative bound on ``[V, H_S + H_A]`` below which an interaction counts as energy conserving.
+ENERGY_CONSERVING_RTOL = 1e-10
 
 
 def as_complex_matrix(m) -> np.ndarray:

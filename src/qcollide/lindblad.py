@@ -14,15 +14,18 @@ step over ``h`` is the fixed matrix ``R(h) = sum_{k<=4} (hL)^k / k!``
 (:func:`rk4_propagator`), so :func:`integrate` applies one matvec per step,
 gates all its step states in one batched pass and returns one snapshot per
 step.  The generator keeps the system Hamiltonian it is built from, so
-:func:`rates` needs only the generator and the state: it reads each
-species' work and heat rate, and the energy rate, off rows cached on the
-generator, since a row ``x.reshape(-1)`` dotted with ``vec(rho)`` is
-``tr(x rho)``.
+:func:`rate_columns` needs only the generator and a stack of states: it
+reads each species' work and heat rate, and the energy rate, off rows
+cached on the generator, since a row ``x.reshape(-1)`` dotted with
+``vec(rho)`` is ``tr(x rho)``, in one stacked matvec over all the states,
+and gates each state on its rank and its energy closure.  :func:`rates` is
+its call on one state.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -449,37 +452,56 @@ class RateLedger:
 
 
 def rates(gen: LindbladGenerator, rho: DensityMatrix) -> RateLedger:
-    """Energy, work, heat and entropy rates of the generator at ``rho``.
-
-    One matvec with :attr:`LindbladGenerator.rate_rows` gives each species'
-    coherent work and heat rate and the energy rate; the entropy rate is
-    ``-tr(L(rho) ln rho)`` from one more matvec, valid because the generator
-    annihilates the trace.  Rank-deficient states are reported as errors
-    rather than regularized, and the energy rate must close against the
-    work and heat rates.
-    """
-    if rho.dim != gen.dim:
-        raise DimensionMismatchError("state dimension differs from generator")
-    smallest = float(rho.eigenvalues[0])
-    if smallest < RANK_EIGENVALUE_TOL:
-        raise RankDeficientError(f"eigenvalue {smallest:.3e} too small for ln(rho)")
-    state = vec(rho.matrix)
+    """Energy, work, heat and entropy rates of the generator at ``rho``: :func:`rate_columns` of one state."""
     n = len(gen.species)
-    values = (gen.rate_rows @ state).real.tolist()
-    work, heat, energy_rate = tuple(values[:n]), tuple(values[n : 2 * n]), values[2 * n]
-    log_rho = rho.spectrum.apply(np.log)
-    entropy_rate = -float((log_rho.reshape(-1) @ (gen.matrix @ state)).real)
-    closure = abs(energy_rate - (sum(work) + sum(heat)))
-    scale = max(1.0, abs(energy_rate), sum(abs(x) for x in work) + sum(abs(x) for x in heat))
-    if closure > 1e-10 * scale:
-        raise ValueError(
-            f"energy rate {energy_rate!r} does not close against work+heat (defect {closure:.3e})"
-        )
-    pi = entropy_rate - sum(term.beta * q for term, q in zip(gen.species, heat))
+    row = rate_columns(gen, [rho])[0].tolist()
+    energy_rate, entropy_rate, pi = row[2 * n :]
     return RateLedger(
         energy_rate=energy_rate,
-        coherent_work_rates=work,
-        incoherent_heat_rates=heat,
+        coherent_work_rates=tuple(row[:n]),
+        incoherent_heat_rates=tuple(row[n : 2 * n]),
         entropy_rate=entropy_rate,
         entropy_production_rate=pi,
     )
+
+
+def rate_columns(gen: LindbladGenerator, states: Sequence[DensityMatrix]) -> np.ndarray:
+    """The rates of :func:`rates` at each of ``states``, as rows ``(len(states), 2m + 3)``.
+
+    Each row holds the ``m`` species' coherent work rates, their heat rates,
+    the energy rate, the entropy rate and the entropy production rate.  One
+    stacked matvec with :attr:`LindbladGenerator.rate_rows` gives the work,
+    heat and energy rates; the entropy rate is ``-tr(L(rho) ln rho)`` from
+    one more, valid because the generator annihilates the trace, with
+    ``ln(rho)`` from each state's stored spectrum.  Each state is gated on
+    its rank, since rank-deficient states are reported as errors rather than
+    regularized, and then on the closure of its energy rate against the work
+    and heat rates; the first state that fails raises, its rank gate first.
+    """
+    if any(rho.dim != gen.dim for rho in states):
+        raise DimensionMismatchError("state dimension differs from generator")
+    d, n = gen.dim, len(gen.species)
+    w = np.array([rho.eigenvalues for rho in states]).reshape(-1, d)
+    v = np.array([rho.spectrum.eigenvectors for rho in states]).reshape(-1, d, d)
+    # A stack of column vectors vec(rho): matmul then takes each state's matvec, bit for bit.
+    s = np.array([rho.matrix for rho in states]).reshape(-1, d, d).swapaxes(1, 2).reshape(-1, d * d, 1)
+    # ln(rho) of a rank-deficient state is not finite; its rank gate rejects it below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_rho = (v * np.log(w)[:, None, :]) @ dag(v)
+        entropy_rate = -np.matmul(log_rho.reshape(-1, 1, d * d), np.matmul(gen.matrix, s))[:, 0, 0].real
+    values = np.matmul(gen.rate_rows, s)[..., 0].real
+    work, heat, energy_rate = values[:, :n], values[:, n : 2 * n], values[:, 2 * n]
+    # Column sums in the order of a sum over one state's rates.
+    closure = np.abs(energy_rate - (sum(work.T) + sum(heat.T)))
+    scale = np.maximum(np.maximum(1.0, np.abs(energy_rate)), sum(np.abs(work).T) + sum(np.abs(heat).T))
+    rank_deficient = w[:, 0] < RANK_EIGENVALUE_TOL
+    failed = rank_deficient | (closure > 1e-10 * scale)
+    if np.count_nonzero(failed):
+        i = np.argmax(failed)
+        if rank_deficient[i]:
+            raise RankDeficientError(f"eigenvalue {w[i, 0]:.3e} too small for ln(rho)")
+        raise ValueError(
+            f"energy rate {float(energy_rate[i])!r} does not close against work+heat (defect {closure[i]:.3e})"
+        )
+    pi = entropy_rate - sum(term.beta * q for term, q in zip(gen.species, heat.T))
+    return np.column_stack([work, heat, energy_rate, entropy_rate, pi])

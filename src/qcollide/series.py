@@ -26,6 +26,7 @@ from .errors import (
     EnergyConservationError,
 )
 from .linalg import (
+    ENERGY_CONSERVING_RTOL,
     commutator,
     dag,
     double_commutator,
@@ -40,7 +41,6 @@ from .states import AncillaSpec, DensityMatrix
 GAP_TOL = 1e-8
 TRACELESS_TOL = 1e-12
 ZERO_DIAGONAL_TOL = 1e-12
-ENERGY_CONSERVING_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,9 @@
 """Reference routes and fixtures that only the tests use.
 
 The reference routes are written out the slow, explicit way (full joint
-states, nested commutators, partial traces, one ``collide`` per stroke) so
-that the tests can hold the package's closed-form and stacked paths against
-them.
+states, nested commutators, partial traces, one ``collide`` per stroke, one
+``rates`` evaluation per state) so that the tests can hold the package's
+closed-form and stacked paths against them.
 """
 
 from dataclasses import fields
@@ -11,7 +11,8 @@ from dataclasses import fields
 import numpy as np
 
 from qcollide.collisions import CollisionLedger, TrajectoryRecord, TrajectoryStep, collide
-from qcollide.errors import DimensionMismatchError
+from qcollide.errors import DimensionMismatchError, RankDeficientError
+from qcollide.lindblad import RANK_EIGENVALUE_TOL, LindbladGenerator, RateLedger, vec
 from qcollide.linalg import double_commutator, kron, partial_trace
 from qcollide.presets import _mixed_wishart, random_matrix
 from qcollide.rng import SplitMix64
@@ -45,6 +46,15 @@ def dissipator_apply(v_interaction, rho_system, rho_thermal, dim_system: int, di
 def random_density_matrix(rng: SplitMix64, dim: int, floor: float = 0.08) -> DensityMatrix:
     """Full-rank random state: a Wishart draw mixed with the identity, as the sampler makes ``rho_S``."""
     return DensityMatrix(_mixed_wishart(random_matrix(rng, dim), floor))
+
+
+def raised(fn, *args, **kwargs):
+    """Class and message of what ``fn`` raises; ``None`` when it returns."""
+    try:
+        fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
 
 
 def stroke_by_stroke_trajectory(rho0: DensityMatrix, cfgs, n_steps: int) -> TrajectoryRecord:
@@ -101,3 +111,70 @@ def record_bits(record: TrajectoryRecord) -> tuple:
         [ledger_bits(ledger) for ledger in record.cumulative],
         [(label, ledger_bits(ledger)) for label, ledger in record.species_totals.items()],
     )
+
+
+def per_state_rates(gen: LindbladGenerator, rho: DensityMatrix) -> RateLedger:
+    """``lindblad.rates`` for one state, with its own matvecs, ``ln(rho)`` and gates.
+
+    Its rank gate runs first, then the closure of the energy rate against the
+    work and heat rates, as scalar sums in species order.
+    """
+    if rho.dim != gen.dim:
+        raise DimensionMismatchError("state dimension differs from generator")
+    smallest = float(rho.eigenvalues[0])
+    if smallest < RANK_EIGENVALUE_TOL:
+        raise RankDeficientError(f"eigenvalue {smallest:.3e} too small for ln(rho)")
+    state = vec(rho.matrix)
+    n = len(gen.species)
+    values = (gen.rate_rows @ state).real.tolist()
+    work, heat, energy_rate = tuple(values[:n]), tuple(values[n : 2 * n]), values[2 * n]
+    log_rho = rho.spectrum.apply(np.log)
+    entropy_rate = -float((log_rho.reshape(-1) @ (gen.matrix @ state)).real)
+    closure = abs(energy_rate - (sum(work) + sum(heat)))
+    scale = max(1.0, abs(energy_rate), sum(abs(x) for x in work) + sum(abs(x) for x in heat))
+    if closure > 1e-10 * scale:
+        raise ValueError(
+            f"energy rate {energy_rate!r} does not close against work+heat (defect {closure:.3e})"
+        )
+    pi = entropy_rate - sum(term.beta * q for term, q in zip(gen.species, heat))
+    return RateLedger(
+        energy_rate=energy_rate,
+        coherent_work_rates=work,
+        incoherent_heat_rates=heat,
+        entropy_rate=entropy_rate,
+        entropy_production_rate=pi,
+    )
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def row_by_row_trajectory_csv(path, record: TrajectoryRecord, gen: LindbladGenerator) -> None:
+    """``trajectory.csv`` of a record, one :func:`per_state_rates` call and one ``format`` per value."""
+    header = (
+        "step,t,E_S,Q_A_cum,W_cum,W_C_cum,Q_inc_cum,Sigma_cum,I_cum,Srel_cum,"
+        "C_anc_before,C_anc_after,S_system,Pi_rate"
+    )
+    lines = [header]
+    for step, cum in zip(record.steps, record.cumulative):
+        state = step.state
+        pi_rate = per_state_rates(gen, state).entropy_production_rate
+        row = [
+            str(step.index),
+            _fmt(step.time),
+            _fmt(state.expectation(gen.h_system)),
+            _fmt(cum.heat_ancilla),
+            _fmt(cum.work),
+            _fmt(cum.coherent_work),
+            _fmt(cum.incoherent_heat),
+            _fmt(cum.entropy_production),
+            _fmt(cum.mutual_info),
+            _fmt(cum.rel_entropy_ancilla),
+            _fmt(step.ledger.coherence_before),
+            _fmt(step.ledger.coherence_after),
+            _fmt(von_neumann_entropy(state)),
+            _fmt(pi_rate),
+        ]
+        lines.append(",".join(row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -332,6 +332,15 @@ def test_unallocatable_run_is_one_line_error(tmp_path, capsys):
     assert lines[0].startswith("error: Unable to allocate")
 
 
+def test_run_too_long_for_an_array_is_one_line_error(tmp_path, capsys):
+    # numpy refuses the stroke rows of 10^18 strokes as too big, before any stroke runs.
+    path = write(tmp_path, "long.json", {"scenario": "qubit-demo", "n_steps": 10**18})
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: array is too big")
+
+
 # Config documents over the table's keys plus junk ones, with values of every
 # JSON kind: numbers up to 10**400 and the float limits, wrong types, nested lists.
 JUNK_KEYS = ["dt", "Scenario", ""]

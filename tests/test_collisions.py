@@ -35,7 +35,7 @@ from qcollide.states import (
     von_neumann_entropy,
 )
 from qcollide.verify import IDENTITY_TAUS, entropic_identity_residuals, halving_ratios, random_collision_suite
-from reference import mutual_information, record_bits, stroke_by_stroke_trajectory
+from reference import mutual_information, raised, record_bits, stroke_by_stroke_trajectory
 
 LN3 = math.log(3.0)
 
@@ -263,15 +263,6 @@ class TestRunTrajectory:
         assert record.cumulative[-1].entropy_production >= -1e-9
 
 
-def raised(fn, *args, **kwargs):
-    """Class and message of what ``fn`` raises; ``None`` when it returns."""
-    try:
-        fn(*args, **kwargs)
-    except Exception as exc:
-        return type(exc), str(exc)
-    return None
-
-
 def with_stroke_matrix(cfg, system_factor, ancilla_factor):
     """``cfg`` with the system and ancilla rows of its stroke matrix scaled."""
     n_s, n_a = cfg.dim_system**2, cfg.dim_ancilla**2
@@ -400,6 +391,15 @@ class TestTrajectoryMatchesReference:
         monkeypatch.setattr(collisions, "collide", refuse)
         cfgs = [qubit_collision(label="A"), qubit_collision(beta=0.5, label="B")]
         assert len(run_trajectory(maximally_mixed(2), cfgs, 5).steps) == 5
+
+    def test_unallocatable_run_raises_at_once_without_collide(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("collide called")
+
+        monkeypatch.setattr(collisions, "collide", refuse)
+        # numpy refuses the stroke rows of 10^18 strokes before any stroke runs.
+        with pytest.raises(ValueError, match="^array is too big"):
+            run_trajectory(maximally_mixed(2), [qubit_collision()], 10**18)
 
     def test_failing_run_is_replayed_through_collide(self, monkeypatch):
         calls = []
