@@ -39,7 +39,7 @@ from operator import add
 import numpy as np
 
 from .errors import DimensionMismatchError, QCollideError, UnitaryDefectError
-from .lindblad import coherent_generator, unvec, vec
+from .lindblad import coherent_generator, propagate, unvec, vec
 from .linalg import (
     ENERGY_CONSERVING_RTOL,
     Spectrum,
@@ -406,18 +406,13 @@ def _gated_run(rho0, cfgs, n_steps, *, ledgers: bool):
 def _gated_strokes(rho0, subs, rows):
     """Fill each species' stroke rows ``(n_steps, len(stroke_matrix))``; return the gated spectra of the outputs.
 
-    The symmetrized system block of each stroke feeds the next.  The system
-    spectra are in stroke order, the ancilla spectra one stack per species.
+    The strokes are one :func:`~qcollide.lindblad.propagate` in round order,
+    so the symmetrized system block of each stroke feeds the next.  The
+    system spectra are in stroke order, the ancilla spectra one stack per
+    species.
     """
-    n_s = rho0.dim**2
-    # vec(rho^T) = vec(rho)[transposed], so the symmetrization stays on vectors.
-    transposed = np.arange(n_s).reshape(rho0.dim, rho0.dim).T.reshape(-1)
-    matrices = [sub.stroke_matrix for sub in subs]
-    state = vec(rho0.matrix)
-    for n in range(len(rows[0])):
-        for matrix, out in zip(matrices, rows):
-            step = np.matmul(matrix, state, out=out[n])[:n_s]
-            state = 0.5 * (step + step[transposed].conj())
+    n_steps, n_s = len(rows[0]), rho0.dim**2
+    propagate(rho0, [sub.stroke_matrix for sub in subs] * n_steps, (r[n] for n in range(n_steps) for r in rows))
     systems = state_spectra(unvec(np.stack([r[:, :n_s] for r in rows], axis=1).reshape(-1, n_s), rho0.dim))
     ancillas = []
     for sub, r in zip(subs, rows):

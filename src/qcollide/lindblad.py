@@ -6,14 +6,15 @@ The generator acts as ``L(rho) = -i [H_eff, rho] + sum_j D_j(rho)`` with
 form: the drift and the jump dissipators from ``vec(A X B) = (B^T (x) A)
 vec(X)``, each thermal dissipator from one contraction over ``V`` and
 ``rho_th`` (:func:`~qcollide.linalg.reduced_superoperator`).  Applying the
-generator is one matrix-vector product; steady-state solves and norm
-estimates are plain dense linear algebra.
+generator is one matrix-vector product; steady-state solves and the
+spectral norm are plain dense linear algebra.
 
 The same matrices carry the time stepping and the rates.  One classical RK4
 step over ``h`` is the fixed matrix ``R(h) = sum_{k<=4} (hL)^k / k!``
-(:func:`rk4_propagator`), so :func:`integrate` applies one matvec per step,
-gates all its step states in one batched pass and returns one snapshot per
-step.  The generator keeps the system Hamiltonian it is built from, so
+(:func:`rk4_propagator`), so :func:`integrate` applies one matvec per step
+through :func:`propagate`, the loop the collision strokes share, gates all
+its step states in one batched pass and returns one snapshot per step.  The
+generator keeps the system Hamiltonian it is built from, so
 :func:`rate_columns` needs only the generator and a stack of states: it
 reads each species' work and heat rate, and the energy rate, off rows
 cached on the generator, since a row ``x.reshape(-1)`` dotted with
@@ -139,20 +140,9 @@ class LindbladGenerator:
         return m
 
     @cached_property
-    def norm_estimate(self) -> float:
-        """Spectral-norm estimate via 20 power-iteration steps on ``L^dag L``."""
-        m = self.matrix
-        gram = dag(m) @ m
-        x = np.ones(m.shape[0], dtype=complex)
-        x /= np.linalg.norm(x)
-        for _ in range(20):
-            y = gram @ x
-            norm = np.linalg.norm(y)
-            if norm == 0.0:
-                return 0.0
-            x = y / norm
-        rayleigh = float(np.real(np.conj(x) @ (gram @ x)))
-        return math.sqrt(max(rayleigh, 0.0))
+    def norm(self) -> float:
+        """Spectral norm ``||L||_2`` of :attr:`matrix`, its largest singular value."""
+        return float(np.linalg.norm(self.matrix, 2))
 
     @cached_property
     def rate_rows(self) -> np.ndarray:
@@ -335,15 +325,31 @@ def rk4_propagator(l_matrix: np.ndarray, h: float) -> np.ndarray:
     return r
 
 
+def propagate(rho0: DensityMatrix, maps, outs) -> None:
+    """Write each ``map @ state`` into its ``out``, in order, starting from ``vec(rho0)``.
+
+    A map may return more than the ``d^2`` entries of the state, as a stroke
+    matrix appends the ancilla's; the symmetrized leading ``d^2`` block
+    ``(rho + rho^dag)/2`` of each output is the state that the next map takes.
+    """
+    n = rho0.dim**2
+    # vec(rho^T) = vec(rho)[transposed], so the symmetrization stays on vectors.
+    transposed = np.arange(n).reshape(rho0.dim, rho0.dim).T.reshape(-1)
+    state = vec(rho0.matrix)
+    for matrix, out in zip(maps, outs):
+        step = np.matmul(matrix, state, out=out)[:n]
+        state = 0.5 * (step + step[transposed].conj())
+
+
 def integrate(
     gen: LindbladGenerator, rho0: DensityMatrix, t_final: float, dt: float
 ) -> list[tuple[float, DensityMatrix]]:
     """Fixed-step RK4 integration of the master equation.
 
-    The step must satisfy ``dt <= 0.1 / ||L||``.  Each step is one matvec with
+    The step must satisfy ``dt <= 0.1 / ||L||``, with the exact spectral norm
+    :attr:`LindbladGenerator.norm`.  The steps are one :func:`propagate` with
     the step's :func:`rk4_propagator`, built once for ``dt`` and once for the
-    remainder step, and the symmetrization ``(rho + rho^dag)/2`` that feeds
-    the next step.  The raw step matrices are then gated together by one
+    remainder step.  The raw step matrices are then gated together by one
     :func:`~qcollide.states.density_matrices` call, with positivity loosened
     to ``-1e-6``, since a coarse but admissible step can push eigenvalues
     slightly negative; every step yields exactly one snapshot.  The trace is
@@ -357,12 +363,10 @@ def integrate(
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise ValueError(f"t_final must be finite and >= 0, got {t_final!r}")
-    dim = gen.dim
-    if rho0.dim != dim:
+    if rho0.dim != gen.dim:
         raise DimensionMismatchError("state dimension differs from generator")
-    norm = gen.norm_estimate
-    if norm > 0.0 and dt > 0.1 / norm:
-        raise StepSizeError(f"dt={dt} exceeds stability bound {0.1 / norm:.3e}")
+    if gen.norm > 0.0 and dt > 0.1 / gen.norm:
+        raise StepSizeError(f"dt={dt} exceeds stability bound {0.1 / gen.norm:.3e}")
 
     n_whole = int(math.floor(t_final / dt + 1e-9))
     remainder = t_final - n_whole * dt
@@ -370,26 +374,18 @@ def integrate(
     if remainder > 1e-12 * max(t_final, 1.0):
         steps.append(remainder)
     propagators = {h: rk4_propagator(gen.matrix, h) for h in set(steps)}
-
-    # vec(rho^T) = vec(rho)[transposed], so the symmetrization stays on vectors.
-    transposed = np.arange(dim * dim).reshape(dim, dim).T.reshape(-1)
-    raw = np.empty((len(steps), dim, dim), dtype=complex)
-    times = []
-    state = vec(rho0.matrix)
-    t = 0.0
+    # The sums of a loop that adds the steps in order, from 0.0.
+    times = np.add.accumulate(steps, dtype=float).tolist()
+    raw = np.empty((len(steps), gen.dim**2), dtype=complex)
     # Steps after one that leaves the cone are computed before the gate finds it;
     # should they overflow, the gate rejects them, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, h in enumerate(steps):
-            step = propagators[h] @ state
-            raw[i] = unvec(step, dim)
-            state = 0.5 * (step + step[transposed].conj())
-            t += h
-            times.append(t)
+        propagate(rho0, [propagators[h] for h in steps], raw)
+        matrices = unvec(raw, gen.dim)
         try:
-            snapshots = density_matrices(raw, psd_tol=INTEGRATOR_PSD_TOL)
+            snapshots = density_matrices(matrices, psd_tol=INTEGRATOR_PSD_TOL)
         except (QCollideError, ValueError):
-            snapshots = [_step_snapshot(t, rho) for t, rho in zip(times, raw)]
+            snapshots = [_step_snapshot(t, rho) for t, rho in zip(times, matrices)]
     return [(0.0, rho0), *zip(times, snapshots)]
 
 

@@ -4,11 +4,13 @@ Each study pits two independent computational routes against each other
 (stroboscopic vs integrated dynamics, exact functionals vs perturbative
 series, randomized exact inequalities, the steady state vs the jump rates)
 and reduces the comparison to a few scalars: max distances, fitted log-log
-slopes, halving ratios, suite minima.  Every study of the paper's claims
-lives here, with the ``tau`` and amplitude grids it runs on; the CLI only
-turns the scalars into checks.  A study takes only what its callers vary:
-a fixture, grid, step or sample count with one value in use is fixed here,
-and the start state of the convergence study is derived from the species.
+slopes, halving ratios, the inequalities of each suite sample.  Every study
+of the paper's claims lives here, with the ``tau`` and amplitude grids it
+runs on; the CLI only turns the scalars into checks, and takes the suite's
+extremes at the checks that read them.  A study takes only what its callers
+vary: a fixture, grid, step or sample count with one value in use is fixed
+here, and the start state of the convergence study is derived from the
+species.
 
 The randomized suite uses each random config for one stroke only, so it
 builds no :class:`~qcollide.collisions.CollisionConfig` and no stroke
@@ -34,7 +36,7 @@ from .lindblad import (
     eigenoperator_dissipator,
     integrate,
     multi_bath_generator,
-    rates,
+    rate_columns,
     rk4_step,
     steady_state,
 )
@@ -156,7 +158,7 @@ def stroboscopic_deviation(
         rho0 = maximally_mixed(cfgs[0].dim_system)
         strobes = stroboscopic_states(rho0, cfgs, n_rounds)
         gen = generator_for(cfgs)
-        cap = 0.09 / max(gen.norm_estimate, 1e-12)
+        cap = 0.09 / max(gen.norm, 1e-12)
         substeps = max(1, math.ceil(tau / min(DEFAULT_DT_TARGET, cap)))
         reference = integrate(gen, rho0, n_rounds * tau, tau / substeps)
         distances = trace_distance(
@@ -315,22 +317,8 @@ class SuiteSample:
     coherent_bound_scaled: float
 
 
-@dataclass(frozen=True)
-class SuiteSummary:
-    """Extremes of the randomized collision suite."""
-
-    count: int
-    min_entropy_production: float
-    min_mutual_info: float
-    min_rel_entropy: float
-    max_abs_work_scaled: float
-    min_coherent_bound_scaled: float
-
-
-def random_collision_suite(
-    seed: int, count: int, *, eigenoperator: bool = True
-) -> tuple[SuiteSummary, list[SuiteSample]]:
-    """Run ``count`` seeded random collisions and collect the exact inequalities.
+def random_collision_suite(seed: int, count: int, *, eigenoperator: bool = True) -> list[SuiteSample]:
+    """Run ``count`` seeded random collisions and return each one's exact inequalities, in draw order.
 
     ``work_scaled`` is ``|work| / (||H_S|| + ||H_A||)`` (spectral norms);
     ``coherent_bound_scaled`` is ``(beta W_C + dC) / tau^{3/2}``, the scaled
@@ -363,19 +351,10 @@ def random_collision_suite(
     if failures:
         index, exc = min(failures, key=lambda failure: failure[0])
         raise type(exc)(f"sample {index}: {exc}") from exc
-    samples = [
+    return [
         SuiteSample(index, *draw["dims"], draw["tau"], *row)
         for index, (draw, row) in enumerate(zip(draws, columns.tolist()))
     ]
-    summary = SuiteSummary(
-        count=count,
-        min_entropy_production=min(s.entropy_production for s in samples),
-        min_mutual_info=min(s.mutual_info for s in samples),
-        min_rel_entropy=min(s.rel_entropy_ancilla for s in samples),
-        max_abs_work_scaled=max(s.work_scaled for s in samples),
-        min_coherent_bound_scaled=min(s.coherent_bound_scaled for s in samples),
-    )
-    return summary, samples
 
 
 def _first_failure(draws: list[dict], indices: list[int], error: Exception) -> tuple[int, Exception]:
@@ -478,15 +457,17 @@ def free_energy_rate_fd(gen: LindbladGenerator, rho: DensityMatrix, beta: float)
 def second_law_defects(
     gen: LindbladGenerator, trajectory: Sequence[tuple[float, DensityMatrix]], beta: float
 ) -> list[float]:
-    """|Pi - beta (W_C_rate - F_rate)| at :data:`SECOND_LAW_SAMPLES` evenly spaced trajectory samples."""
+    """|Pi - beta (W_C_rate - F_rate)| at :data:`SECOND_LAW_SAMPLES` evenly spaced trajectory samples.
+
+    The rates of all samples come from one
+    :func:`~qcollide.lindblad.rate_columns` call, so its rank gate runs on
+    every sample before any finite difference of the free energy.  The
+    coherent work rate is the sum of the species' rates in species order.
+    """
     stride = max(1, (len(trajectory) - 1) // SECOND_LAW_SAMPLES)
-    picks = list(range(stride, len(trajectory), stride))[:SECOND_LAW_SAMPLES]
-    defects = []
-    for k in picks:
-        _, rho = trajectory[k]
-        ledger = rates(gen, rho)
-        f_rate = free_energy_rate_fd(gen, rho, beta)
-        defects.append(
-            abs(ledger.entropy_production_rate - beta * (ledger.coherent_work_rate - f_rate))
-        )
-    return defects
+    states = [rho for _, rho in trajectory[stride::stride][:SECOND_LAW_SAMPLES]]
+    m = len(gen.species)
+    return [
+        abs(row[-1] - beta * (sum(row[:m]) - free_energy_rate_fd(gen, rho, beta)))
+        for rho, row in zip(states, rate_columns(gen, states).tolist())
+    ]

@@ -223,6 +223,17 @@ def test_overflowing_coupling_is_one_line_error_without_warnings(tmp_path, capsy
     assert lines[0].startswith("error: stroke matrix of species") and "non-finite" in lines[0]
 
 
+def test_validate_checks_the_document_only(tmp_path, capsys):
+    # validate builds no operators, so a coupling whose square overflows passes it; run rejects it.
+    path = write(tmp_path, "huge.json", {"scenario": "qubit-demo", "g": 1e300})
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "OK scenario=qubit-demo\n"
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stroke matrix of species 'A' has non-finite entries\n"
+
+
 @pytest.mark.parametrize("route", ["--out under a file", "output_dir is a file"])
 def test_unwritable_output_location_is_one_line_error(tmp_path, capsys, monkeypatch, route):
     import qcollide.cli as cli

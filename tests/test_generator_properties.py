@@ -161,7 +161,7 @@ def test_subdivided_keeps_coherence_amplitude_and_round(parts, lam, tau):
 @given(seeds, st.booleans(), st.integers(min_value=1, max_value=2), st.floats(min_value=0.05, max_value=1.0))
 def test_rk4_propagator_matches_rk4_step(seed, eigenoperator, count, fraction):
     gen = generator_for(draw_species(seed, eigenoperator, count))
-    h = fraction * 0.1 / gen.norm_estimate
+    h = fraction * 0.1 / gen.norm
     rng = SplitMix64(seed ^ 0x5EED)
     for v in (vec(random_density_matrix(rng, gen.dim).matrix), vec(random_matrix(rng, gen.dim))):
         assert max_abs(rk4_propagator(gen.matrix, h) @ v - rk4_step(gen.matrix, v, h)) <= 1e-13
@@ -171,7 +171,7 @@ def test_rk4_propagator_matches_rk4_step(seed, eigenoperator, count, fraction):
 @given(seeds, st.booleans(), st.integers(min_value=1, max_value=2))
 def test_integrate_takes_its_remainder_step_with_its_own_propagator(seed, eigenoperator, count):
     gen = generator_for(draw_species(seed, eigenoperator, count))
-    assume(gen.norm_estimate <= 10.0)  # dt = 0.01 must pass the step-size gate
+    assume(gen.norm <= 10.0)  # dt = 0.01 must pass the step-size gate
     rho = random_density_matrix(SplitMix64(seed ^ 0x5EED), gen.dim)
     trajectory = integrate(gen, rho, 0.105, 0.01)
     assert len(trajectory) - 1 == 11

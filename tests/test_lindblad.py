@@ -33,6 +33,7 @@ from qcollide.presets import (
     qubit_ancilla,
     qubit_collision,
     qubit_couplings,
+    qubit_exchange_interaction,
     qubit_hamiltonian,
 )
 from qcollide.states import AncillaSpec, DensityMatrix, thermal_state, trace_distance
@@ -190,6 +191,16 @@ class TestIntegrate:
         with pytest.raises(StepSizeError):
             integrate(gen, maximally_mixed(2), 1.0, 10.0)
 
+    def test_step_bound_uses_the_exact_norm(self):
+        # An infinite-temperature bath relaxes the population imbalance at rate 1, which
+        # an all-ones power-iteration start never sees: it estimated ||L|| as 0.5.
+        spec = qubit_ancilla(beta=0.0, lam=0.0)
+        gen = build_generator(np.zeros((2, 2)), spec, qubit_exchange_interaction(1.0))
+        assert gen.norm == np.linalg.norm(gen.matrix, 2)
+        assert abs(gen.norm - 1.0) <= 1e-12
+        with pytest.raises(StepSizeError, match="exceeds stability bound 1.000e-01"):
+            integrate(gen, DensityMatrix(np.diag([1.0, 0.0])), 1.5, 0.15)
+
     def test_state_dimension_must_match_generator(self):
         gen, _ = qubit_generator()
         with pytest.raises(DimensionMismatchError, match="state dimension differs from generator"):
@@ -289,7 +300,7 @@ class TestEntropyProductionRate:
         for _ in range(25):
             rho0, cfg = random_collision(rng, eigenoperator=True)
             gen = build_generator(cfg.h_system, cfg.ancilla, cfg.v_interaction)
-            dt = min(1e-2, 0.09 / max(gen.norm_estimate, 1e-12))
+            dt = min(1e-2, 0.09 / max(gen.norm, 1e-12))
             trajectory = integrate(gen, rho0, 30 * dt, dt)
             for _, state in trajectory[::10]:
                 ledger = rates(gen, state)

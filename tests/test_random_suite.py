@@ -36,7 +36,7 @@ def one_sample_route(seed, count, eigenoperator=True):
 @suite_settings
 @given(seeds, st.booleans())
 def test_every_sample_matches_the_one_sample_route(seed, eigenoperator):
-    _, samples = random_collision_suite(seed, COUNT, eigenoperator=eigenoperator)
+    samples = random_collision_suite(seed, COUNT, eigenoperator=eigenoperator)
     assert [s.index for s in samples] == list(range(COUNT))
     for sample, (cfg, ledger) in zip(samples, one_sample_route(seed, COUNT, eigenoperator), strict=True):
         tau = cfg.ancilla.tau

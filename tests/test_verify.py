@@ -27,7 +27,7 @@ def test_deviation_starts_from_the_maximally_mixed_state_of_the_species():
         n_rounds = round(t_final / tau)
         strobes = stroboscopic_states(maximally_mixed(3), cfgs, n_rounds)
         gen = generator_for(cfgs)
-        substeps = max(1, math.ceil(tau / min(DEFAULT_DT_TARGET, 0.09 / gen.norm_estimate)))
+        substeps = max(1, math.ceil(tau / min(DEFAULT_DT_TARGET, 0.09 / gen.norm)))
         reference = integrate(gen, maximally_mixed(3), n_rounds * tau, tau / substeps)
         distances = trace_distance(
             np.array([state.matrix for state in strobes]),
