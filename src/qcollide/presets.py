@@ -8,16 +8,26 @@ either an eigenoperator-form interaction (built on matched harmonic ladders,
 hence strictly energy conserving) or a generic Hermitian interaction shifted
 to have no thermal first moment.
 
-The sampler has two stages.  :func:`draw_collision` takes every random
-number of one instance from the SplitMix64 stream and does no linear
+The sampler has two stages.  :func:`draw_collisions` takes every random
+number of many instances from the SplitMix64 stream and does no linear
 algebra; :func:`collision_stack` builds the instances of many draws of one
 ``(d_S, d_A)`` as stacked arrays, with stacked ``qr``, ``eigh`` and ``@``,
 which give each matrix the bits of a single call.  :func:`random_collision`
 is the one-instance case of both.
+
+A draw reads a fixed number of outputs once its two ``dims`` outputs are
+known: one per uniform and a Box-Muller pair per complex normal.  So the
+draws scan only the ``dims`` outputs with scalar mixes
+(:meth:`~qcollide.rng.SplitMix64.peek`), read the whole stretch of the
+counter-based stream as one :meth:`~qcollide.rng.SplitMix64.block`, turn it
+into uniforms and complex normals as arrays, and slice each draw's fields
+out of those in stream order.  The series instances read their complex
+normals through the same block and :func:`~qcollide.rng.complex_normals`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +36,7 @@ import numpy as np
 from .collisions import CollisionConfig
 from .lindblad import EigenoperatorCoupling, eigenoperator_interaction, thermal_first_moment
 from .linalg import Spectrum, dag, hermitian_eig, kron, max_abs, max_abs_each, require_hermitian
-from .rng import SplitMix64
+from .rng import SplitMix64, complex_normals, unit_uniforms
 from .states import AncillaSpec, DensityMatrix, gibbs_spectrum, state_spectra
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -172,8 +182,9 @@ def three_level_state() -> DensityMatrix:
     return DensityMatrix(m)
 
 
-def _normals(rng: SplitMix64, count: int) -> list[complex]:
-    return [rng.complex_normal() for _ in range(count)]
+def _normals(rng: SplitMix64, count: int) -> np.ndarray:
+    """The next ``count`` complex normals of the stream, one Box-Muller pair of outputs each."""
+    return complex_normals(rng.block(2 * count))
 
 
 def _unit_max(a: np.ndarray) -> np.ndarray:
@@ -207,7 +218,7 @@ def _zero_diagonal(upper: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def random_matrix(rng: SplitMix64, dim: int) -> np.ndarray:
-    return np.array(_normals(rng, dim * dim), dtype=complex).reshape(dim, dim)
+    return _normals(rng, dim * dim).reshape(dim, dim)
 
 
 def random_hermitian(rng: SplitMix64, dim: int) -> np.ndarray:
@@ -257,49 +268,120 @@ def random_gapped_probs(rng: SplitMix64, dim: int) -> np.ndarray:
 def random_zero_diagonal(rng: SplitMix64, basis: np.ndarray) -> np.ndarray:
     """Hermitian matrix with no diagonal weight in the given eigenbasis."""
     dim = basis.shape[0]
-    return _zero_diagonal(np.array(_normals(rng, dim * (dim - 1) // 2), dtype=complex), basis)
+    return _zero_diagonal(_normals(rng, dim * (dim - 1) // 2), basis)
 
 
-def draw_collision(rng: SplitMix64, *, eigenoperator: bool = True) -> dict:
-    """Every random number of one :func:`random_collision` instance, in stream order.
+# Kind of each output of a draw: a dims output, a uniform, or one half of a Box-Muller pair.
+_DIMS, _UNIFORM, _NORMAL = 0, 1, 2
 
-    No draw depends on a linear-algebra result, so a whole suite can be
-    drawn before any matrix is built.  The draw is a dict of scalars and
-    lists of complex normals, keyed by what :func:`collision_stack` builds
-    from them; ``"dims"`` is ``(d_S, d_A)``, each drawn from
-    :data:`RANDOM_DIMS`, and ``"spacing"`` is present exactly for the
-    eigenoperator branch.
-    """
-    dim_system = RANDOM_DIMS[rng.next_below(len(RANDOM_DIMS))]
-    dim_ancilla = RANDOM_DIMS[rng.next_below(len(RANDOM_DIMS))]
+
+class _Layout:
+    """Stands in for :class:`_Fields` to record the kind of each output one draw reads."""
+
+    def __init__(self):
+        self.kinds = [_DIMS, _DIMS]
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        self.kinds.append(_UNIFORM)
+        return low
+
+    def normals(self, count: int) -> np.ndarray:
+        self.kinds += [_NORMAL] * (2 * count)
+        return np.zeros(count, dtype=complex)
+
+
+class _Fields:
+    """The uniforms and complex normals of a stretch of the stream, read in stream order."""
+
+    def __init__(self, uniforms: list[float], normals: np.ndarray):
+        self._uniforms = iter(uniforms)
+        self._normals = normals
+        self._read = 0
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        """The next uniform in ``[low, high)``, as :meth:`~qcollide.rng.SplitMix64.uniform` makes it."""
+        return low + (high - low) * next(self._uniforms)
+
+    def normals(self, count: int) -> np.ndarray:
+        start, self._read = self._read, self._read + count
+        return self._normals[start : self._read]
+
+
+def _draw_fields(source: _Fields | _Layout, *, dims: tuple[int, int], eigenoperator: bool) -> dict:
+    """The fields of one draw that follow its ``dims`` outputs, read from ``source`` in stream order."""
+    dim_system, dim_ancilla = dims
     draw = {
-        "dims": (dim_system, dim_ancilla),
-        "beta": rng.uniform(0.2, 2.5),
-        "tau": 10.0 ** rng.uniform(-4.0, -1.0),
+        "dims": dims,
+        "beta": source.uniform(0.2, 2.5),
+        "tau": 10.0 ** source.uniform(-4.0, -1.0),
     }
     if eigenoperator:
-        draw["spacing"] = rng.uniform(0.6, 1.8)
+        draw["spacing"] = source.uniform(0.6, 1.8)
         for side, dim in (("system", dim_system), ("ancilla", dim_ancilla)):
-            draw[f"basis_{side}"] = _normals(rng, dim * dim)
-            draw[f"offset_{side}"] = rng.uniform(-0.3, 0.3)
+            draw[f"basis_{side}"] = source.normals(dim * dim)
+            draw[f"offset_{side}"] = source.uniform(-0.3, 0.3)
         # Per coupling: amplitude modulus and phase, then the system and ancilla ladder weights.
         draw["couplings"] = [
-            (rng.uniform(0.3, 1.0), rng.uniform(), _normals(rng, dim_system - step), _normals(rng, dim_ancilla - step))
+            (
+                source.uniform(0.3, 1.0),
+                source.uniform(),
+                source.normals(dim_system - step),
+                source.normals(dim_ancilla - step),
+            )
             for step in range(1, min(dim_system, dim_ancilla))
         ]
-        draw["v_scale"] = rng.uniform(0.4, 1.0)
+        draw["v_scale"] = source.uniform(0.4, 1.0)
     else:
         for key, dim, low, high in (
             ("h_system", dim_system, 0.5, 1.5),
             ("h_ancilla", dim_ancilla, 0.5, 1.5),
             ("v", dim_system * dim_ancilla, 0.4, 1.0),
         ):
-            draw[f"{key}_scale"] = rng.uniform(low, high)
-            draw[key] = _normals(rng, dim * dim)
-    draw["chi"] = _normals(rng, dim_ancilla * (dim_ancilla - 1) // 2)
-    draw["lam"] = rng.uniform(0.2, 1.0)
-    draw["rho_system"] = _normals(rng, dim_system * dim_system)
+            draw[f"{key}_scale"] = source.uniform(low, high)
+            draw[key] = source.normals(dim * dim)
+    draw["chi"] = source.normals(dim_ancilla * (dim_ancilla - 1) // 2)
+    draw["lam"] = source.uniform(0.2, 1.0)
+    draw["rho_system"] = source.normals(dim_system * dim_system)
     return draw
+
+
+@functools.cache
+def _layout(dims: tuple[int, int], eigenoperator: bool) -> bytes:
+    """The kind of each output of one draw of these dims, one byte each."""
+    layout = _Layout()
+    _draw_fields(layout, dims=dims, eigenoperator=eigenoperator)
+    return bytes(layout.kinds)
+
+
+def draw_collisions(rng: SplitMix64, count: int, *, eigenoperator: bool = True) -> list[dict]:
+    """Every random number of ``count`` :func:`random_collision` instances, in stream order.
+
+    No draw depends on a linear-algebra result, so a whole suite can be
+    drawn before any matrix is built.  Each draw is a dict of scalars and
+    arrays of complex normals, keyed by what :func:`collision_stack` builds
+    from them; ``"dims"`` is ``(d_S, d_A)``, each drawn from
+    :data:`RANDOM_DIMS` by ``next_below``, and ``"spacing"`` is present
+    exactly for the eigenoperator branch.  The draws are those of reading the
+    stream one scalar at a time, bit for bit, and leave ``rng`` where that
+    would: the ``dims`` outputs fix each draw's length, so the draws scan
+    them alone, then read the whole stretch as one block.
+    """
+    dims, layouts, length = [], [], 0
+    for _ in range(count):
+        pair = tuple(RANDOM_DIMS[rng.peek(length + k) % len(RANDOM_DIMS)] for k in (0, 1))
+        layout = _layout(pair, eigenoperator)
+        dims.append(pair)
+        layouts.append(layout)
+        length += len(layout)
+    z = rng.block(length)
+    kinds = np.frombuffer(b"".join(layouts), dtype=np.uint8)
+    fields = _Fields(unit_uniforms(z[kinds == _UNIFORM]).tolist(), complex_normals(z[kinds == _NORMAL]))
+    return [_draw_fields(fields, dims=pair, eigenoperator=eigenoperator) for pair in dims]
+
+
+def draw_collision(rng: SplitMix64, *, eigenoperator: bool = True) -> dict:
+    """The draw of one :func:`random_collision` instance: the one-draw case of :func:`draw_collisions`."""
+    return draw_collisions(rng, 1, eigenoperator=eigenoperator)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,7 +517,8 @@ def random_collision(rng: SplitMix64, *, eigenoperator: bool = True) -> tuple[De
     interaction is a generic Hermitian matrix with the first moment shifted
     away.  The coherence strength is drawn inside the positivity margin of
     the prepared ancilla state.  This is the one-instance case of
-    :func:`draw_collision` and :func:`collision_stack`.
+    :func:`draw_collision` and :func:`collision_stack`; the initial state
+    wraps the spectrum that the stack's state gates produced.
     """
     stack = collision_stack([draw_collision(rng, eigenoperator=eigenoperator)])
     spec = AncillaSpec(
@@ -445,4 +528,6 @@ def random_collision(rng: SplitMix64, *, eigenoperator: bool = True) -> tuple[De
         lam=float(stack.lam[0]),
         tau=float(stack.tau[0]),
     )
-    return DensityMatrix(stack.rho_system.matrix[0]), CollisionConfig(stack.h_system[0], stack.v_interaction[0], spec)
+    rho = stack.rho_system
+    state = DensityMatrix._wrap(Spectrum(rho.eigenvalues[0], rho.eigenvectors[0], rho.matrix[0]))
+    return state, CollisionConfig(stack.h_system[0], stack.v_interaction[0], spec)

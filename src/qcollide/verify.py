@@ -44,7 +44,7 @@ from .linalg import commutator, dag, kron
 from .presets import (
     DEFAULT_BETA,
     collision_stack,
-    draw_collision,
+    draw_collisions,
     maximally_mixed,
     qubit_collision,
     qubit_couplings,
@@ -327,7 +327,8 @@ def random_collision_suite(seed: int, count: int, *, eigenoperator: bool = True)
 
     Sample ``k`` is ``collide(*random_collision(rng))`` for the ``k``-th
     draw of ``SplitMix64(seed)``, computed in stacks: every sample is drawn
-    first (:func:`~qcollide.presets.draw_collision`), then each
+    first, from one block of the stream
+    (:func:`~qcollide.presets.draw_collisions`), then each
     ``(d_S, d_A)`` group is built by one
     :func:`~qcollide.presets.collision_stack` and stroked in one batched
     pass.  A failing gate raises the class and message that the one-sample
@@ -336,8 +337,7 @@ def random_collision_suite(seed: int, count: int, *, eigenoperator: bool = True)
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
-    rng = SplitMix64(seed)
-    draws = [draw_collision(rng, eigenoperator=eigenoperator) for _ in range(count)]
+    draws = draw_collisions(SplitMix64(seed), count, eigenoperator=eigenoperator)
     groups: dict[tuple[int, int], list[int]] = {}
     for index, draw in enumerate(draws):
         groups.setdefault(draw["dims"], []).append(index)

@@ -2,10 +2,12 @@
 
 The reference routes are written out the slow, explicit way (full joint
 states, nested commutators, partial traces, one ``collide`` per stroke, one
-``rates`` evaluation per state) so that the tests can hold the package's
-closed-form and stacked paths against them.
+``rates`` evaluation per state, one ``next_u64`` per random number) so that
+the tests can hold the package's closed-form, stacked and block paths
+against them.
 """
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -14,7 +16,7 @@ from qcollide.collisions import CollisionLedger, TrajectoryRecord, TrajectorySte
 from qcollide.errors import DimensionMismatchError, RankDeficientError
 from qcollide.lindblad import RANK_EIGENVALUE_TOL, LindbladGenerator, RateLedger, vec
 from qcollide.linalg import double_commutator, kron, partial_trace
-from qcollide.presets import _mixed_wishart, random_matrix
+from qcollide.presets import RANDOM_DIMS, _mixed_wishart, random_matrix
 from qcollide.rng import SplitMix64
 from qcollide.states import DensityMatrix, von_neumann_entropy
 
@@ -46,6 +48,66 @@ def dissipator_apply(v_interaction, rho_system, rho_thermal, dim_system: int, di
 def random_density_matrix(rng: SplitMix64, dim: int, floor: float = 0.08) -> DensityMatrix:
     """Full-rank random state: a Wishart draw mixed with the identity, as the sampler makes ``rho_S``."""
     return DensityMatrix(_mixed_wishart(random_matrix(rng, dim), floor))
+
+
+def scalar_normals(rng: SplitMix64, count: int) -> list[complex]:
+    """``count`` complex normals drawn one ``next_u64`` at a time, by Box-Muller on each pair of outputs.
+
+    Each normal is ``r cos(theta) + i r sin(theta)`` with
+    ``r = sqrt(-2 ln u1)``, ``u1 = ((z1 >> 11) + 1) 2^-53`` in ``(0, 1]`` and
+    ``theta = 2 pi (z2 >> 11) 2^-53``, all in scalar ``math``.
+    """
+    out = []
+    for _ in range(count):
+        u1 = ((rng.next_u64() >> 11) + 1) * 2.0**-53
+        u2 = (rng.next_u64() >> 11) * 2.0**-53
+        radius = math.sqrt(-2.0 * math.log(u1))
+        angle = 2.0 * math.pi * u2
+        out.append(complex(radius * math.cos(angle), radius * math.sin(angle)))
+    return out
+
+
+def scalar_draw(rng: SplitMix64, *, eigenoperator: bool = True) -> dict:
+    """The draw of one random collision instance, read from the stream one scalar at a time.
+
+    The oracle of ``presets.draw_collisions``: every field, in stream order,
+    with ``next_below`` for the dims, ``uniform`` for each scalar and
+    :func:`scalar_normals` for each block of complex normals.
+    """
+    dim_system = RANDOM_DIMS[rng.next_below(len(RANDOM_DIMS))]
+    dim_ancilla = RANDOM_DIMS[rng.next_below(len(RANDOM_DIMS))]
+    draw = {
+        "dims": (dim_system, dim_ancilla),
+        "beta": rng.uniform(0.2, 2.5),
+        "tau": 10.0 ** rng.uniform(-4.0, -1.0),
+    }
+    if eigenoperator:
+        draw["spacing"] = rng.uniform(0.6, 1.8)
+        for side, dim in (("system", dim_system), ("ancilla", dim_ancilla)):
+            draw[f"basis_{side}"] = scalar_normals(rng, dim * dim)
+            draw[f"offset_{side}"] = rng.uniform(-0.3, 0.3)
+        draw["couplings"] = [
+            (
+                rng.uniform(0.3, 1.0),
+                rng.uniform(),
+                scalar_normals(rng, dim_system - step),
+                scalar_normals(rng, dim_ancilla - step),
+            )
+            for step in range(1, min(dim_system, dim_ancilla))
+        ]
+        draw["v_scale"] = rng.uniform(0.4, 1.0)
+    else:
+        for key, dim, low, high in (
+            ("h_system", dim_system, 0.5, 1.5),
+            ("h_ancilla", dim_ancilla, 0.5, 1.5),
+            ("v", dim_system * dim_ancilla, 0.4, 1.0),
+        ):
+            draw[f"{key}_scale"] = rng.uniform(low, high)
+            draw[key] = scalar_normals(rng, dim * dim)
+    draw["chi"] = scalar_normals(rng, dim_ancilla * (dim_ancilla - 1) // 2)
+    draw["lam"] = rng.uniform(0.2, 1.0)
+    draw["rho_system"] = scalar_normals(rng, dim_system * dim_system)
+    return draw
 
 
 def raised(fn, *args, **kwargs):

@@ -6,19 +6,24 @@ Sample ``k`` of ``random_collision_suite(seed, count)`` is defined as
 ``(d_S, d_A)`` group, so these tests compare every sample with the
 one-sample route, check that a group build gives each instance the bits of
 building it alone, and check that a bad sample raises what the one-sample
-route raises for it, naming the sample.
+route raises for it, naming the sample.  The draws themselves come from one
+block of the stream; they are held bit for bit against the scalar oracle
+``reference.scalar_draw``.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcollide import presets, verify
+from qcollide import presets
 from qcollide.collisions import collide
 from qcollide.errors import NotPositiveError, SupportViolationError
-from qcollide.presets import collision_stack, draw_collision, random_collision
+from qcollide.presets import collision_stack, draw_collision, draw_collisions, random_collision
 from qcollide.rng import SplitMix64
+from qcollide.states import DensityMatrix
 from qcollide.verify import h_scale, random_collision_suite
+from reference import scalar_draw
 
 TOL = 1e-12
 COUNT = 12
@@ -68,6 +73,59 @@ def test_group_build_gives_each_instance_its_own_bits(seed, eigenoperator):
                 assert ours.eigenvalues[k].tobytes() == theirs.eigenvalues[0].tobytes()
 
 
+def draw_bits(draw: dict) -> list:
+    """Each field of a draw, in order, as comparable bits: a scalar keeps its type, a block of normals is bytes."""
+
+    def bits(value):
+        if isinstance(value, float):
+            return type(value), np.float64(value).tobytes()
+        if isinstance(value, tuple):
+            return value
+        return np.asarray(value, dtype=complex).tobytes()
+
+    return [
+        (key, [tuple(map(bits, c)) for c in value] if key == "couplings" else bits(value))
+        for key, value in draw.items()
+    ]
+
+
+@pytest.mark.parametrize("eigenoperator", [True, False], ids=["eigenoperator", "generic"])
+def test_draws_are_the_scalar_oracle(eigenoperator):
+    for seed in range(1, 41):
+        block_rng, scalar_rng = SplitMix64(seed), SplitMix64(seed)
+        draws = draw_collisions(block_rng, 250, eigenoperator=eigenoperator)
+        for index, draw in enumerate(draws):
+            want = scalar_draw(scalar_rng, eigenoperator=eigenoperator)
+            assert draw_bits(draw) == draw_bits(want), (seed, index)
+        assert block_rng._state == scalar_rng._state, seed
+
+
+@pytest.mark.parametrize("eigenoperator", [True, False], ids=["eigenoperator", "generic"])
+def test_one_draw_is_the_scalar_oracle(eigenoperator):
+    block_rng, scalar_rng = SplitMix64(20260810), SplitMix64(20260810)
+    for _ in range(30):
+        draw = draw_collision(block_rng, eigenoperator=eigenoperator)
+        assert draw_bits(draw) == draw_bits(scalar_draw(scalar_rng, eigenoperator=eigenoperator))
+        assert block_rng._state == scalar_rng._state
+
+
+def test_no_draws_read_nothing():
+    rng = SplitMix64(3)
+    assert draw_collisions(rng, 0) == []
+    assert rng._state == SplitMix64(3)._state
+
+
+@pytest.mark.parametrize("eigenoperator", [True, False], ids=["eigenoperator", "generic"])
+def test_initial_state_is_the_gated_state_of_its_matrix(eigenoperator):
+    rng = SplitMix64(11)
+    for _ in range(40):
+        rho, _ = random_collision(rng, eigenoperator=eigenoperator)
+        gated = DensityMatrix(rho.matrix)
+        assert rho.matrix.tobytes() == gated.matrix.tobytes()
+        assert rho.eigenvalues.tobytes() == gated.eigenvalues.tobytes()
+        assert rho.spectrum.eigenvectors.tobytes() == gated.spectrum.eigenvectors.tobytes()
+
+
 # Seed 2 draws the groups (2,2) at 0, 6, 7, 8; (2,3) at 1, 5; (3,3) at 2, 4, 9, 11;
 # (3,2) at 3, 10.  Each bad sample below is the second of its group.
 SEED = 2
@@ -85,7 +143,7 @@ def corrupt(monkeypatch, indices, changes):
     rng = SplitMix64(SEED)
     draws = [draw_collision(rng) for _ in range(COUNT)]
     targets = {draws[i]["tau"] for i in indices}
-    original = presets.draw_collision
+    original = presets._draw_fields
 
     def draw(rng, **kwargs):
         out = original(rng, **kwargs)
@@ -93,8 +151,7 @@ def corrupt(monkeypatch, indices, changes):
             out.update(changes)
         return out
 
-    monkeypatch.setattr(presets, "draw_collision", draw)
-    monkeypatch.setattr(verify, "draw_collision", draw)
+    monkeypatch.setattr(presets, "_draw_fields", draw)
 
 
 def one_sample_error(error, index):

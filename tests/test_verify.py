@@ -42,6 +42,6 @@ def test_suite_needs_a_sample(monkeypatch, count):
     def refuse(*args, **kwargs):
         raise AssertionError("drew a collision")
 
-    monkeypatch.setattr(verify, "draw_collision", refuse)
+    monkeypatch.setattr(verify, "draw_collisions", refuse)
     with pytest.raises(ValueError, match=f"^count must be >= 1, got {count}$"):
         random_collision_suite(1, count)
