@@ -22,7 +22,7 @@ draws scan only the ``dims`` outputs with scalar mixes
 counter-based stream as one :meth:`~qcollide.rng.SplitMix64.block`, turn it
 into uniforms and complex normals as arrays, and slice each draw's fields
 out of those in stream order.  The series instances read their complex
-normals through the same block and :func:`~qcollide.rng.complex_normals`.
+normals through the same block and Box-Muller transform.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from .collisions import CollisionConfig
 from .lindblad import EigenoperatorCoupling, eigenoperator_interaction, thermal_first_moment
 from .linalg import Spectrum, dag, hermitian_eig, kron, max_abs, max_abs_each, require_hermitian
-from .rng import SplitMix64, complex_normals, unit_uniforms
+from .rng import SplitMix64, _complex_normals, _unit
 from .states import AncillaSpec, DensityMatrix, gibbs_spectrum, state_spectra
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -184,7 +184,7 @@ def three_level_state() -> DensityMatrix:
 
 def _normals(rng: SplitMix64, count: int) -> np.ndarray:
     """The next ``count`` complex normals of the stream, one Box-Muller pair of outputs each."""
-    return complex_normals(rng.block(2 * count))
+    return _complex_normals(rng.block(2 * count))
 
 
 def _unit_max(a: np.ndarray) -> np.ndarray:
@@ -359,12 +359,13 @@ def draw_collisions(rng: SplitMix64, count: int, *, eigenoperator: bool = True) 
     No draw depends on a linear-algebra result, so a whole suite can be
     drawn before any matrix is built.  Each draw is a dict of scalars and
     arrays of complex normals, keyed by what :func:`collision_stack` builds
-    from them; ``"dims"`` is ``(d_S, d_A)``, each drawn from
-    :data:`RANDOM_DIMS` by ``next_below``, and ``"spacing"`` is present
-    exactly for the eigenoperator branch.  The draws are those of reading the
-    stream one scalar at a time, bit for bit, and leave ``rng`` where that
-    would: the ``dims`` outputs fix each draw's length, so the draws scan
-    them alone, then read the whole stretch as one block.
+    from them; ``"dims"`` is ``(d_S, d_A)``, each the entry of
+    :data:`RANDOM_DIMS` at one output modulo ``len(RANDOM_DIMS)``, and
+    ``"spacing"`` is present exactly for the eigenoperator branch.  The draws
+    are those of reading the stream one scalar at a time, bit for bit, and
+    leave ``rng`` where that would: the ``dims`` outputs fix each draw's
+    length, so the draws scan them alone, then read the whole stretch as one
+    block.
     """
     dims, layouts, length = [], [], 0
     for _ in range(count):
@@ -375,7 +376,7 @@ def draw_collisions(rng: SplitMix64, count: int, *, eigenoperator: bool = True) 
         length += len(layout)
     z = rng.block(length)
     kinds = np.frombuffer(b"".join(layouts), dtype=np.uint8)
-    fields = _Fields(unit_uniforms(z[kinds == _UNIFORM]).tolist(), complex_normals(z[kinds == _NORMAL]))
+    fields = _Fields(_unit(z[kinds == _UNIFORM]).tolist(), _complex_normals(z[kinds == _NORMAL]))
     return [_draw_fields(fields, dims=pair, eigenoperator=eigenoperator) for pair in dims]
 
 

@@ -6,8 +6,9 @@ that a (config, seed) pair reproduces bit-identical sample streams anywhere.
 SplitMix64 is counter-based: output ``k`` after a state ``s`` is the mix of
 ``s + (k + 1) * GAMMA``, so the generator's position is one integer and
 :meth:`SplitMix64.block` computes any stretch of the stream with a few numpy
-``uint64`` operations.  :func:`complex_normals` turns a block into complex
-normals with the bits of :meth:`SplitMix64.complex_normal`.
+``uint64`` operations.  :func:`_complex_normals` is the one Box-Muller
+transform: it turns a block into complex normals, and
+:meth:`SplitMix64.complex_normal` is its one-pair case.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ def _mix(z):
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
+
+
+def _unit(z):
+    """The double in ``[0, 1)`` with the top 53 bits of each output, on a Python int or a ``uint64`` array."""
+    return (z >> 11) * _INV_2_53
 
 
 class SplitMix64:
@@ -52,40 +58,26 @@ class SplitMix64:
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         """Uniform double in ``[low, high)`` with 53 bits of resolution."""
-        u = (self.next_u64() >> 11) * _INV_2_53
-        return low + (high - low) * u
-
-    def next_below(self, n: int) -> int:
-        """Integer in ``[0, n)``; fine for the small ranges used here."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return self.next_u64() % n
+        return low + (high - low) * _unit(self.next_u64())
 
     def complex_normal(self) -> complex:
-        """Complex normal from one Box-Muller pair of outputs: ``r cos(theta) + i r sin(theta)``."""
-        u1 = ((self.next_u64() >> 11) + 1) * _INV_2_53  # in (0, 1]
-        u2 = self.uniform()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        angle = 2.0 * math.pi * u2
-        return complex(radius * math.cos(angle), radius * math.sin(angle))
+        """Complex normal from the next Box-Muller pair of outputs."""
+        return complex(_complex_normals(self.block(2))[0])
 
 
-def unit_uniforms(z: np.ndarray) -> np.ndarray:
-    """Each output as the double in ``[0, 1)`` that :meth:`SplitMix64.uniform` makes of it."""
-    return (z >> 11).astype(np.float64) * _INV_2_53
+def _complex_normals(z: np.ndarray) -> np.ndarray:
+    """Complex normals ``r cos(theta) + i r sin(theta)`` from consecutive output pairs ``(z1, z2)``.
 
-
-def complex_normals(z: np.ndarray) -> np.ndarray:
-    """Complex normals from consecutive output pairs, bit for bit as :meth:`SplitMix64.complex_normal`.
-
-    ``math.log``, ``math.cos`` and ``math.sin`` run per element, since numpy's
-    vectorized ``log`` does not round as the C library does for every input;
-    ``sqrt`` and the products are correctly rounded either way.
+    ``r = sqrt(-2 ln u1)`` with ``u1 = ((z1 >> 11) + 1) 2^-53`` in ``(0, 1]``
+    and ``theta = 2 pi (z2 >> 11) 2^-53``.  ``math.log``, ``math.cos`` and
+    ``math.sin`` run per element, since numpy's vectorized ``log`` does not
+    round as the C library does for every input; ``sqrt`` and the products
+    are correctly rounded either way.
     """
     pairs = z.reshape(-1, 2)
     n = len(pairs)
-    u1 = ((pairs[:, 0] >> 11) + 1).astype(np.float64) * _INV_2_53
-    angle = 2.0 * math.pi * unit_uniforms(pairs[:, 1])
+    u1 = ((pairs[:, 0] >> 11) + 1) * _INV_2_53
+    angle = 2.0 * math.pi * _unit(pairs[:, 1])
     radius = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, n))
     out = np.empty(n, dtype=complex)
     out.real = radius * np.fromiter(map(math.cos, angle.tolist()), np.float64, n)

@@ -67,15 +67,20 @@ def scalar_normals(rng: SplitMix64, count: int) -> list[complex]:
     return out
 
 
+def next_below(rng: SplitMix64, n: int) -> int:
+    """The next output modulo ``n``: an integer in ``[0, n)``, fine for the small ranges used here."""
+    return rng.next_u64() % n
+
+
 def scalar_draw(rng: SplitMix64, *, eigenoperator: bool = True) -> dict:
     """The draw of one random collision instance, read from the stream one scalar at a time.
 
     The oracle of ``presets.draw_collisions``: every field, in stream order,
-    with ``next_below`` for the dims, ``uniform`` for each scalar and
+    with :func:`next_below` for the dims, ``uniform`` for each scalar and
     :func:`scalar_normals` for each block of complex normals.
     """
-    dim_system = RANDOM_DIMS[rng.next_below(len(RANDOM_DIMS))]
-    dim_ancilla = RANDOM_DIMS[rng.next_below(len(RANDOM_DIMS))]
+    dim_system = RANDOM_DIMS[next_below(rng, len(RANDOM_DIMS))]
+    dim_ancilla = RANDOM_DIMS[next_below(rng, len(RANDOM_DIMS))]
     draw = {
         "dims": (dim_system, dim_ancilla),
         "beta": rng.uniform(0.2, 2.5),

@@ -40,7 +40,7 @@ from qcollide.presets import (
 )
 from qcollide.rng import SplitMix64
 from qcollide.verify import generator_for
-from reference import dissipator_apply, random_density_matrix
+from reference import dissipator_apply, next_below, random_density_matrix
 from test_stroke_properties import TOL, seeds, stroke_settings
 
 
@@ -92,7 +92,7 @@ def test_eigenoperator_dissipator_matches_column_by_column(seed):
     # Unit-size ancilla lowering operators on a random harmonic ladder; the
     # system side is any matrix, since no system Hamiltonian is passed to validate.
     rng = SplitMix64(seed)
-    dim_system, dim_ancilla = 2 + rng.next_below(2), 2 + rng.next_below(2)
+    dim_system, dim_ancilla = 2 + next_below(rng, 2), 2 + next_below(rng, 2)
     spacing = rng.uniform(0.6, 1.8)
     basis = random_basis(rng, dim_ancilla)
     h_ancilla = (basis * (spacing * np.arange(dim_ancilla))) @ dag(basis)

@@ -1,7 +1,7 @@
 """The counter-based SplitMix64 block against the scalar stream.
 
 ``SplitMix64.block(n)`` computes the next ``n`` outputs with numpy ``uint64``
-operations, and ``complex_normals`` turns a block into Box-Muller normals.
+operations, and ``_complex_normals`` turns a block into Box-Muller normals.
 Both must give the bits of the scalar route, one ``next_u64`` at a time, and
 leave the stream where the scalar route leaves it.
 """
@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcollide.presets import _normals
-from qcollide.rng import SplitMix64, complex_normals
+from qcollide.rng import SplitMix64, _complex_normals
 from reference import scalar_normals
 
 EDGE_SEEDS = (0, 2**63, 2**64 - 1)
@@ -60,7 +60,7 @@ def test_normals_are_the_scalar_box_muller_pairs(seed, count):
     scalar_rng = SplitMix64(seed)
     scalar = np.array([scalar_rng.complex_normal() for _ in range(count)], dtype=complex)
     assert scalar.tobytes() == want.tobytes()
-    assert complex_normals(SplitMix64(seed).block(2 * count)).tobytes() == want.tobytes()
+    assert _complex_normals(SplitMix64(seed).block(2 * count)).tobytes() == want.tobytes()
     block_rng = SplitMix64(seed)
     assert _normals(block_rng, count).tobytes() == want.tobytes()
     assert block_rng.next_u64() == scalar_rng.next_u64()
