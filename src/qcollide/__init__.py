@@ -9,18 +9,15 @@ from .collisions import (
     CollisionLedger,
     CollisionOutcome,
     TrajectoryRecord,
-    TrajectoryStep,
     build_unitary,
     collide,
     run_trajectory,
-    stroboscopic_states,
 )
 from .lindblad import (
     EigenoperatorCoupling,
     JumpRates,
     LindbladGenerator,
     RateLedger,
-    build_generator,
     eigenoperator_dissipator,
     eigenoperator_interaction,
     integrate,

@@ -199,8 +199,13 @@ def load_config(path: str | Path) -> dict[str, Any]:
         raise ValidationError(f"n_steps: bound-check needs n_steps >= 1, got {reprlib.repr(cfg['n_steps'])}")
     if cfg.get("omega") == 0.0:
         raise ValidationError("omega: must be nonzero, since work_scaled divides by the Hamiltonian scale")
-    if isinstance(cfg.get("tau"), list) and len(set(cfg["tau"])) < 2:
-        raise ValidationError("tau: a sweep needs at least 2 distinct values")
+    if isinstance(cfg.get("tau"), list):
+        if len(set(cfg["tau"])) < 2:
+            raise ValidationError("tau: a sweep needs at least 2 distinct values")
+        if min(cfg["tau"]) <= 0.0:
+            raise ValidationError(f"tau: every sweep value must be > 0, got {min(cfg['tau'])!r}")
+    if scenario == "custom" and not (cfg["H_S"].any() or cfg["H_A"].any()):
+        raise ValidationError("H_S, H_A: must not both be zero, since work_scaled divides by the Hamiltonian scale")
     if scenario == "multibath":
         for key in ("beta", "lambda", "g"):
             if len(cfg[key]) != 2:
@@ -216,6 +221,11 @@ class Check:
     value: float
     bound: object
     passed: bool
+
+    def __post_init__(self):
+        # Numpy scalars print as np.float64(...) on the CHECK line and do not serialize to JSON.
+        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "passed", bool(self.passed))
 
 
 def _bound_text(bound: object) -> str:
@@ -247,22 +257,21 @@ _SAMPLE_ROW = "%d,%d,%d" + ",%.17g" * 6
 
 
 def _write_trajectory_csv(path: Path, record, gen) -> None:
-    """One row per round; the rates and energies of all round-end states come from one stacked pass each."""
+    """One row per round, read off the record's columns; the rates and energies come from one stacked pass each."""
     header = (
         "step,t,E_S,Q_A_cum,W_cum,W_C_cum,Q_inc_cum,Sigma_cum,I_cum,Srel_cum,"
         "C_anc_before,C_anc_after,S_system,Pi_rate"
     )
-    states = [step.state for step in record.steps]
-    pi_rates = rate_columns(gen, states)[:, -1].tolist()
+    states, cum = record.states, record.cumulative
+    pi_rates = rate_columns(gen, states)[:, -1]
     matrices = np.array([rho.matrix for rho in states]).reshape(-1, gen.dim, gen.dim)
-    energies = np.trace(gen.h_system @ matrices, axis1=1, axis2=2).real.tolist()
-    lines = [header]
-    for step, cum, energy, pi_rate in zip(record.steps, record.cumulative, energies, pi_rates):
-        lines.append(_TRAJECTORY_ROW % (
-            step.index, step.time, energy, cum.heat_ancilla, cum.work, cum.coherent_work,
-            cum.incoherent_heat, cum.entropy_production, cum.mutual_info, cum.rel_entropy_ancilla,
-            step.ledger.coherence_before, step.ledger.coherence_after, von_neumann_entropy(step.state), pi_rate,
-        ))
+    energies = np.trace(gen.h_system @ matrices, axis1=1, axis2=2).real
+    table = np.column_stack([
+        record.times, energies, cum.heat_ancilla, cum.work, cum.coherent_work, cum.incoherent_heat,
+        cum.entropy_production, cum.mutual_info, cum.rel_entropy_ancilla, record.rounds.coherence_before,
+        record.rounds.coherence_after, [von_neumann_entropy(rho) for rho in states], pi_rates,
+    ])
+    lines = [header] + [_TRAJECTORY_ROW % (step, *row) for step, row in enumerate(table.tolist(), start=1)]
     _write(path, "\n".join(lines) + "\n")
 
 
@@ -270,12 +279,14 @@ def _trajectory_checks(collision: CollisionConfig, n_steps: int, out_dir: Path) 
     """Run one species from the maximally mixed state, write ``trajectory.csv``, check the ledger."""
     record = run_trajectory(maximally_mixed(collision.dim_system), [collision], n_steps)
     _write_trajectory_csv(out_dir / "trajectory.csv", record, generator_for([collision]))
-    if record.steps:
-        min_sigma = min(s.ledger.entropy_production for s in record.steps)
-        min_mutual = min(s.ledger.mutual_info for s in record.steps)
-        min_rel = min(s.ledger.rel_entropy_ancilla for s in record.steps)
-        max_work = max(abs(s.ledger.work) for s in record.steps) / h_scale(collision)
+    rounds = record.rounds
+    if n_steps:
+        min_sigma = rounds.entropy_production.min()
+        min_mutual = rounds.mutual_info.min()
+        min_rel = rounds.rel_entropy_ancilla.min()
+        max_work = np.abs(rounds.work).max() / h_scale(collision)
     else:
+        # An empty column has no extremes.
         min_sigma = min_mutual = min_rel = max_work = 0.0
     return _limit_checks([
         ("entropy_production_min", min_sigma, POSITIVITY_BOUND),
@@ -317,20 +328,21 @@ def _scenario_converge(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
 
 
 def _scenario_bound_check(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
-    samples = random_collision_suite(cfg["seed"], cfg["n_steps"], eigenoperator=True)
-    lines = ["index,d_S,d_A,tau,Sigma,I,Srel,work_scaled,coherent_bound_scaled"]
-    for s in samples:
-        lines.append(_SAMPLE_ROW % (
-            s.index, s.dim_system, s.dim_ancilla, s.tau, s.entropy_production, s.mutual_info,
-            s.rel_entropy_ancilla, s.work_scaled, s.coherent_bound_scaled,
-        ))
+    s = random_collision_suite(cfg["seed"], cfg["n_steps"], eigenoperator=True)
+    table = np.column_stack(
+        [s.tau, s.entropy_production, s.mutual_info, s.rel_entropy_ancilla, s.work_scaled, s.coherent_bound_scaled]
+    )
+    rows = zip(s.dim_system.tolist(), s.dim_ancilla.tolist(), table.tolist())
+    lines = ["index,d_S,d_A,tau,Sigma,I,Srel,work_scaled,coherent_bound_scaled"] + [
+        _SAMPLE_ROW % (index, d_s, d_a, *row) for index, (d_s, d_a, row) in enumerate(rows)
+    ]
     _write(out_dir / "samples.csv", "\n".join(lines) + "\n")
     return _limit_checks([
-        ("ancilla_rel_entropy_min", min(s.rel_entropy_ancilla for s in samples), POSITIVITY_BOUND),
-        ("entropy_production_min", min(s.entropy_production for s in samples), POSITIVITY_BOUND),
-        ("mutual_info_min", min(s.mutual_info for s in samples), POSITIVITY_BOUND),
-        ("work_scaled_max", max(s.work_scaled for s in samples), WORK_BOUND),
-        ("coherent_bound_scaled_min", min(s.coherent_bound_scaled for s in samples), COHERENT_BOUND_SCALE),
+        ("ancilla_rel_entropy_min", s.rel_entropy_ancilla.min(), POSITIVITY_BOUND),
+        ("entropy_production_min", s.entropy_production.min(), POSITIVITY_BOUND),
+        ("mutual_info_min", s.mutual_info.min(), POSITIVITY_BOUND),
+        ("work_scaled_max", s.work_scaled.max(), WORK_BOUND),
+        ("coherent_bound_scaled_min", s.coherent_bound_scaled.min(), COHERENT_BOUND_SCALE),
     ])
 
 
@@ -395,7 +407,7 @@ def run_scenario(cfg: dict[str, Any], out_dir: str | Path | None = None) -> int:
         "scenario": cfg["scenario"],
         "seed": cfg.get("seed"),
         "checks": [
-            {"name": c.name, "value": float(c.value), "bound": c.bound, "pass": c.passed}
+            {"name": c.name, "value": c.value, "bound": c.bound, "pass": c.passed}
             for c in checks
         ],
     }

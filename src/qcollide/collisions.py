@@ -16,14 +16,14 @@ check of ``rho_A'`` runs only when ``rho_A`` has a kernel.
 :func:`collide` is one stroke: the matvec, the state gates on both outputs,
 their spectra and the ledger.  :func:`run_trajectory` runs one species, or
 ``m`` species round-robin with each sub-collision a ``1/m`` share of the
-round, and keeps a ledger per round; :func:`stroboscopic_states` gives its
-round-end states without ledgers.  Both run one stroke loop of matvecs, then
-gate all system outputs in one stacked pass and each species' ancilla
-outputs in another.  A trajectory's ledger fields are columns over its
-strokes, with the formulas of :func:`collide` and the entropies of the gated
-spectra, so its record is that of a ``collide`` per stroke bit for bit.  When
-a gate fails, the run is replayed through :func:`collide`, which locates the
-first failing stroke and raises what it raises.
+round: one stroke loop of matvecs, then one stacked gate pass over all
+system outputs and one over each species' ancilla outputs.  Its record holds
+the round-end states and two ledgers of columns over the rounds: each
+round's :class:`CollisionLedger` and their running sums.  The columns use the
+formulas of :func:`collide` and the entropies of the gated spectra, so the
+record is that of a ``collide`` per stroke bit for bit.  When a gate fails,
+the run is replayed through :func:`collide`, which locates the first failing
+stroke and raises what it raises.
 
 Sign conventions: ``heat_ancilla > 0`` means the ancilla gained energy, and
 the switching work is stored as ``work = d_energy + heat_ancilla``.
@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from operator import add
 
 import numpy as np
 
@@ -253,33 +252,28 @@ def joint_unitaries(free, v_interaction, tau, strict) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollisionLedger:
-    """Exact thermodynamic record of one collision (or one round).
+    """Exact thermodynamic record of one collision, or of every round of a run.
 
-    All entries are additive over strokes.  ``entropy_production`` is the sum
-    ``mutual_info + rel_entropy_ancilla`` by construction.
+    Each entry is a float for one stroke (or one species' total over a run),
+    or an array with one entry per round, the way :class:`~qcollide.linalg.Spectrum`
+    holds one matrix or a stack.  All entries are additive over strokes.
+    ``entropy_production`` is the sum ``mutual_info + rel_entropy_ancilla``
+    by construction.
     """
 
-    d_energy: float
-    heat_ancilla: float
-    work: float
-    coherent_work: float
-    incoherent_heat: float
-    entropy_production: float
-    mutual_info: float
-    rel_entropy_ancilla: float
-    coherence_before: float
-    coherence_after: float
-    d_free_energy: float
-
-    @classmethod
-    def zero(cls) -> "CollisionLedger":
-        return cls(*([0.0] * len(fields(cls))))
-
-    def __add__(self, other: "CollisionLedger") -> "CollisionLedger":
-        # The instance dicts hold the fields in declaration order.
-        return CollisionLedger(*map(add, vars(self).values(), vars(other).values()))
+    d_energy: float | np.ndarray
+    heat_ancilla: float | np.ndarray
+    work: float | np.ndarray
+    coherent_work: float | np.ndarray
+    incoherent_heat: float | np.ndarray
+    entropy_production: float | np.ndarray
+    mutual_info: float | np.ndarray
+    rel_entropy_ancilla: float | np.ndarray
+    coherence_before: float | np.ndarray
+    coherence_after: float | np.ndarray
+    d_free_energy: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -336,27 +330,21 @@ def _ledger_columns(cfg: CollisionConfig, rows: np.ndarray, s_before, s_after, s
     return np.column_stack([columns[f.name] for f in fields(CollisionLedger)])
 
 
-@dataclass(frozen=True)
-class TrajectoryStep:
-    """State after one full round of collisions, with that round's ledger."""
-
-    index: int
-    time: float
-    state: DensityMatrix
-    ledger: CollisionLedger
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """Stroboscopic run: per-round steps, running sums, per-species totals."""
+    """Stroboscopic run of ``n`` rounds.
 
-    steps: list[TrajectoryStep]
-    cumulative: list[CollisionLedger]
+    ``states`` are the round-end states, each with its entropy memoized, and
+    ``times`` the round ends ``n * tau``.  ``rounds`` and ``cumulative`` are
+    ledgers of columns over the rounds: each round's ledger and their running
+    sums.  ``species_totals`` holds each species' ledger summed over the run.
+    """
+
+    states: list[DensityMatrix]
+    times: np.ndarray
+    rounds: CollisionLedger
+    cumulative: CollisionLedger
     species_totals: dict[str, CollisionLedger]
-
-    @property
-    def final_state(self) -> DensityMatrix | None:
-        return self.steps[-1].state if self.steps else None
 
 
 def run_trajectory(rho0: DensityMatrix, cfgs: list[CollisionConfig], n_steps: int) -> TrajectoryRecord:
@@ -367,21 +355,9 @@ def run_trajectory(rho0: DensityMatrix, cfgs: list[CollisionConfig], n_steps: in
     interaction rescaled by ``sqrt(m)``, so one recorded step is a full round
     of duration ``tau`` and cumulative columns compare directly with the
     additive continuous-time generator.  The record is that of a
-    :func:`collide` per stroke with its ledgers summed as
-    :class:`CollisionLedger`, bit for bit.
-    """
-    return _gated_run(rho0, cfgs, n_steps, ledgers=True)
-
-
-def stroboscopic_states(rho0: DensityMatrix, cfgs: list[CollisionConfig], n_steps: int) -> list[DensityMatrix]:
-    """The round-end states of :func:`run_trajectory`, bit for bit, without its ledgers."""
-    return _gated_run(rho0, cfgs, n_steps, ledgers=False)
-
-
-def _gated_run(rho0, cfgs, n_steps, *, ledgers: bool):
-    """Round-end states of a validated, stroked and gated run, or with ``ledgers`` its record.
-
-    A failing gate replays the run by :func:`collide` to raise at the first failing stroke.
+    :func:`collide` per stroke with its ledgers summed in stroke order, bit
+    for bit.  A failing gate replays the run by :func:`collide` to raise at
+    the first failing stroke.
     """
     subs = _round_configs(rho0, cfgs, n_steps)
     # Allocated before the gates run, so that numpy refusing a run too long for memory raises at once.
@@ -391,9 +367,7 @@ def _gated_run(rho0, cfgs, n_steps, *, ledgers: bool):
         # should they overflow, the gates reject them, so numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
             systems, ancillas = _gated_strokes(rho0, subs, rows)
-            if ledgers:
-                return _record(rho0, cfgs[0].ancilla.tau, subs, rows, systems, ancillas)
-            return _round_ends(systems, len(subs), [None] * n_steps)
+            return _record(rho0, cfgs[0].ancilla.tau, subs, rows, systems, ancillas)
     except (QCollideError, ValueError) as exc:
         failure = exc
     state = rho0
@@ -428,7 +402,7 @@ def _record(rho0, tau, subs, rows, systems, ancillas) -> TrajectoryRecord:
     """The record of a gated run, from each species' ledger columns over its strokes.
 
     Rounds add their species in config order and running sums their strokes
-    in order, each from ``0.0``, as a loop of :class:`CollisionLedger` sums would.
+    in order, each from ``0.0``, as a loop of float sums would.
     """
     m, n_steps = len(subs), len(rows[0])
     s_system = shannon_entropy(systems.eigenvalues)
@@ -442,23 +416,19 @@ def _record(rho0, tau, subs, rows, systems, ancillas) -> TrajectoryRecord:
         ledgers = _ledger_columns(sub, r, s_start[j::m], s_system[j::m], shannon_entropy(ancilla.eigenvalues))
         rounds = rounds + ledgers
         totals[sub.label] = CollisionLedger(*np.add.accumulate(np.vstack([zero, ledgers]))[-1].tolist())
-    states = _round_ends(systems, m, s_system[m - 1 :: m].tolist())
+    ends = slice(m - 1, None, m)
+    spectra = zip(systems.eigenvalues[ends], systems.eigenvectors[ends], systems.matrix[ends])
     return TrajectoryRecord(
-        steps=[
-            TrajectoryStep(index=n, time=n * tau, state=state, ledger=CollisionLedger(*ledger))
-            for n, (state, ledger) in enumerate(zip(states, rounds.tolist()), start=1)
+        states=[
+            DensityMatrix._wrap(Spectrum(*spectrum), entropy)
+            for spectrum, entropy in zip(spectra, s_system[ends].tolist())
         ],
+        times=np.arange(1, n_steps + 1) * tau,
+        rounds=CollisionLedger(*rounds.T),
         # Each round already starts from 0.0, and accumulate adds in order.
-        cumulative=[CollisionLedger(*ledger) for ledger in np.add.accumulate(rounds).tolist()],
+        cumulative=CollisionLedger(*np.add.accumulate(rounds).T),
         species_totals=totals,
     )
-
-
-def _round_ends(systems: Spectrum, m: int, entropies: list) -> list[DensityMatrix]:
-    """The round-end states of a run of ``m`` species, each with its memoized entropy or ``None``."""
-    keep = slice(m - 1, None, m)
-    spectra = zip(systems.eigenvalues[keep], systems.eigenvectors[keep], systems.matrix[keep])
-    return [DensityMatrix._wrap(Spectrum(*spectrum), entropy) for spectrum, entropy in zip(spectra, entropies)]
 
 
 def _round_configs(rho0: DensityMatrix, cfgs: list[CollisionConfig], n_steps: int) -> list[CollisionConfig]:

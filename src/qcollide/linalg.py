@@ -92,14 +92,13 @@ class Spectrum:
 
     ``eigenvalues`` is ascending and real; ``eigenvectors`` holds the
     matching orthonormal eigenvectors as columns.  ``matrix`` is the exactly
-    Hermitian matrix that :func:`hermitian_eig` decomposed, and ``None`` for
-    a spectrum assembled from eigenpairs.  For a stack ``(n, d, d)`` every
-    array carries the stack axis first.
+    Hermitian matrix they decompose.  For a stack ``(n, d, d)`` every array
+    carries the stack axis first.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    matrix: np.ndarray | None = None
+    matrix: np.ndarray
 
     @property
     def dim(self) -> int:

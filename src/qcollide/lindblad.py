@@ -161,11 +161,6 @@ class LindbladGenerator:
         )
 
 
-def build_generator(h_system, spec: AncillaSpec, v_interaction, label: str = "A") -> LindbladGenerator:
-    """Single-species generator: :func:`multi_bath_generator` with one species."""
-    return multi_bath_generator(h_system, [(spec, v_interaction)], [label])
-
-
 def multi_bath_generator(
     h_system, species: list[tuple[AncillaSpec, np.ndarray]], labels: list[str]
 ) -> LindbladGenerator:

@@ -88,13 +88,13 @@ def qubit_collision(
     )
 
 
-def qubit_couplings(omega: float = 1.0, g: float = 1.0) -> list[EigenoperatorCoupling]:
-    """The single jump channel of the resonant-qubit fixture."""
+def qubit_couplings(g: float = 1.0) -> list[EigenoperatorCoupling]:
+    """The single jump channel of the resonant-qubit fixture at unit frequency."""
     return [
         EigenoperatorCoupling(
             lowering_system=SIGMA_MINUS.copy(),
             lowering_ancilla=SIGMA_MINUS.copy(),
-            frequency=omega,
+            frequency=1.0,
             amplitude=g,
         )
     ]
@@ -105,7 +105,6 @@ def maximally_mixed(dim: int) -> DensityMatrix:
 
 
 def qutrit_ancilla_collision(
-    omega: float = 1.0,
     g: float = 1.0,
     beta: float = DEFAULT_BETA,
     lam: float = 0.3,
@@ -114,14 +113,15 @@ def qutrit_ancilla_collision(
 ) -> CollisionConfig:
     """Qubit system colliding with three-level ancillae carrying mixed-frequency coherence.
 
-    The interaction exchanges single quanta with the ancilla ladder, while
-    ``chi`` injects coherence on both the one- and two-quantum off-diagonals.
+    System and ancilla ladders have unit spacing.  The interaction exchanges
+    single quanta with the ancilla ladder, while ``chi`` injects coherence on
+    both the one- and two-quantum off-diagonals.
     Unlike the resonant-qubit fixture, no parity selection rule kills the
     half-order terms of the short-time expansion, so stroboscopic-vs-generator
     defects show the generic ``sqrt(tau)`` accumulation.
     """
-    h_system = qubit_hamiltonian(omega)
-    h_ancilla = omega * np.diag([0.0, 1.0, 2.0]).astype(complex)
+    h_system = qubit_hamiltonian()
+    h_ancilla = np.diag([0.0, 1.0, 2.0]).astype(complex)
     lower = np.zeros((3, 3), dtype=complex)
     lower[0, 1] = 1.0
     lower[1, 2] = 1.0
@@ -134,19 +134,16 @@ def qutrit_ancilla_collision(
     return CollisionConfig(h_system, v, spec, label=label)
 
 
-def three_level_collision(
-    tau: float,
-    lam: float = 1.2,
-    beta: float = DEFAULT_BETA,
-    label: str = "A",
-) -> CollisionConfig:
+def three_level_collision(tau: float, label: str = "A") -> CollisionConfig:
     """Two-channel three-level fixture with generic half-order coefficients.
 
     System and ancilla share a harmonic ladder; jump channels couple at one
     and two quanta, and ``chi`` populates every off-diagonal with assorted
     phases.  No matrix element of the short-time expansion is killed by a
     selection rule, which makes this the reference instance for
-    order-of-convergence checks of the finite-duration corrections.
+    order-of-convergence checks of the finite-duration corrections.  The
+    coherence strength is ``1.2`` and the ancilla's inverse temperature
+    :data:`DEFAULT_BETA`.
     """
     h = np.diag([0.0, 1.0, 2.0]).astype(complex)
     lower_one_s = np.zeros((3, 3), dtype=complex)
@@ -165,7 +162,7 @@ def three_level_collision(
     chi[0, 2] = chi[2, 0] = 0.8
     chi[1, 2] = chi[2, 1] = 0.7
     chi /= np.max(np.abs(hermitian_eig(chi).eigenvalues))
-    spec = AncillaSpec(h_ancilla=h, beta=beta, chi=chi, lam=lam, tau=tau)
+    spec = AncillaSpec(h_ancilla=h, beta=DEFAULT_BETA, chi=chi, lam=1.2, tau=tau)
     return CollisionConfig(h, v, spec, label=label)
 
 

@@ -16,8 +16,11 @@ The randomized suite uses each random config for one stroke only, so it
 builds no :class:`~qcollide.collisions.CollisionConfig` and no stroke
 matrix: it draws every sample first, then builds and strokes each
 ``(d_S, d_A)`` group as stacks, with the gates of the one-sample route
-``collide(*random_collision(rng))``.  Trajectories, which reuse one config
-for many strokes, keep the cached stroke matrix.
+``collide(*random_collision(rng))``, and returns one :class:`SuiteSample`
+of columns over the draws.  Trajectories, which reuse one config for many
+strokes, keep the cached stroke matrix; the convergence study reads the
+round-end states of :func:`~qcollide.collisions.run_trajectory`, ledger
+gates included.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .collisions import CollisionConfig, collide, energy_conserving, joint_unitaries, stroboscopic_states
+from .collisions import CollisionConfig, collide, energy_conserving, joint_unitaries, run_trajectory
 from .errors import QCollideError
 from .lindblad import (
     LindbladGenerator,
@@ -156,7 +159,7 @@ def stroboscopic_deviation(
         if not cfgs:
             raise ValueError("need at least one collision config")
         rho0 = maximally_mixed(cfgs[0].dim_system)
-        strobes = stroboscopic_states(rho0, cfgs, n_rounds)
+        strobes = run_trajectory(rho0, cfgs, n_rounds).states
         gen = generator_for(cfgs)
         cap = 0.09 / max(gen.norm, 1e-12)
         substeps = max(1, math.ceil(tau / min(DEFAULT_DT_TARGET, cap)))
@@ -302,30 +305,29 @@ def two_bath_population_error(gs: Sequence[float], betas: Sequence[float]) -> fl
     return abs(float(stationary.matrix[0, 0].real) - up / (up + down))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuiteSample:
-    """Scalars extracted from one randomized collision."""
+    """Scalars of the randomized suite, as columns with one entry per draw, in draw order."""
 
-    index: int
-    dim_system: int
-    dim_ancilla: int
-    tau: float
-    entropy_production: float
-    mutual_info: float
-    rel_entropy_ancilla: float
-    work_scaled: float
-    coherent_bound_scaled: float
+    dim_system: np.ndarray
+    dim_ancilla: np.ndarray
+    tau: np.ndarray
+    entropy_production: np.ndarray
+    mutual_info: np.ndarray
+    rel_entropy_ancilla: np.ndarray
+    work_scaled: np.ndarray
+    coherent_bound_scaled: np.ndarray
 
 
-def random_collision_suite(seed: int, count: int, *, eigenoperator: bool = True) -> list[SuiteSample]:
-    """Run ``count`` seeded random collisions and return each one's exact inequalities, in draw order.
+def random_collision_suite(seed: int, count: int, *, eigenoperator: bool = True) -> SuiteSample:
+    """Run ``count`` seeded random collisions and return their exact inequalities as columns, in draw order.
 
     ``work_scaled`` is ``|work| / (||H_S|| + ||H_A||)`` (spectral norms);
     ``coherent_bound_scaled`` is ``(beta W_C + dC) / tau^{3/2}``, the scaled
     slack of the coherent-work bound.  Raises ``ValueError`` when ``count``
     is below 1, before any draw.
 
-    Sample ``k`` is ``collide(*random_collision(rng))`` for the ``k``-th
+    Entry ``k`` is ``collide(*random_collision(rng))`` for the ``k``-th
     draw of ``SplitMix64(seed)``, computed in stacks: every sample is drawn
     first, from one block of the stream
     (:func:`~qcollide.presets.draw_collisions`), then each
@@ -351,10 +353,8 @@ def random_collision_suite(seed: int, count: int, *, eigenoperator: bool = True)
     if failures:
         index, exc = min(failures, key=lambda failure: failure[0])
         raise type(exc)(f"sample {index}: {exc}") from exc
-    return [
-        SuiteSample(index, *draw["dims"], draw["tau"], *row)
-        for index, (draw, row) in enumerate(zip(draws, columns.tolist()))
-    ]
+    dims = np.array([draw["dims"] for draw in draws])
+    return SuiteSample(*dims.T, np.array([draw["tau"] for draw in draws]), *columns.T)
 
 
 def _first_failure(draws: list[dict], indices: list[int], error: Exception) -> tuple[int, Exception]:

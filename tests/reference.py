@@ -9,10 +9,11 @@ against them.
 
 import math
 from dataclasses import fields
+from operator import add
 
 import numpy as np
 
-from qcollide.collisions import CollisionLedger, TrajectoryRecord, TrajectoryStep, collide
+from qcollide.collisions import CollisionLedger, TrajectoryRecord, collide
 from qcollide.errors import DimensionMismatchError, RankDeficientError
 from qcollide.lindblad import RANK_EIGENVALUE_TOL, LindbladGenerator, RateLedger, vec
 from qcollide.linalg import double_commutator, kron, partial_trace
@@ -125,58 +126,79 @@ def raised(fn, *args, **kwargs):
 
 
 def stroke_by_stroke_trajectory(rho0: DensityMatrix, cfgs, n_steps: int) -> TrajectoryRecord:
-    """``run_trajectory`` as a loop of ``collide`` calls whose ledgers are summed as ``CollisionLedger``s.
+    """``run_trajectory`` as a loop of ``collide`` calls whose ledgers are summed as floats, field by field.
 
-    Takes a schedule that ``run_trajectory`` accepts; the first failing
-    stroke raises what ``collide`` raises.
+    Each round, running sum and species total starts from ``0.0`` and adds
+    its strokes in order; the rounds and running sums are then stacked into
+    columns.  Takes a schedule that ``run_trajectory`` accepts; the first
+    failing stroke raises what ``collide`` raises.
     """
     subs = [cfg.subdivided(len(cfgs)) for cfg in cfgs]
     tau = cfgs[0].ancilla.tau
-    totals = {sub.label: CollisionLedger.zero() for sub in subs}
-    running = CollisionLedger.zero()
-    steps, cumulative = [], []
+    zero = [0.0] * len(fields(CollisionLedger))
+    totals = {sub.label: zero for sub in subs}
+    running = zero
+    states, rounds, cumulative = [], [], []
     state = rho0
-    for n in range(1, n_steps + 1):
-        round_ledger = CollisionLedger.zero()
+    for _ in range(n_steps):
+        round_ledger = zero
         for sub in subs:
             outcome = collide(state, sub)
             state = outcome.system
-            round_ledger = round_ledger + outcome.ledger
-            totals[sub.label] = totals[sub.label] + outcome.ledger
-        running = running + round_ledger
-        steps.append(TrajectoryStep(index=n, time=n * tau, state=state, ledger=round_ledger))
+            values = [getattr(outcome.ledger, f.name) for f in fields(CollisionLedger)]
+            round_ledger = list(map(add, round_ledger, values))
+            totals[sub.label] = list(map(add, totals[sub.label], values))
+        running = list(map(add, running, round_ledger))
+        states.append(state)
+        rounds.append(round_ledger)
         cumulative.append(running)
-    return TrajectoryRecord(steps=steps, cumulative=cumulative, species_totals=totals)
+
+    def columns(rows: list) -> CollisionLedger:
+        return CollisionLedger(*(np.array([row[k] for row in rows]) for k in range(len(zero))))
+
+    return TrajectoryRecord(
+        states=states,
+        times=np.array([n * tau for n in range(1, n_steps + 1)]),
+        rounds=columns(rounds),
+        cumulative=columns(cumulative),
+        species_totals={label: CollisionLedger(*values) for label, values in totals.items()},
+    )
 
 
 def record_bits(record: TrajectoryRecord) -> tuple:
     """Everything a trajectory record holds, with every float and array as its bytes.
 
-    Per step: index, time, the state's matrix, eigenvalues, eigenvectors
-    and memoized entropy, and the round ledger; then every cumulative ledger
-    and the per-species totals in species order.
+    Per round-end state: its matrix, eigenvalues, eigenvectors and memoized
+    entropy; then the times, every column of the round and cumulative
+    ledgers, and the per-species totals in species order.
     """
+    n = len(record.states)
 
-    def ledger_bits(ledger: CollisionLedger) -> bytes:
+    def column_bits(ledger: CollisionLedger) -> list[bytes]:
+        columns = [getattr(ledger, f.name) for f in fields(ledger)]
+        assert all(c.dtype == np.float64 and c.shape == (n,) for c in columns)
+        return [c.tobytes() for c in columns]
+
+    def total_bits(ledger: CollisionLedger) -> bytes:
         values = [getattr(ledger, f.name) for f in fields(ledger)]
         assert all(type(v) is float for v in values)
         return np.array(values).tobytes()
 
+    assert record.times.dtype == np.float64 and record.times.shape == (n,)
     return (
         [
             (
-                step.index,
-                np.float64(step.time).tobytes(),
-                step.state.matrix.tobytes(),
-                step.state.eigenvalues.tobytes(),
-                step.state.spectrum.eigenvectors.tobytes(),
-                np.float64(step.state._entropy).tobytes(),
-                ledger_bits(step.ledger),
+                state.matrix.tobytes(),
+                state.eigenvalues.tobytes(),
+                state.spectrum.eigenvectors.tobytes(),
+                np.float64(state._entropy).tobytes(),
             )
-            for step in record.steps
+            for state in record.states
         ],
-        [ledger_bits(ledger) for ledger in record.cumulative],
-        [(label, ledger_bits(ledger)) for label, ledger in record.species_totals.items()],
+        record.times.tobytes(),
+        column_bits(record.rounds),
+        column_bits(record.cumulative),
+        [(label, total_bits(ledger)) for label, ledger in record.species_totals.items()],
     )
 
 
@@ -224,22 +246,22 @@ def row_by_row_trajectory_csv(path, record: TrajectoryRecord, gen: LindbladGener
         "C_anc_before,C_anc_after,S_system,Pi_rate"
     )
     lines = [header]
-    for step, cum in zip(record.steps, record.cumulative):
-        state = step.state
+    cum, rounds = record.cumulative, record.rounds
+    for k, state in enumerate(record.states):
         pi_rate = per_state_rates(gen, state).entropy_production_rate
         row = [
-            str(step.index),
-            _fmt(step.time),
+            str(k + 1),
+            _fmt(record.times[k]),
             _fmt(state.expectation(gen.h_system)),
-            _fmt(cum.heat_ancilla),
-            _fmt(cum.work),
-            _fmt(cum.coherent_work),
-            _fmt(cum.incoherent_heat),
-            _fmt(cum.entropy_production),
-            _fmt(cum.mutual_info),
-            _fmt(cum.rel_entropy_ancilla),
-            _fmt(step.ledger.coherence_before),
-            _fmt(step.ledger.coherence_after),
+            _fmt(cum.heat_ancilla[k]),
+            _fmt(cum.work[k]),
+            _fmt(cum.coherent_work[k]),
+            _fmt(cum.incoherent_heat[k]),
+            _fmt(cum.entropy_production[k]),
+            _fmt(cum.mutual_info[k]),
+            _fmt(cum.rel_entropy_ancilla[k]),
+            _fmt(rounds.coherence_before[k]),
+            _fmt(rounds.coherence_after[k]),
             _fmt(von_neumann_entropy(state)),
             _fmt(pi_rate),
         ]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 import subprocess
 import sys
@@ -256,6 +257,53 @@ def test_unwritable_output_location_is_one_line_error(tmp_path, capsys, monkeypa
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error:") and str(blocker) in lines[0]
+
+
+ZERO_2X2 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+# Inputs that once ran into a ZeroDivisionError: a tau of 0 in a sweep (t_final / tau),
+# and a custom pair of zero Hamiltonians (work_scaled divides by their scale).
+DIVIDING_BY_ZERO = {
+    "converge-zero-tau": ("tau", {"scenario": "converge", "tau": [0.04, 0]}),
+    "multibath-zero-tau": ("tau", {"scenario": "multibath", "tau": [0.0, 0.01, 0.04]}),
+    "converge-negative-tau": ("tau", {"scenario": "converge", "tau": [0.04, -0.01]}),
+    "multibath-negative-tau": ("tau", {"scenario": "multibath", "tau": [-0.04, 0.01]}),
+    "custom-zero-hamiltonians": ("H_S, H_A", {**CUSTOM, "H_S": ZERO_2X2, "H_A": ZERO_2X2}),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("key,payload", list(DIVIDING_BY_ZERO.values()), ids=list(DIVIDING_BY_ZERO))
+def test_input_that_would_divide_by_zero_is_one_line_error(tmp_path, capsys, command, key, payload):
+    argv = [command, "--config", str(write(tmp_path, "bad.json", payload))]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {key}: ")
+
+
+def test_one_zero_hamiltonian_is_accepted(tmp_path, capsys):
+    path = write(tmp_path, "half.json", {**CUSTOM, "H_S": ZERO_2X2})
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "OK scenario=custom\n"
+
+
+FLOAT_LITERAL = re.compile(r"-?(\d+\.\d+(e[-+]\d+)?|\d+e[-+]\d+)")
+
+
+@pytest.mark.parametrize("scenario", list(_SCENARIO_KEYS))
+def test_check_values_are_plain_floats_equal_to_the_report(tmp_path, capsys, scenario):
+    # A numpy scalar would print as np.float64(...) and break the byte-identical CHECK lines.
+    assert run_scenario(load_config(CONFIG_DIR / f"{scenario}.json"), out_dir=tmp_path) == 0
+    tokens = [line.split()[3].removeprefix("value=") for line in capsys.readouterr().out.splitlines()]
+    checks = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["checks"]
+    assert len(tokens) == len(checks) > 0
+    for token, check in zip(tokens, checks):
+        assert FLOAT_LITERAL.fullmatch(token), (check["name"], token)
+        assert type(check["value"]) is float and repr(check["value"]) == token
 
 
 # A valid value for every config key.  Each bundled config holds every key its

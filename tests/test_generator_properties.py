@@ -154,7 +154,7 @@ def test_subdivided_keeps_coherence_amplitude_and_round(parts, lam, tau):
     assert abs(parts * sub.ancilla.tau - tau) <= TOL * tau
     species = [qutrit_ancilla_collision(lam=lam, tau=tau, label=f"S{k}") for k in range(parts)]
     record = run_trajectory(maximally_mixed(2), species, 1)
-    assert record.steps[0].time == tau
+    assert record.times[0] == tau
 
 
 @stroke_settings

@@ -14,7 +14,6 @@ from qcollide.errors import (
 )
 from qcollide.lindblad import (
     EigenoperatorCoupling,
-    build_generator,
     eigenoperator_dissipator,
     eigenoperator_interaction,
     integrate,
@@ -37,13 +36,14 @@ from qcollide.presets import (
     qubit_hamiltonian,
 )
 from qcollide.states import AncillaSpec, DensityMatrix, thermal_state, trace_distance
+from qcollide.verify import generator_for
 
 LN3 = math.log(3.0)
 
 
 def qubit_generator(lam=0.3, beta=LN3, g=1.0, omega=1.0):
     cfg = qubit_collision(omega=omega, g=g, beta=beta, lam=lam)
-    return build_generator(cfg.h_system, cfg.ancilla, cfg.v_interaction), cfg
+    return generator_for([cfg]), cfg
 
 
 class TestBuildGenerator:
@@ -59,7 +59,7 @@ class TestBuildGenerator:
         spec = qubit_ancilla()
         v = kron(SIGMA_Z, SIGMA_Z)  # tr_A(V rho_th) = sz <sz>_th != 0
         with pytest.raises(FirstMomentError):
-            build_generator(qubit_hamiltonian(), spec, v)
+            multi_bath_generator(qubit_hamiltonian(), [(spec, v)], ["A"])
 
     def test_overflowing_dissipator_is_rejected_without_warnings(self):
         # V^2 overflows at g = 1e300, so the thermal dissipator holds inf and NaN.
@@ -147,7 +147,7 @@ class TestEigenoperatorDissipator:
         chi = np.zeros((3, 3), dtype=complex)
         chi[0, 1] = chi[1, 0] = 1.0
         spec = AncillaSpec(h_ancilla=h, beta=0.8, chi=chi, lam=0.1, tau=1e-2)
-        gen = build_generator(h, spec, v)
+        gen = multi_bath_generator(h, [(spec, v)], ["A"])
         _, dmat = eigenoperator_dissipator(couplings, h, 0.8, h_system=h)
         assert max_abs(gen.species[0].dissipator - dmat) <= 1e-9
 
@@ -155,7 +155,7 @@ class TestEigenoperatorDissipator:
 class TestIntegrate:
     def test_zero_generator(self):
         spec = AncillaSpec(np.zeros((2, 2)), 1.0, SIGMA_X.copy(), 0.0, 1e-2)
-        gen = build_generator(np.zeros((2, 2)), spec, np.zeros((4, 4)))
+        gen = multi_bath_generator(np.zeros((2, 2)), [(spec, np.zeros((4, 4)))], ["A"])
         rho0 = DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]]))
         trajectory = integrate(gen, rho0, 1.0, 0.05)
         assert max_abs(trajectory[-1][1].matrix - rho0.matrix) <= 1e-14
@@ -164,7 +164,7 @@ class TestIntegrate:
         # pure Hamiltonian flow: off-diagonal picks up exp(-i omega t)
         omega = 1.0
         spec = qubit_ancilla(omega=omega, lam=0.0)
-        gen = build_generator(qubit_hamiltonian(omega), spec, np.zeros((4, 4)))
+        gen = multi_bath_generator(qubit_hamiltonian(omega), [(spec, np.zeros((4, 4)))], ["A"])
         plus = DensityMatrix(0.5 * np.array([[1.0, 1.0], [1.0, 1.0]]))
         trajectory = integrate(gen, plus, 1.0, 5e-3)
         final = trajectory[-1][1].matrix
@@ -195,7 +195,7 @@ class TestIntegrate:
         # An infinite-temperature bath relaxes the population imbalance at rate 1, which
         # an all-ones power-iteration start never sees: it estimated ||L|| as 0.5.
         spec = qubit_ancilla(beta=0.0, lam=0.0)
-        gen = build_generator(np.zeros((2, 2)), spec, qubit_exchange_interaction(1.0))
+        gen = multi_bath_generator(np.zeros((2, 2)), [(spec, qubit_exchange_interaction(1.0))], ["A"])
         assert gen.norm == np.linalg.norm(gen.matrix, 2)
         assert abs(gen.norm - 1.0) <= 1e-12
         with pytest.raises(StepSizeError, match="exceeds stability bound 1.000e-01"):
@@ -243,7 +243,7 @@ class TestSteadyState:
     def test_degenerate_generator_detected(self):
         # pure free evolution: every diagonal state is stationary
         spec = qubit_ancilla(lam=0.0)
-        gen = build_generator(qubit_hamiltonian(), spec, np.zeros((4, 4)))
+        gen = multi_bath_generator(qubit_hamiltonian(), [(spec, np.zeros((4, 4)))], ["A"])
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(gen)
 
@@ -299,7 +299,7 @@ class TestEntropyProductionRate:
         checked = 0
         for _ in range(25):
             rho0, cfg = random_collision(rng, eigenoperator=True)
-            gen = build_generator(cfg.h_system, cfg.ancilla, cfg.v_interaction)
+            gen = generator_for([cfg])
             dt = min(1e-2, 0.09 / max(gen.norm, 1e-12))
             trajectory = integrate(gen, rho0, 30 * dt, dt)
             for _, state in trajectory[::10]:
@@ -379,16 +379,9 @@ class TestConvergenceOrders:
 
 
 class TestMultiBath:
-    def test_single_species_matches_build(self):
-        cfg = qubit_collision()
-        single = build_generator(cfg.h_system, cfg.ancilla, cfg.v_interaction)
-        multi = multi_bath_generator(cfg.h_system, [(cfg.ancilla, cfg.v_interaction)], ["A"])
-        assert max_abs(single.h_eff - multi.h_eff) == 0.0
-        assert max_abs(single.dissipator - multi.dissipator) == 0.0
-
     def test_two_identical_species_double_dissipator(self):
         cfg = qubit_collision()
-        single = build_generator(cfg.h_system, cfg.ancilla, cfg.v_interaction)
+        single = generator_for([cfg])
         double = multi_bath_generator(
             cfg.h_system,
             [(cfg.ancilla, cfg.v_interaction), (cfg.ancilla, cfg.v_interaction)],

@@ -8,8 +8,8 @@ from the joint and reduced states.  Draws come from the seeded
 random-collision sampler in both branches at dimensions (2, 3).  The file
 also checks ledger properties over strokes and rounds, counts the
 eigensolves and Hermiticity gates that one stroke's states cost, and checks
-that ``run_trajectory`` and ``stroboscopic_states`` give the record and the
-round-end states of a ``collide`` per stroke bit for bit.
+that ``run_trajectory`` gives the record of a ``collide`` per stroke bit for
+bit.
 """
 
 from dataclasses import fields
@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcollide.cli import POSITIVITY_BOUND
-from qcollide.collisions import CollisionLedger, collide, run_trajectory, stroboscopic_states
-from qcollide.lindblad import build_generator, coherent_generator, vec
+from qcollide.collisions import CollisionLedger, collide, run_trajectory
+from qcollide.lindblad import coherent_generator, vec
 from qcollide.linalg import commutator, dag, kron, max_abs, partial_trace
 from qcollide.presets import maximally_mixed, qubit_collision, qutrit_ancilla_collision, random_collision
 from qcollide.rng import SplitMix64
@@ -32,6 +32,7 @@ from qcollide.states import (
     relative_entropy,
     von_neumann_entropy,
 )
+from qcollide.verify import generator_for
 from reference import dissipator_apply, mutual_information, record_bits, stroke_by_stroke_trajectory
 
 TOL = 1e-12
@@ -186,25 +187,19 @@ def test_round_robin_ledger_is_additive(beta_a, beta_b, lam, tau):
     ]
     rho0 = maximally_mixed(2)
     record = run_trajectory(rho0, cfgs, 5)
-    total = record.cumulative[-1]
+    total = record.cumulative
     a, b = record.species_totals["A"], record.species_totals["B"]
     for f in fields(total):
-        assert abs(getattr(a, f.name) + getattr(b, f.name) - getattr(total, f.name)) <= TOL
+        assert abs(getattr(a, f.name) + getattr(b, f.name) - getattr(total, f.name)[-1]) <= TOL
     h_s = cfgs[0].h_system
-    d_energy = record.final_state.expectation(h_s) - rho0.expectation(h_s)
-    assert abs(total.d_energy - d_energy) <= TOL
+    d_energy = record.states[-1].expectation(h_s) - rho0.expectation(h_s)
+    assert abs(total.d_energy[-1] - d_energy) <= TOL
 
 
 def assert_round_states_match_trajectory(rho0, cfgs, n_steps):
-    record = stroke_by_stroke_trajectory(rho0, cfgs, n_steps)
-    assert record_bits(run_trajectory(rho0, cfgs, n_steps)) == record_bits(record)
-    rounds = stroboscopic_states(rho0, cfgs, n_steps)
-    assert len(rounds) == len(record.steps) == n_steps
-    for step, state in zip(record.steps, rounds):
-        want = step.state
-        assert state.matrix.tobytes() == want.matrix.tobytes()
-        assert state.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-        assert state.spectrum.eigenvectors.tobytes() == want.spectrum.eigenvectors.tobytes()
+    record = run_trajectory(rho0, cfgs, n_steps)
+    assert len(record.states) == n_steps
+    assert record_bits(record) == record_bits(stroke_by_stroke_trajectory(rho0, cfgs, n_steps))
 
 
 @stroke_settings
@@ -241,7 +236,7 @@ def test_ancilla_hamiltonian_is_diagonalized_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", recording)
     cfg = qutrit_ancilla_collision()
     collide(maximally_mixed(cfg.dim_system), cfg)
-    build_generator(cfg.h_system, cfg.ancilla, cfg.v_interaction)
+    generator_for([cfg])
     h_a = cfg.ancilla.h_ancilla
     assert sum(a.shape == h_a.shape and np.array_equal(a, h_a) for a in inputs) == 1
 

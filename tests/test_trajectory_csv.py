@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qcollide import cli
-from qcollide.collisions import run_trajectory, stroboscopic_states
+from qcollide.collisions import run_trajectory
 from qcollide.errors import RankDeficientError
 from qcollide.lindblad import rate_columns, rates
 from qcollide.presets import maximally_mixed, qubit_collision, qutrit_ancilla_collision, random_collision
@@ -66,7 +66,7 @@ def test_scenario_csv_is_the_row_by_row_csv(tmp_path, monkeypatch, capsys, doc):
     row_by_row_trajectory_csv(tmp_path / "rows.csv", record, gen)
     written = (tmp_path / "out" / "trajectory.csv").read_bytes()
     assert written == (tmp_path / "rows.csv").read_bytes()
-    assert written.count(b"\n") == len(record.steps) + 1
+    assert written.count(b"\n") == len(record.states) + 1
 
 
 @pytest.mark.parametrize(
@@ -97,7 +97,7 @@ def test_row_template_formats_as_format_does():
 
 def test_rates_of_the_qubit_demo_states_are_the_per_state_rates_bit_for_bit():
     cfg = qubit_collision()
-    states = [step.state for step in run_trajectory(maximally_mixed(2), [cfg], 1000).steps]
+    states = run_trajectory(maximally_mixed(2), [cfg], 1000).states
     gen = generator_for([cfg])
     table = rate_columns(gen, states)
     assert table.shape == (1000, 5)
@@ -113,7 +113,7 @@ def test_stacked_log_and_dot_product_match_the_per_state_route_on_random_draws()
     dims = set()
     for k in range(16):
         rho0, cfg = random_collision(rng, eigenoperator=bool(k % 2))
-        states = stroboscopic_states(rho0, [cfg], 30)
+        states = run_trajectory(rho0, [cfg], 30).states
         gen = generator_for([cfg])
         for row, rho in zip(rate_columns(gen, states), states):
             assert column_reprs(row, 1) == ledger_reprs(per_state_rates(gen, rho))
@@ -147,7 +147,7 @@ def first_failures(gen, states, count=2):
 
 def test_rank_deficient_round_end_state_raises_as_the_per_state_route(tmp_path):
     record, gen = cooling_run()
-    states = [step.state for step in record.steps]
+    states = record.states
     (first, error), (_, later) = first_failures(gen, states)
     assert first == 45 and error[0] is RankDeficientError
     # Each failing step names its own eigenvalue, so the message pins the step.
@@ -170,7 +170,7 @@ def with_energy_row_offset(gen, delta):
 def test_failing_closure_raises_as_the_per_state_route_from_the_chosen_step(tmp_path, step):
     cfg = qubit_collision()
     record = run_trajectory(maximally_mixed(2), [cfg], 200)
-    states = [s.state for s in record.steps]
+    states = record.states
     energies = np.abs([rho.expectation(cfg.h_system) for rho in states])
     # |<H_S>| grows along these rounds and every rate stays below 1, so a defect of
     # delta |<H_S>| exceeds the closure tolerance 1e-10 exactly from the chosen step on.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcollide import verify
-from qcollide.collisions import stroboscopic_states
+from qcollide.collisions import run_trajectory
 from qcollide.lindblad import integrate
 from qcollide.presets import maximally_mixed, three_level_collision
 from qcollide.states import trace_distance
@@ -25,7 +25,7 @@ def test_deviation_starts_from_the_maximally_mixed_state_of_the_species():
     for tau in taus:
         cfgs = [three_level_collision(tau)]
         n_rounds = round(t_final / tau)
-        strobes = stroboscopic_states(maximally_mixed(3), cfgs, n_rounds)
+        strobes = run_trajectory(maximally_mixed(3), cfgs, n_rounds).states
         gen = generator_for(cfgs)
         substeps = max(1, math.ceil(tau / min(DEFAULT_DT_TARGET, 0.09 / gen.norm)))
         reference = integrate(gen, maximally_mixed(3), n_rounds * tau, tau / substeps)
