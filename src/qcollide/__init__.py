@@ -50,7 +50,6 @@ from .series import (
 from .states import (
     AncillaSpec,
     DensityMatrix,
-    density_matrices,
     ergotropy_exact,
     free_energy,
     relative_entropy,

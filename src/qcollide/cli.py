@@ -34,11 +34,11 @@ import numpy as np
 
 from . import __version__
 from .collisions import CollisionConfig, run_trajectory
-from .errors import NonHermitianError, QCollideError
+from .errors import NonHermitianError, NotPositiveError, QCollideError
 from .lindblad import rate_columns
 from .linalg import require_hermitian
 from .presets import DEFAULT_BETA, maximally_mixed, qubit_collision, qutrit_ancilla_collision
-from .states import AncillaSpec, von_neumann_entropy
+from .states import AncillaSpec, shannon_entropy
 from .verify import (
     entropic_identity_residuals,
     ergotropy_ratio_deviations,
@@ -199,17 +199,20 @@ def load_config(path: str | Path) -> dict[str, Any]:
         raise ValidationError(f"n_steps: bound-check needs n_steps >= 1, got {reprlib.repr(cfg['n_steps'])}")
     if cfg.get("omega") == 0.0:
         raise ValidationError("omega: must be nonzero, since work_scaled divides by the Hamiltonian scale")
-    if isinstance(cfg.get("tau"), list):
-        if len(set(cfg["tau"])) < 2:
-            raise ValidationError("tau: a sweep needs at least 2 distinct values")
-        if min(cfg["tau"]) <= 0.0:
-            raise ValidationError(f"tau: every sweep value must be > 0, got {min(cfg['tau'])!r}")
+    if isinstance(cfg.get("tau"), list) and len(set(cfg["tau"])) < 2:
+        raise ValidationError("tau: a sweep needs at least 2 distinct values")
+    if cfg.get("n_steps", 0) < 0:
+        raise ValidationError(f"n_steps: must be >= 0, got {cfg['n_steps']!r}")
     if scenario == "custom" and not (cfg["H_S"].any() or cfg["H_A"].any()):
         raise ValidationError("H_S, H_A: must not both be zero, since work_scaled divides by the Hamiltonian scale")
     if scenario == "multibath":
         for key in ("beta", "lambda", "g"):
             if len(cfg[key]) != 2:
                 raise ValidationError(f"{key}: multibath needs one value per species (2), got {len(cfg[key])}")
+    for key in ("tau", "beta", "t_final"):
+        smallest = min(cfg[key]) if isinstance(cfg.get(key), list) else cfg.get(key, 1.0)
+        if smallest <= 0.0:
+            raise ValidationError(f"{key}: must be > 0, got {smallest!r}")
     return cfg
 
 
@@ -264,12 +267,11 @@ def _write_trajectory_csv(path: Path, record, gen) -> None:
     )
     states, cum = record.states, record.cumulative
     pi_rates = rate_columns(gen, states)[:, -1]
-    matrices = np.array([rho.matrix for rho in states]).reshape(-1, gen.dim, gen.dim)
-    energies = np.trace(gen.h_system @ matrices, axis1=1, axis2=2).real
+    energies = np.trace(gen.h_system @ states.matrix, axis1=1, axis2=2).real
     table = np.column_stack([
         record.times, energies, cum.heat_ancilla, cum.work, cum.coherent_work, cum.incoherent_heat,
         cum.entropy_production, cum.mutual_info, cum.rel_entropy_ancilla, record.rounds.coherence_before,
-        record.rounds.coherence_after, [von_neumann_entropy(rho) for rho in states], pi_rates,
+        record.rounds.coherence_after, shannon_entropy(states.eigenvalues), pi_rates,
     ])
     lines = [header] + [_TRAJECTORY_ROW % (step, *row) for step, row in enumerate(table.tolist(), start=1)]
     _write(path, "\n".join(lines) + "\n")
@@ -296,9 +298,18 @@ def _trajectory_checks(collision: CollisionConfig, n_steps: int, out_dir: Path) 
     ])
 
 
+def _prepared(collision: CollisionConfig) -> CollisionConfig:
+    """``collision`` once its ancilla state is prepared; a ``lambda`` too large for a positive state names the key."""
+    try:
+        collision.ancilla_state
+    except NotPositiveError as exc:
+        raise ValidationError(f"lambda: too large for species {collision.label!r}: {exc}") from exc
+    return collision
+
+
 def _scenario_qubit_demo(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
     collision = qubit_collision(omega=cfg["omega"], g=cfg["g"], beta=cfg["beta"], lam=cfg["lambda"], tau=cfg["tau"])
-    return _trajectory_checks(collision, cfg["n_steps"], out_dir)
+    return _trajectory_checks(_prepared(collision), cfg["n_steps"], out_dir)
 
 
 def _scenario_custom(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
@@ -307,7 +318,7 @@ def _scenario_custom(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
         collision = CollisionConfig(cfg["H_S"], cfg["V"], spec)
     except (QCollideError, ValueError) as exc:
         raise ValidationError(str(exc)) from exc
-    return _trajectory_checks(collision, cfg["n_steps"], out_dir)
+    return _trajectory_checks(_prepared(collision), cfg["n_steps"], out_dir)
 
 
 def _convergence_check(data: list[tuple[float, float]], out_dir: Path) -> Check:
@@ -323,7 +334,9 @@ def _convergence_check(data: list[tuple[float, float]], out_dir: Path) -> Check:
 
 def _scenario_converge(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
     lam = cfg["lambda"]
-    data = stroboscopic_deviation(lambda tau: [qutrit_ancilla_collision(lam=lam, tau=tau)], cfg["tau"], cfg["t_final"])
+    data = stroboscopic_deviation(
+        lambda tau: [_prepared(qutrit_ancilla_collision(lam=lam, tau=tau))], cfg["tau"], cfg["t_final"]
+    )
     return [_convergence_check(data, out_dir)]
 
 
@@ -372,8 +385,8 @@ def _scenario_multibath(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
 
     def build(tau: float) -> list[CollisionConfig]:
         return [
-            qubit_collision(g=gs[0], beta=betas[0], lam=lams[0], tau=tau, label="A"),
-            qutrit_ancilla_collision(g=gs[1], beta=betas[1], lam=lams[1], tau=tau, label="B"),
+            _prepared(qubit_collision(g=gs[0], beta=betas[0], lam=lams[0], tau=tau, label="A")),
+            _prepared(qutrit_ancilla_collision(g=gs[1], beta=betas[1], lam=lams[1], tau=tau, label="B")),
         ]
 
     data = stroboscopic_deviation(build, cfg["tau"], cfg["t_final"])

@@ -18,10 +18,11 @@ their spectra and the ledger.  :func:`run_trajectory` runs one species, or
 ``m`` species round-robin with each sub-collision a ``1/m`` share of the
 round: one stroke loop of matvecs, then one stacked gate pass over all
 system outputs and one over each species' ancilla outputs.  Its record holds
-the round-end states and two ledgers of columns over the rounds: each
-round's :class:`CollisionLedger` and their running sums.  The columns use the
-formulas of :func:`collide` and the entropies of the gated spectra, so the
-record is that of a ``collide`` per stroke bit for bit.  When a gate fails,
+the round-end states, a slice of the gated system spectra, and two ledgers
+of columns over the rounds: each round's :class:`CollisionLedger` and their
+running sums.  The columns use the formulas of :func:`collide` and the
+entropies of the gated spectra, so the record is that of a ``collide`` per
+stroke bit for bit.  When a gate fails,
 the run is replayed through :func:`collide`, which locates the first failing
 stroke and raises what it raises.
 
@@ -295,7 +296,7 @@ def collide(rho_system: DensityMatrix, cfg: CollisionConfig) -> CollisionOutcome
     rho_s_after = DensityMatrix(unvec(rows[:n_s], d_s))
     rho_a_after = DensityMatrix(unvec(rows[n_s : n_s + d_a * d_a], d_a))
     if cfg.ancilla_kernel.shape[1]:
-        require_support(rho_a_after, cfg.ancilla_kernel)
+        require_support(rho_a_after.spectrum, cfg.ancilla_kernel)
     entropies = np.array([[von_neumann_entropy(rho)] for rho in (rho_system, rho_s_after, rho_a_after)])
     ledger = CollisionLedger(*_ledger_columns(cfg, rows[None], *entropies)[0].tolist())
     return CollisionOutcome(system=rho_s_after, ancilla=rho_a_after, ledger=ledger)
@@ -334,13 +335,14 @@ def _ledger_columns(cfg: CollisionConfig, rows: np.ndarray, s_before, s_after, s
 class TrajectoryRecord:
     """Stroboscopic run of ``n`` rounds.
 
-    ``states`` are the round-end states, each with its entropy memoized, and
-    ``times`` the round ends ``n * tau``.  ``rounds`` and ``cumulative`` are
-    ledgers of columns over the rounds: each round's ledger and their running
-    sums.  ``species_totals`` holds each species' ledger summed over the run.
+    ``states`` is the read-only spectrum stack ``(n, d, d)`` of the
+    round-end states, as :func:`~qcollide.states.state_spectra` returns it,
+    and ``times`` the round ends ``n * tau``.  ``rounds`` and ``cumulative``
+    are ledgers of columns over the rounds: each round's ledger and their
+    running sums.  ``species_totals`` holds each species' ledger summed over the run.
     """
 
-    states: list[DensityMatrix]
+    states: Spectrum
     times: np.ndarray
     rounds: CollisionLedger
     cumulative: CollisionLedger
@@ -392,8 +394,7 @@ def _gated_strokes(rho0, subs, rows):
     for sub, r in zip(subs, rows):
         spectra = state_spectra(unvec(r[:, n_s : n_s + sub.dim_ancilla**2], sub.dim_ancilla))
         if sub.ancilla_kernel.shape[1]:
-            for spectrum in zip(spectra.eigenvalues, spectra.eigenvectors, spectra.matrix):
-                require_support(DensityMatrix._wrap(Spectrum(*spectrum)), sub.ancilla_kernel)
+            require_support(spectra, sub.ancilla_kernel)
         ancillas.append(spectra)
     return systems, ancillas
 
@@ -416,13 +417,8 @@ def _record(rho0, tau, subs, rows, systems, ancillas) -> TrajectoryRecord:
         ledgers = _ledger_columns(sub, r, s_start[j::m], s_system[j::m], shannon_entropy(ancilla.eigenvalues))
         rounds = rounds + ledgers
         totals[sub.label] = CollisionLedger(*np.add.accumulate(np.vstack([zero, ledgers]))[-1].tolist())
-    ends = slice(m - 1, None, m)
-    spectra = zip(systems.eigenvalues[ends], systems.eigenvectors[ends], systems.matrix[ends])
     return TrajectoryRecord(
-        states=[
-            DensityMatrix._wrap(Spectrum(*spectrum), entropy)
-            for spectrum, entropy in zip(spectra, s_system[ends].tolist())
-        ],
+        states=systems[m - 1 :: m],
         times=np.arange(1, n_steps + 1) * tau,
         rounds=CollisionLedger(*rounds.T),
         # Each round already starts from 0.0, and accumulate adds in order.

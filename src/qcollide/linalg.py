@@ -104,6 +104,10 @@ class Spectrum:
     def dim(self) -> int:
         return self.eigenvalues.shape[-1]
 
+    def __getitem__(self, index) -> "Spectrum":
+        """Spectrum of one matrix (an integer index) or of a sub-stack (a slice) of a stack."""
+        return Spectrum(self.eigenvalues[index], self.eigenvectors[index], self.matrix[index])
+
     def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Matrix function ``V fn(w) V^dag`` of one matrix, evaluated on the eigenvalues."""
         v = self.eigenvectors

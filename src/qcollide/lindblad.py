@@ -12,9 +12,9 @@ spectral norm are plain dense linear algebra.
 The same matrices carry the time stepping and the rates.  One classical RK4
 step over ``h`` is the fixed matrix ``R(h) = sum_{k<=4} (hL)^k / k!``
 (:func:`rk4_propagator`), so :func:`integrate` applies one matvec per step
-through :func:`propagate`, the loop the collision strokes share, gates all
-its step states in one batched pass and returns one snapshot per step.  The
-generator keeps the system Hamiltonian it is built from, so
+through :func:`propagate`, the loop the collision strokes share, and gates
+its step states in one batched pass into one spectrum stack, as a collision
+run does.  The generator keeps the system Hamiltonian it is built from, so
 :func:`rate_columns` needs only the generator and a stack of states: it
 reads each species' work and heat rate, and the energy rate, off rows
 cached on the generator, since a row ``x.reshape(-1)`` dotted with
@@ -26,7 +26,6 @@ its call on one state.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,6 +43,7 @@ from .errors import (
     TraceDriftError,
 )
 from .linalg import (
+    Spectrum,
     ancilla_average,
     commutator,
     dag,
@@ -52,7 +52,7 @@ from .linalg import (
     reduced_superoperator,
     require_hermitian,
 )
-from .states import TRACE_TOL, AncillaSpec, DensityMatrix, density_matrices, thermal_state
+from .states import TRACE_TOL, AncillaSpec, DensityMatrix, state_spectra, thermal_state
 
 FIRST_MOMENT_TOL = 1e-9
 EIGENOPERATOR_TOL = 1e-9
@@ -338,21 +338,21 @@ def propagate(rho0: DensityMatrix, maps, outs) -> None:
 
 def integrate(
     gen: LindbladGenerator, rho0: DensityMatrix, t_final: float, dt: float
-) -> list[tuple[float, DensityMatrix]]:
+) -> tuple[np.ndarray, Spectrum]:
     """Fixed-step RK4 integration of the master equation.
 
     The step must satisfy ``dt <= 0.1 / ||L||``, with the exact spectral norm
     :attr:`LindbladGenerator.norm`.  The steps are one :func:`propagate` with
     the step's :func:`rk4_propagator`, built once for ``dt`` and once for the
     remainder step.  The raw step matrices are then gated together by one
-    :func:`~qcollide.states.density_matrices` call, with positivity loosened
+    :func:`~qcollide.states.state_spectra` call, with positivity loosened
     to ``-1e-6``, since a coarse but admissible step can push eigenvalues
-    slightly negative; every step yields exactly one snapshot.  The trace is
-    never renormalized.  When the stack fails its gate, the steps are gated
-    one at a time to find the first that fails: with its trace off 1 by more
-    than the state's own trace tolerance it raises :class:`TraceDriftError`,
-    otherwise :class:`PositivityLostError`.  Returns ``(time, state)``
-    snapshots including the initial one.
+    slightly negative.  The trace is never renormalized.  When the stack
+    fails its gate, the steps are gated one at a time to find the first that
+    fails: with its trace off 1 by more than the state's own trace tolerance
+    it raises :class:`TraceDriftError`, otherwise :class:`PositivityLostError`.
+    Returns the end time of each step and the read-only spectrum stack of
+    the states there; like a trajectory record, neither holds ``rho0``.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
@@ -370,7 +370,7 @@ def integrate(
         steps.append(remainder)
     propagators = {h: rk4_propagator(gen.matrix, h) for h in set(steps)}
     # The sums of a loop that adds the steps in order, from 0.0.
-    times = np.add.accumulate(steps, dtype=float).tolist()
+    times = np.add.accumulate(steps, dtype=float)
     raw = np.empty((len(steps), gen.dim**2), dtype=complex)
     # Steps after one that leaves the cone are computed before the gate finds it;
     # should they overflow, the gate rejects them, so numpy need not warn.
@@ -378,16 +378,17 @@ def integrate(
         propagate(rho0, [propagators[h] for h in steps], raw)
         matrices = unvec(raw, gen.dim)
         try:
-            snapshots = density_matrices(matrices, psd_tol=INTEGRATOR_PSD_TOL)
+            return times, state_spectra(matrices, psd_tol=INTEGRATOR_PSD_TOL)
         except (QCollideError, ValueError):
-            snapshots = [_step_snapshot(t, rho) for t, rho in zip(times, matrices)]
-    return [(0.0, rho0), *zip(times, snapshots)]
+            for t, rho in zip(times.tolist(), matrices):
+                _gate_step(t, rho)
+            raise
 
 
-def _step_snapshot(t: float, rho: np.ndarray) -> DensityMatrix:
+def _gate_step(t: float, rho: np.ndarray) -> None:
     """Gate one step's matrix, naming a failure as trace drift or lost positivity at ``t``."""
     try:
-        return DensityMatrix(rho, psd_tol=INTEGRATOR_PSD_TOL)
+        DensityMatrix(rho, psd_tol=INTEGRATOR_PSD_TOL)
     except (QCollideError, ValueError) as exc:
         drift = abs(float(rho.trace().real) - 1.0)
         if drift > TRACE_TOL:
@@ -445,7 +446,7 @@ class RateLedger:
 def rates(gen: LindbladGenerator, rho: DensityMatrix) -> RateLedger:
     """Energy, work, heat and entropy rates of the generator at ``rho``: :func:`rate_columns` of one state."""
     n = len(gen.species)
-    row = rate_columns(gen, [rho])[0].tolist()
+    row = rate_columns(gen, rho.spectrum)[0].tolist()
     energy_rate, entropy_rate, pi = row[2 * n :]
     return RateLedger(
         energy_rate=energy_rate,
@@ -456,11 +457,12 @@ def rates(gen: LindbladGenerator, rho: DensityMatrix) -> RateLedger:
     )
 
 
-def rate_columns(gen: LindbladGenerator, states: Sequence[DensityMatrix]) -> np.ndarray:
-    """The rates of :func:`rates` at each of ``states``, as rows ``(len(states), 2m + 3)``.
+def rate_columns(gen: LindbladGenerator, states: Spectrum) -> np.ndarray:
+    """The rates of :func:`rates` at each of ``states``, as rows ``(n, 2m + 3)``.
 
-    Each row holds the ``m`` species' coherent work rates, their heat rates,
-    the energy rate, the entropy rate and the entropy production rate.  One
+    ``states`` is the spectrum of one state or a stack of ``n``.  Each row
+    holds the ``m`` species' coherent work rates, their heat rates, the
+    energy rate, the entropy rate and the entropy production rate.  One
     stacked matvec with :attr:`LindbladGenerator.rate_rows` gives the work,
     heat and energy rates; the entropy rate is ``-tr(L(rho) ln rho)`` from
     one more, valid because the generator annihilates the trace, with
@@ -469,13 +471,13 @@ def rate_columns(gen: LindbladGenerator, states: Sequence[DensityMatrix]) -> np.
     regularized, and then on the closure of its energy rate against the work
     and heat rates; the first state that fails raises, its rank gate first.
     """
-    if any(rho.dim != gen.dim for rho in states):
+    if states.dim != gen.dim:
         raise DimensionMismatchError("state dimension differs from generator")
     d, n = gen.dim, len(gen.species)
-    w = np.array([rho.eigenvalues for rho in states]).reshape(-1, d)
-    v = np.array([rho.spectrum.eigenvectors for rho in states]).reshape(-1, d, d)
+    w = states.eigenvalues.reshape(-1, d)
+    v = states.eigenvectors.reshape(-1, d, d)
     # A stack of column vectors vec(rho): matmul then takes each state's matvec, bit for bit.
-    s = np.array([rho.matrix for rho in states]).reshape(-1, d, d).swapaxes(1, 2).reshape(-1, d * d, 1)
+    s = states.matrix.reshape(-1, d, d).swapaxes(1, 2).reshape(-1, d * d, 1)
     # ln(rho) of a rank-deficient state is not finite; its rank gate rejects it below.
     with np.errstate(divide="ignore", invalid="ignore"):
         log_rho = (v * np.log(w)[:, None, :]) @ dag(v)

@@ -526,6 +526,4 @@ def random_collision(rng: SplitMix64, *, eigenoperator: bool = True) -> tuple[De
         lam=float(stack.lam[0]),
         tau=float(stack.tau[0]),
     )
-    rho = stack.rho_system
-    state = DensityMatrix._wrap(Spectrum(rho.eigenvalues[0], rho.eigenvectors[0], rho.matrix[0]))
-    return state, CollisionConfig(stack.h_system[0], stack.v_interaction[0], spec)
+    return DensityMatrix._wrap(stack.rho_system[0]), CollisionConfig(stack.h_system[0], stack.v_interaction[0], spec)

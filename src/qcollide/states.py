@@ -41,9 +41,9 @@ class DensityMatrix:
     Construction gates on Hermiticity, unit trace and positive
     semidefiniteness (eigenvalues above ``-psd_tol``), then stores the
     symmetrized matrix read-only together with its spectrum.  The von Neumann
-    entropy is memoized on first use by :func:`von_neumann_entropy`, unless
-    the code that wrapped a gated spectrum already took it.
-    :func:`state_spectra` runs the same gates on a stack in one pass.
+    entropy is memoized on first use by :func:`von_neumann_entropy`.  A run's
+    many states are not wrapped one by one: :func:`state_spectra` runs the
+    same gates on a stack in one pass and returns the stack's spectra.
     """
 
     __slots__ = ("matrix", "spectrum", "_entropy")
@@ -52,16 +52,16 @@ class DensityMatrix:
         self._store(_gated(matrix, psd_tol, stack=False))
 
     @classmethod
-    def _wrap(cls, spectrum: Spectrum, entropy: float | None = None) -> "DensityMatrix":
+    def _wrap(cls, spectrum: Spectrum) -> "DensityMatrix":
         rho = object.__new__(cls)
-        rho._store(spectrum, entropy)
+        rho._store(spectrum)
         return rho
 
-    def _store(self, spectrum: Spectrum, entropy: float | None = None) -> None:
+    def _store(self, spectrum: Spectrum) -> None:
         spectrum.matrix.setflags(write=False)
         object.__setattr__(self, "matrix", spectrum.matrix)
         object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "_entropy", entropy)
+        object.__setattr__(self, "_entropy", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")
@@ -88,26 +88,13 @@ def state_spectra(matrices, *, psd_tol: float = PSD_TOL) -> Spectrum:
     One Hermiticity gate and batched ``eigh`` (:func:`hermitian_eig` on the
     stack) and one check of every trace and smallest eigenvalue serve the
     whole stack, with the messages of :class:`DensityMatrix`.  Batched
-    ``eigh`` gives each matrix the bits of a single call.
+    ``eigh`` gives each matrix the bits of a single call: ``spectra[k]`` is
+    the spectrum of ``DensityMatrix(matrices[k], psd_tol=psd_tol)``.
     """
     stacked = _gated(matrices, psd_tol, stack=True)
     for array in (stacked.matrix, stacked.eigenvalues, stacked.eigenvectors):
         array.setflags(write=False)
     return stacked
-
-
-def density_matrices(matrices, *, psd_tol: float = PSD_TOL) -> list[DensityMatrix]:
-    """Gate a stack ``(n, d, d)`` of density matrices at once and wrap each.
-
-    The gates are those of :func:`state_spectra`, so the result equals
-    ``[DensityMatrix(m, psd_tol=psd_tol) for m in matrices]`` bit for bit.
-    Each state holds read-only views of the stacked arrays.
-    """
-    stacked = state_spectra(matrices, psd_tol=psd_tol)
-    return [
-        DensityMatrix._wrap(Spectrum(eigenvalues=w, eigenvectors=v, matrix=m))
-        for w, v, m in zip(stacked.eigenvalues, stacked.eigenvectors, stacked.matrix)
-    ]
 
 
 def _gated(a, psd_tol: float, *, stack: bool) -> Spectrum:
@@ -288,21 +275,21 @@ def support_kernel(sigma: DensityMatrix) -> np.ndarray:
     return sigma.spectrum.eigenvectors[:, sigma.eigenvalues <= SUPPORT_EIGENVALUE_TOL]
 
 
-def require_support(rho: DensityMatrix, kernel: np.ndarray) -> None:
-    """Raise :class:`SupportViolationError` when ``rho`` puts weight on ``kernel``.
+def require_support(spectrum: Spectrum, kernel: np.ndarray) -> None:
+    """Raise :class:`SupportViolationError` when a state puts weight on ``kernel``.
 
-    ``kernel`` holds orthonormal columns, as :func:`support_kernel` returns
-    them.  The weight is measured per eigenvector of ``rho`` with eigenvalue
-    above tolerance.
+    ``spectrum`` is that of one state or of a stack, each state held against
+    ``kernel``, orthonormal columns as :func:`support_kernel` returns them.
+    The weight is measured per eigenvector with eigenvalue above tolerance.
     """
-    carried = rho.eigenvalues > SUPPORT_EIGENVALUE_TOL
-    if np.any(carried):
-        overlaps = np.abs(dag(kernel) @ rho.spectrum.eigenvectors[:, carried]) ** 2
-        worst = float(overlaps.sum(axis=0).max())
-        if worst > SUPPORT_WEIGHT_TOL:
-            raise SupportViolationError(
-                f"first state has weight {worst:.3e} outside the support of the second"
-            )
+    carried = spectrum.eigenvalues > SUPPORT_EIGENVALUE_TOL
+    overlaps = (np.abs(dag(kernel) @ spectrum.eigenvectors) ** 2).sum(axis=-2)
+    worst = np.where(carried, overlaps, 0.0).max(axis=-1, initial=0.0)
+    failed = worst > SUPPORT_WEIGHT_TOL
+    if np.count_nonzero(failed):
+        raise SupportViolationError(
+            f"first state has weight {np.ravel(worst)[np.argmax(failed)]:.3e} outside the support of the second"
+        )
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -316,7 +303,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise DimensionMismatchError("states have different dimensions")
     kernel = support_kernel(sigma)
     if kernel.shape[1]:
-        require_support(rho, kernel)
+        require_support(rho.spectrum, kernel)
     cross = float(np.trace(rho.matrix @ log_on_support(sigma.spectrum)).real)
     return -von_neumann_entropy(rho) - cross
 

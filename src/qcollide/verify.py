@@ -19,8 +19,8 @@ matrix: it draws every sample first, then builds and strokes each
 ``collide(*random_collision(rng))``, and returns one :class:`SuiteSample`
 of columns over the draws.  Trajectories, which reuse one config for many
 strokes, keep the cached stroke matrix; the convergence study reads the
-round-end states of :func:`~qcollide.collisions.run_trajectory`, ledger
-gates included.
+round-end state stack of :func:`~qcollide.collisions.run_trajectory`, ledger
+gates included, against the step stack of :func:`~qcollide.lindblad.integrate`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .lindblad import (
     rk4_step,
     steady_state,
 )
-from .linalg import commutator, dag, kron
+from .linalg import Spectrum, commutator, dag, kron
 from .presets import (
     DEFAULT_BETA,
     collision_stack,
@@ -163,11 +163,8 @@ def stroboscopic_deviation(
         gen = generator_for(cfgs)
         cap = 0.09 / max(gen.norm, 1e-12)
         substeps = max(1, math.ceil(tau / min(DEFAULT_DT_TARGET, cap)))
-        reference = integrate(gen, rho0, n_rounds * tau, tau / substeps)
-        distances = trace_distance(
-            np.array([state.matrix for state in strobes]),
-            np.array([reference[(k + 1) * substeps][1].matrix for k in range(n_rounds)]),
-        )
+        _, reference = integrate(gen, rho0, n_rounds * tau, tau / substeps)
+        distances = trace_distance(strobes.matrix, reference.matrix[substeps - 1 :: substeps])
         results.append((tau, float(distances.max())))
     return results
 
@@ -397,7 +394,7 @@ def _suite_columns(draws: list[dict]) -> np.ndarray:
     after_a = state_spectra(np.trace(joint, axis1=1, axis2=3))
     kernels = rho_a.eigenvalues <= SUPPORT_EIGENVALUE_TOL
     for k in np.flatnonzero(kernels.any(axis=-1)):
-        require_support(DensityMatrix(after_a.matrix[k]), rho_a.eigenvectors[k][:, kernels[k]])
+        require_support(after_a[k], rho_a.eigenvectors[k][:, kernels[k]])
 
     s_before, s_ancilla, s_after, s_a_after = (
         shannon_entropy(state.eigenvalues) for state in (rho_s, rho_a, after_s, after_a)
@@ -436,17 +433,17 @@ def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b.swapaxes(-1, -2)).sum(axis=(-2, -1))
 
 
-def free_energy_rate_fd(gen: LindbladGenerator, rho: DensityMatrix, beta: float) -> float:
+def free_energy_rate_fd(gen: LindbladGenerator, rho: np.ndarray, beta: float) -> float:
     """Centered finite difference of the free energy along the generator flow.
 
-    One RK4 micro-step of ``+dt`` and one of ``-dt`` from ``rho``, with
-    ``dt`` = :data:`FREE_ENERGY_FD_DT`, give the two evaluation points;
-    independent of the algebraic rate formulas.
+    One RK4 micro-step of ``+dt`` and one of ``-dt`` from the state matrix
+    ``rho``, with ``dt`` = :data:`FREE_ENERGY_FD_DT`, give the two evaluation
+    points; independent of the algebraic rate formulas.
     """
     dt = FREE_ENERGY_FD_DT
 
     def step(sign: float) -> DensityMatrix:
-        moved = rk4_step(gen.matrix, rho.matrix.reshape(-1, order="F"), sign * dt)
+        moved = rk4_step(gen.matrix, rho.reshape(-1, order="F"), sign * dt)
         return DensityMatrix(moved.reshape((gen.dim, gen.dim), order="F"))
 
     forward = free_energy(step(+1.0), gen.h_system, beta)
@@ -454,20 +451,19 @@ def free_energy_rate_fd(gen: LindbladGenerator, rho: DensityMatrix, beta: float)
     return (forward - backward) / (2.0 * dt)
 
 
-def second_law_defects(
-    gen: LindbladGenerator, trajectory: Sequence[tuple[float, DensityMatrix]], beta: float
-) -> list[float]:
+def second_law_defects(gen: LindbladGenerator, states: Spectrum, beta: float) -> list[float]:
     """|Pi - beta (W_C_rate - F_rate)| at :data:`SECOND_LAW_SAMPLES` evenly spaced trajectory samples.
 
+    ``states`` is the step stack of :func:`~qcollide.lindblad.integrate`.
     The rates of all samples come from one
     :func:`~qcollide.lindblad.rate_columns` call, so its rank gate runs on
     every sample before any finite difference of the free energy.  The
     coherent work rate is the sum of the species' rates in species order.
     """
-    stride = max(1, (len(trajectory) - 1) // SECOND_LAW_SAMPLES)
-    states = [rho for _, rho in trajectory[stride::stride][:SECOND_LAW_SAMPLES]]
+    stride = max(1, len(states.matrix) // SECOND_LAW_SAMPLES)
+    samples = states[stride - 1 :: stride][:SECOND_LAW_SAMPLES]
     m = len(gen.species)
     return [
         abs(row[-1] - beta * (sum(row[:m]) - free_energy_rate_fd(gen, rho, beta)))
-        for rho, row in zip(states, rate_columns(gen, states).tolist())
+        for rho, row in zip(samples.matrix, rate_columns(gen, samples).tolist())
     ]

@@ -2,9 +2,9 @@
 
 The reference routes are written out the slow, explicit way (full joint
 states, nested commutators, partial traces, one ``collide`` per stroke, one
-``rates`` evaluation per state, one ``next_u64`` per random number) so that
-the tests can hold the package's closed-form, stacked and block paths
-against them.
+``DensityMatrix`` per RK4 step, one ``rates`` evaluation per state, one
+``next_u64`` per random number) so that the tests can hold the package's
+closed-form, stacked and block paths against them.
 """
 
 import math
@@ -14,12 +14,26 @@ from operator import add
 import numpy as np
 
 from qcollide.collisions import CollisionLedger, TrajectoryRecord, collide
-from qcollide.errors import DimensionMismatchError, RankDeficientError
-from qcollide.lindblad import RANK_EIGENVALUE_TOL, LindbladGenerator, RateLedger, vec
-from qcollide.linalg import double_commutator, kron, partial_trace
+from qcollide.errors import (
+    DimensionMismatchError,
+    PositivityLostError,
+    QCollideError,
+    RankDeficientError,
+    TraceDriftError,
+)
+from qcollide.lindblad import (
+    INTEGRATOR_PSD_TOL,
+    RANK_EIGENVALUE_TOL,
+    LindbladGenerator,
+    RateLedger,
+    rk4_propagator,
+    unvec,
+    vec,
+)
+from qcollide.linalg import Spectrum, double_commutator, kron, partial_trace
 from qcollide.presets import RANDOM_DIMS, _mixed_wishart, random_matrix
 from qcollide.rng import SplitMix64
-from qcollide.states import DensityMatrix, von_neumann_entropy
+from qcollide.states import TRACE_TOL, DensityMatrix, von_neumann_entropy
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
@@ -125,13 +139,61 @@ def raised(fn, *args, **kwargs):
     return None
 
 
+def stacked(states: list[DensityMatrix], dim: int) -> Spectrum:
+    """The spectra of one-at-a-time ``states`` of dimension ``dim`` restacked as ``(n, d, d)``."""
+    return Spectrum(
+        np.array([rho.eigenvalues for rho in states]).reshape(-1, dim),
+        np.array([rho.spectrum.eigenvectors for rho in states]).reshape(-1, dim, dim),
+        np.array([rho.matrix for rho in states]).reshape(-1, dim, dim),
+    )
+
+
+def unstacked(states: Spectrum) -> list[DensityMatrix]:
+    """Each matrix of a spectrum stack gated again as its own ``DensityMatrix``.
+
+    Re-gating a stored, exactly Hermitian matrix reproduces its stored
+    spectrum bit for bit.
+    """
+    return [DensityMatrix(matrix) for matrix in states.matrix]
+
+
+def step_by_step_integrate(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float, dt: float):
+    """``integrate`` as a loop of one RK4 propagator matvec and one ``DensityMatrix`` per step.
+
+    Returns ``(times, states)`` with the states restacked; the first step
+    whose state fails its gate raises :class:`TraceDriftError` when its
+    trace is off 1 by more than ``TRACE_TOL``, else
+    :class:`PositivityLostError`.  Takes a step ``dt`` that ``integrate``
+    accepts.
+    """
+    n_whole = int(math.floor(t_final / dt + 1e-9))
+    remainder = t_final - n_whole * dt
+    steps = [dt] * n_whole + ([remainder] if remainder > 1e-12 * max(t_final, 1.0) else [])
+    t, state = 0.0, rho0
+    times, states = [], []
+    for h in steps:
+        t += h
+        raw = unvec(rk4_propagator(gen.matrix, h) @ vec(state.matrix), gen.dim)
+        try:
+            state = DensityMatrix(raw, psd_tol=INTEGRATOR_PSD_TOL)
+        except (QCollideError, ValueError) as exc:
+            drift = abs(float(raw.trace().real) - 1.0)
+            if drift > TRACE_TOL:
+                raise TraceDriftError(f"trace drifted by {drift:.3e} at t={t}") from exc
+            raise PositivityLostError(f"state left the positive cone at t={t}: {exc}") from exc
+        times.append(t)
+        states.append(state)
+    return np.array(times), stacked(states, gen.dim)
+
+
 def stroke_by_stroke_trajectory(rho0: DensityMatrix, cfgs, n_steps: int) -> TrajectoryRecord:
     """``run_trajectory`` as a loop of ``collide`` calls whose ledgers are summed as floats, field by field.
 
     Each round, running sum and species total starts from ``0.0`` and adds
     its strokes in order; the rounds and running sums are then stacked into
-    columns.  Takes a schedule that ``run_trajectory`` accepts; the first
-    failing stroke raises what ``collide`` raises.
+    columns, and the round-end states into one spectrum stack.  Takes a
+    schedule that ``run_trajectory`` accepts; the first failing stroke
+    raises what ``collide`` raises.
     """
     subs = [cfg.subdivided(len(cfgs)) for cfg in cfgs]
     tau = cfgs[0].ancilla.tau
@@ -157,7 +219,7 @@ def stroke_by_stroke_trajectory(rho0: DensityMatrix, cfgs, n_steps: int) -> Traj
         return CollisionLedger(*(np.array([row[k] for row in rows]) for k in range(len(zero))))
 
     return TrajectoryRecord(
-        states=states,
+        states=stacked(states, rho0.dim),
         times=np.array([n * tau for n in range(1, n_steps + 1)]),
         rounds=columns(rounds),
         cumulative=columns(cumulative),
@@ -168,11 +230,14 @@ def stroke_by_stroke_trajectory(rho0: DensityMatrix, cfgs, n_steps: int) -> Traj
 def record_bits(record: TrajectoryRecord) -> tuple:
     """Everything a trajectory record holds, with every float and array as its bytes.
 
-    Per round-end state: its matrix, eigenvalues, eigenvectors and memoized
-    entropy; then the times, every column of the round and cumulative
-    ledgers, and the per-species totals in species order.
+    The round-end state stack: its matrices, eigenvalues and eigenvectors;
+    then the times, every column of the round and cumulative ledgers, and
+    the per-species totals in species order.
     """
-    n = len(record.states)
+    states = record.states
+    n, d = len(record.times), states.dim
+    assert states.matrix.shape == states.eigenvectors.shape == (n, d, d)
+    assert states.eigenvalues.shape == (n, d) and states.eigenvalues.dtype == np.float64
 
     def column_bits(ledger: CollisionLedger) -> list[bytes]:
         columns = [getattr(ledger, f.name) for f in fields(ledger)]
@@ -186,15 +251,7 @@ def record_bits(record: TrajectoryRecord) -> tuple:
 
     assert record.times.dtype == np.float64 and record.times.shape == (n,)
     return (
-        [
-            (
-                state.matrix.tobytes(),
-                state.eigenvalues.tobytes(),
-                state.spectrum.eigenvectors.tobytes(),
-                np.float64(state._entropy).tobytes(),
-            )
-            for state in record.states
-        ],
+        (states.matrix.tobytes(), states.eigenvalues.tobytes(), states.eigenvectors.tobytes()),
         record.times.tobytes(),
         column_bits(record.rounds),
         column_bits(record.cumulative),
@@ -240,14 +297,17 @@ def _fmt(x: float) -> str:
 
 
 def row_by_row_trajectory_csv(path, record: TrajectoryRecord, gen: LindbladGenerator) -> None:
-    """``trajectory.csv`` of a record, one :func:`per_state_rates` call and one ``format`` per value."""
+    """``trajectory.csv`` of a record, one :func:`per_state_rates` call and one ``format`` per value.
+
+    The round-end states are those of :func:`unstacked`.
+    """
     header = (
         "step,t,E_S,Q_A_cum,W_cum,W_C_cum,Q_inc_cum,Sigma_cum,I_cum,Srel_cum,"
         "C_anc_before,C_anc_after,S_system,Pi_rate"
     )
     lines = [header]
     cum, rounds = record.cumulative, record.rounds
-    for k, state in enumerate(record.states):
+    for k, state in enumerate(unstacked(record.states)):
         pi_rate = per_state_rates(gen, state).entropy_production_rate
         row = [
             str(k + 1),

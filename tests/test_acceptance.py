@@ -204,8 +204,8 @@ def test_07_coherence_bound(random_suite, identity_residuals):
 def test_08_modified_second_law():
     cfg = qubit_collision(lam=0.3)
     gen = generator_for([cfg])
-    trajectory = integrate(gen, maximally_mixed(2), 2.0, 1e-2)
-    defects = second_law_defects(gen, trajectory, LN3)
+    _, states = integrate(gen, maximally_mixed(2), 2.0, 1e-2)
+    defects = second_law_defects(gen, states, LN3)
     worst = max(defects)
     passed = len(defects) == 20 and worst <= 1e-7
     report(

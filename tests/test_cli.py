@@ -285,6 +285,46 @@ def test_input_that_would_divide_by_zero_is_one_line_error(tmp_path, capsys, com
     assert lines[0].startswith(f"error: {key}: ")
 
 
+# Documents that load_config once passed and run then rejected.
+NOT_POSITIVE = {
+    "qubit-demo-zero-tau": ("tau", {"scenario": "qubit-demo", "tau": 0}),
+    "qubit-demo-negative-tau": ("tau", {"scenario": "qubit-demo", "tau": -1}),
+    "qubit-demo-negative-beta": ("beta", {"scenario": "qubit-demo", "beta": -1}),
+    "qubit-demo-negative-n_steps": ("n_steps", {"scenario": "qubit-demo", "n_steps": -3}),
+    "multibath-zero-beta": ("beta", {"scenario": "multibath", "beta": [0, 1]}),
+    "custom-zero-beta": ("beta", {**CUSTOM, "beta": 0}),
+    "converge-zero-t_final": ("t_final", {"scenario": "converge", "t_final": 0}),
+}
+
+
+@pytest.mark.parametrize("key,payload", list(NOT_POSITIVE.values()), ids=list(NOT_POSITIVE))
+def test_validate_and_run_both_reject_a_value_out_of_range(tmp_path, capsys, key, payload):
+    path = str(write(tmp_path, "bad.json", payload))
+    for argv in (["validate", "--config", path], ["run", "--config", path, "--out", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {key}: ")
+
+
+@pytest.mark.parametrize(
+    "payload, species",
+    [({"scenario": "qubit-demo", "lambda": 5}, "A"), ({"scenario": "multibath", "lambda": [0.3, 9]}, "B")],
+    ids=["qubit-demo", "multibath"],
+)
+def test_lambda_past_the_positivity_margin_names_the_key(tmp_path, capsys, payload, species):
+    path = write(tmp_path, "strong.json", payload)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: lambda: too large for species '{species}': ")
+    assert "density matrix has eigenvalue -" in lines[0]
+
+
 def test_one_zero_hamiltonian_is_accepted(tmp_path, capsys):
     path = write(tmp_path, "half.json", {**CUSTOM, "H_S": ZERO_2X2})
     assert main(["validate", "--config", str(path)]) == 0

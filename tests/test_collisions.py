@@ -229,7 +229,7 @@ class TestPerturbativeScaling:
 class TestRunTrajectory:
     def test_empty_run(self):
         record = run_trajectory(maximally_mixed(2), [qubit_collision()], 0)
-        assert record.states == []
+        assert record.states.matrix.shape == (0, 2, 2)
         assert record.times.shape == record.rounds.work.shape == record.cumulative.work.shape == (0,)
 
     def test_times_and_prefix_sums(self):
@@ -246,7 +246,7 @@ class TestRunTrajectory:
         cfg = qubit_collision(lam=0.0, tau=5e-2)
         record = run_trajectory(DensityMatrix(np.diag([0.9, 0.1])), [cfg], 400)
         target = thermal_state(cfg.h_system, LN3)
-        assert trace_distance(record.states[-1], target) <= 1e-6
+        assert trace_distance(record.states.matrix[-1], target.matrix) <= 1e-6
 
     def test_two_bath_heat_flow(self):
         # hot species feeds energy in, cold species takes it out, entropy grows
@@ -368,7 +368,7 @@ class TestTrajectoryMatchesReference:
 
         monkeypatch.setattr(collisions, "collide", refuse)
         cfgs = [qubit_collision(label="A"), qubit_collision(beta=0.5, label="B")]
-        assert len(run_trajectory(maximally_mixed(2), cfgs, 5).states) == 5
+        assert run_trajectory(maximally_mixed(2), cfgs, 5).states.matrix.shape == (5, 2, 2)
 
     def test_unallocatable_run_raises_at_once_without_collide(self, monkeypatch):
         def refuse(*args):

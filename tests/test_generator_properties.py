@@ -173,14 +173,13 @@ def test_integrate_takes_its_remainder_step_with_its_own_propagator(seed, eigeno
     gen = generator_for(draw_species(seed, eigenoperator, count))
     assume(gen.norm <= 10.0)  # dt = 0.01 must pass the step-size gate
     rho = random_density_matrix(SplitMix64(seed ^ 0x5EED), gen.dim)
-    trajectory = integrate(gen, rho, 0.105, 0.01)
-    assert len(trajectory) - 1 == 11
-    t, last = trajectory[-1]
-    assert abs(t - 0.105) <= TOL
+    times, states = integrate(gen, rho, 0.105, 0.01)
+    assert times.shape == (11,) and states.matrix.shape == (11, gen.dim, gen.dim)
+    assert abs(times[-1] - 0.105) <= TOL
     state = vec(rho.matrix)
     for h in [0.01] * 10 + [0.105 - 10 * 0.01]:
         state = rk4_step(gen.matrix, state, h)
-    assert max_abs(vec(last.matrix) - state) <= 1e-13
+    assert max_abs(vec(states.matrix[-1]) - state) <= 1e-13
 
 
 def operator_form_rates(cfgs, gen, rho):

@@ -9,11 +9,14 @@ from qcollide.errors import (
     DimensionMismatchError,
     EigenoperatorError,
     FirstMomentError,
+    PositivityLostError,
     RankDeficientError,
     StepSizeError,
+    TraceDriftError,
 )
 from qcollide.lindblad import (
     EigenoperatorCoupling,
+    LindbladGenerator,
     eigenoperator_dissipator,
     eigenoperator_interaction,
     integrate,
@@ -34,9 +37,11 @@ from qcollide.presets import (
     qubit_couplings,
     qubit_exchange_interaction,
     qubit_hamiltonian,
+    qutrit_ancilla_collision,
 )
 from qcollide.states import AncillaSpec, DensityMatrix, thermal_state, trace_distance
 from qcollide.verify import generator_for
+from reference import raised, step_by_step_integrate
 
 LN3 = math.log(3.0)
 
@@ -44,6 +49,22 @@ LN3 = math.log(3.0)
 def qubit_generator(lam=0.3, beta=LN3, g=1.0, omega=1.0):
     cfg = qubit_collision(omega=omega, g=g, beta=beta, lam=lam)
     return generator_for([cfg]), cfg
+
+
+def with_dissipator(gen, change):
+    """``gen`` with the dissipator of its one species replaced by ``change(dissipator)``."""
+    term = gen.species[0]
+    broken = type(term)(
+        label="broken", beta=term.beta, lam=0.0, coherent_op=term.coherent_op, dissipator=change(term.dissipator)
+    )
+    return LindbladGenerator(gen.h_system, [broken])
+
+
+# Flipping the sign of a valid dissipator drives eigenvalues negative; one that leaks
+# 5e-8 of trace per unit time drifts by 5e-10 in one 1e-2 step, past the state's
+# own trace gate of 1e-10.
+ANTI_DISSIPATIVE = (lambda d: -d, DensityMatrix(np.diag([0.999, 0.001])), 2.0)
+LEAKY = (lambda d: d + 5e-8 * np.eye(4), maximally_mixed(2), 1.0)
 
 
 class TestBuildGenerator:
@@ -157,8 +178,8 @@ class TestIntegrate:
         spec = AncillaSpec(np.zeros((2, 2)), 1.0, SIGMA_X.copy(), 0.0, 1e-2)
         gen = multi_bath_generator(np.zeros((2, 2)), [(spec, np.zeros((4, 4)))], ["A"])
         rho0 = DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]]))
-        trajectory = integrate(gen, rho0, 1.0, 0.05)
-        assert max_abs(trajectory[-1][1].matrix - rho0.matrix) <= 1e-14
+        _, states = integrate(gen, rho0, 1.0, 0.05)
+        assert max_abs(states.matrix[-1] - rho0.matrix) <= 1e-14
 
     def test_larmor_phase(self):
         # pure Hamiltonian flow: off-diagonal picks up exp(-i omega t)
@@ -166,8 +187,8 @@ class TestIntegrate:
         spec = qubit_ancilla(omega=omega, lam=0.0)
         gen = multi_bath_generator(qubit_hamiltonian(omega), [(spec, np.zeros((4, 4)))], ["A"])
         plus = DensityMatrix(0.5 * np.array([[1.0, 1.0], [1.0, 1.0]]))
-        trajectory = integrate(gen, plus, 1.0, 5e-3)
-        final = trajectory[-1][1].matrix
+        _, states = integrate(gen, plus, 1.0, 5e-3)
+        final = states.matrix[-1]
         want = 0.5 * np.exp(-1j * omega * 1.0)
         assert abs(final[0, 1] - want) <= 1e-8
 
@@ -175,16 +196,17 @@ class TestIntegrate:
         # closed form: p_e(t) = p_ss + (p_e(0) - p_ss) exp(-(g+ + g-) t)
         gen, cfg = qubit_generator(lam=0.0)
         rho0 = DensityMatrix(np.diag([0.9, 0.1]))
-        trajectory = integrate(gen, rho0, 2.0, 2e-3)
-        for t, state in trajectory[:: len(trajectory) // 7]:
+        times, states = integrate(gen, rho0, 2.0, 2e-3)
+        stride = len(times) // 7
+        for t, state in zip(times[stride - 1 :: stride], states.matrix[stride - 1 :: stride]):
             want = 0.25 + (0.9 - 0.25) * math.exp(-t)
-            assert abs(float(state.matrix[0, 0].real) - want) <= 1e-6
+            assert abs(float(state[0, 0].real) - want) <= 1e-6
 
     def test_trace_preserved(self):
         gen, _ = qubit_generator(lam=0.3)
-        trajectory = integrate(gen, maximally_mixed(2), 1.0, 1e-2)
-        for _, state in trajectory:
-            assert abs(float(np.trace(state.matrix).real) - 1.0) <= 1e-8
+        _, states = integrate(gen, maximally_mixed(2), 1.0, 1e-2)
+        for state in states.matrix:
+            assert abs(float(np.trace(state).real) - 1.0) <= 1e-8
 
     def test_step_bound(self):
         gen, _ = qubit_generator()
@@ -206,10 +228,39 @@ class TestIntegrate:
         with pytest.raises(DimensionMismatchError, match="state dimension differs from generator"):
             integrate(gen, maximally_mixed(3), 0.1, 0.01)
 
-    def test_zero_horizon_returns_the_initial_state(self):
+    def test_zero_horizon_takes_no_step(self):
         gen, _ = qubit_generator()
-        rho = maximally_mixed(2)
-        assert integrate(gen, rho, 0.0, 0.01) == [(0.0, rho)]
+        times, states = integrate(gen, maximally_mixed(2), 0.0, 0.01)
+        assert times.shape == (0,)
+        assert states.matrix.shape == states.eigenvectors.shape == (0, 2, 2)
+        assert states.eigenvalues.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "build, rho0, t_final, dt",
+        [
+            (lambda: qubit_generator(lam=0.3)[0], maximally_mixed(2), 1.0, 1e-2),
+            # 10 whole steps and a remainder step of 0.005
+            (lambda: qubit_generator(lam=-0.5, beta=0.4)[0], DensityMatrix(np.diag([0.9, 0.1])), 0.105, 0.01),
+            (
+                lambda: generator_for(
+                    [qubit_collision(label="A"), qutrit_ancilla_collision(g=0.8, beta=0.5, lam=0.25, label="B")]
+                ),
+                DensityMatrix(np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])),
+                0.5,
+                2e-3,
+            ),
+        ],
+        ids=["qubit", "remainder step", "two species"],
+    )
+    def test_stack_is_the_step_by_step_loop_bit_for_bit(self, build, rho0, t_final, dt):
+        times, states = integrate(build(), rho0, t_final, dt)
+        want_times, want = step_by_step_integrate(build(), rho0, t_final, dt)
+        assert times.dtype == np.float64 and times.tobytes() == want_times.tobytes()
+        assert states.matrix.tobytes() == want.matrix.tobytes()
+        assert states.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert states.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+        for stored in (states.matrix, states.eigenvalues, states.eigenvectors):
+            assert not stored.flags.writeable
 
 
 class TestSteadyState:
@@ -275,9 +326,9 @@ class TestRates:
 
     def test_first_law_closure_along_flow(self):
         gen, cfg = qubit_generator(lam=0.3)
-        trajectory = integrate(gen, maximally_mixed(2), 1.0, 5e-3)
-        for _, state in trajectory[::40]:
-            ledger = rates(gen, state)
+        _, states = integrate(gen, maximally_mixed(2), 1.0, 5e-3)
+        for state in states.matrix[::40]:
+            ledger = rates(gen, DensityMatrix(state))
             closure = ledger.coherent_work_rate + ledger.incoherent_heat_rate
             assert abs(ledger.energy_rate - closure) <= 1e-10
 
@@ -301,9 +352,9 @@ class TestEntropyProductionRate:
             rho0, cfg = random_collision(rng, eigenoperator=True)
             gen = generator_for([cfg])
             dt = min(1e-2, 0.09 / max(gen.norm, 1e-12))
-            trajectory = integrate(gen, rho0, 30 * dt, dt)
-            for _, state in trajectory[::10]:
-                ledger = rates(gen, state)
+            _, states = integrate(gen, rho0, 30 * dt, dt)
+            for state in states.matrix[::10]:
+                ledger = rates(gen, DensityMatrix(state))
                 assert ledger.entropy_production_rate >= -1e-9
                 checked += 1
         assert checked > 50
@@ -311,41 +362,24 @@ class TestEntropyProductionRate:
 
 class TestPositivityGuard:
     def test_anti_dissipative_generator_detected(self):
-        # flipping the sign of a valid dissipator drives eigenvalues negative
-        gen, _ = qubit_generator(lam=0.0)
-        bad_species = type(gen.species[0])(
-            label="broken",
-            beta=gen.species[0].beta,
-            lam=0.0,
-            coherent_op=gen.species[0].coherent_op,
-            dissipator=-gen.species[0].dissipator,
-        )
-        from qcollide.lindblad import LindbladGenerator
-        from qcollide.errors import PositivityLostError
-
-        bad = LindbladGenerator(gen.h_system, [bad_species])
-        nearly_pure = DensityMatrix(np.diag([0.999, 0.001]))
+        change, nearly_pure, t_final = ANTI_DISSIPATIVE
+        bad = with_dissipator(qubit_generator(lam=0.0)[0], change)
         with pytest.raises(PositivityLostError):
-            integrate(bad, nearly_pure, 2.0, 1e-2)
+            integrate(bad, nearly_pure, t_final, 1e-2)
 
     def test_trace_leak_is_reported_as_drift(self):
-        # a dissipator that leaks 5e-8 of trace per unit time drifts by 5e-10
-        # in one 1e-2 step: past the state's own trace gate of 1e-10
-        gen, _ = qubit_generator(lam=0.0)
-        term = gen.species[0]
-        leaky = type(term)(
-            label="leaky",
-            beta=term.beta,
-            lam=0.0,
-            coherent_op=term.coherent_op,
-            dissipator=term.dissipator + 5e-8 * np.eye(4),
-        )
-        from qcollide.lindblad import LindbladGenerator
-        from qcollide.errors import TraceDriftError
-
-        bad = LindbladGenerator(gen.h_system, [leaky])
+        change, rho0, t_final = LEAKY
+        bad = with_dissipator(qubit_generator(lam=0.0)[0], change)
         with pytest.raises(TraceDriftError, match="at t=0.01$"):
-            integrate(bad, maximally_mixed(2), 1.0, 1e-2)
+            integrate(bad, rho0, t_final, 1e-2)
+
+    @pytest.mark.parametrize("case, error", [(ANTI_DISSIPATIVE, PositivityLostError), (LEAKY, TraceDriftError)])
+    def test_failing_run_raises_as_the_step_by_step_loop(self, case, error):
+        change, rho0, t_final = case
+        bad = with_dissipator(qubit_generator(lam=0.0)[0], change)
+        expected = raised(step_by_step_integrate, bad, rho0, t_final, 1e-2)
+        assert expected is not None and expected[0] is error
+        assert raised(integrate, bad, rho0, t_final, 1e-2) == expected
 
     def test_unrelated_errors_are_not_relabelled(self, monkeypatch):
         # only the state-validation errors mean the state left the cone
@@ -356,7 +390,7 @@ class TestPositivityGuard:
         def broken(*args, **kwargs):
             raise TypeError("not a positivity failure")
 
-        monkeypatch.setattr(lindblad, "density_matrices", broken)
+        monkeypatch.setattr(lindblad, "state_spectra", broken)
         with pytest.raises(TypeError, match="not a positivity failure"):
             integrate(gen, maximally_mixed(2), 0.1, 1e-2)
 

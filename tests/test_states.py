@@ -17,11 +17,13 @@ from qcollide.presets import SIGMA_X, SIGMA_Z, qubit_hamiltonian
 from qcollide.states import (
     AncillaSpec,
     DensityMatrix,
-    density_matrices,
     ergotropy_exact,
     free_energy,
     relative_entropy,
     relative_entropy_of_coherence,
+    require_support,
+    state_spectra,
+    support_kernel,
     thermal_state,
     trace_distance,
     von_neumann_entropy,
@@ -77,14 +79,15 @@ def random_state_stack(rng, n, d):
 @given(seeds, st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=20))
 def test_stacked_gate_matches_one_state_at_a_time(seed, d, n):
     stack = random_state_stack(np.random.default_rng(seed), n, d)
-    stacked = density_matrices(stack)
-    assert len(stacked) == n
-    for rho, m in zip(stacked, stack):
-        alone = DensityMatrix(m)
+    stacked = state_spectra(stack)
+    assert stacked.matrix.shape == stacked.eigenvectors.shape == (n, d, d)
+    assert stacked.eigenvalues.shape == (n, d)
+    for k, m in enumerate(stack):
+        rho, alone = stacked[k], DensityMatrix(m)
         assert rho.matrix.tobytes() == alone.matrix.tobytes()
         assert rho.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
-        assert rho.spectrum.eigenvectors.tobytes() == alone.spectrum.eigenvectors.tobytes()
-        for stored in (rho.matrix, rho.eigenvalues, rho.spectrum.eigenvectors):
+        assert rho.eigenvectors.tobytes() == alone.spectrum.eigenvectors.tobytes()
+        for stored in (rho.matrix, rho.eigenvalues, rho.eigenvectors):
             assert not stored.flags.writeable
 
 
@@ -127,7 +130,7 @@ def test_one_bad_state_fails_the_stack_as_it_fails_alone(seed, d, n, position, k
     with pytest.raises(SPOILED[kind]) as alone:
         DensityMatrix(stack[position % n])
     with pytest.raises(SPOILED[kind]) as stacked:
-        density_matrices(stack)
+        state_spectra(stack)
     assert type(alone.value) is SPOILED[kind]
     assert type(stacked.value) is SPOILED[kind]
 
@@ -139,10 +142,12 @@ class TestDensityMatrixStack:
         state = np.diag([0.5, 0.5]).astype(complex)
         tiny = 1e-6 * np.array([[1.0, 1e-7], [0.0, 1.0]], dtype=complex)
         with pytest.raises(NonHermitianError):
-            density_matrices(np.stack([state, tiny]))
+            state_spectra(np.stack([state, tiny]))
 
     def test_empty_stack(self):
-        assert density_matrices(np.empty((0, 3, 3))) == []
+        empty = state_spectra(np.empty((0, 3, 3)))
+        assert empty.matrix.shape == empty.eigenvectors.shape == (0, 3, 3)
+        assert empty.eigenvalues.shape == (0, 3)
 
 
 class TestThermalState:
@@ -240,6 +245,22 @@ class TestEntropies:
         sigma = DensityMatrix(np.diag([1.0, 0.0]))
         with pytest.raises(SupportViolationError):
             relative_entropy(rho, sigma)
+
+    def test_support_gate_on_a_stack_names_its_first_failing_state(self):
+        kernel = support_kernel(DensityMatrix(np.diag([1.0, 0.0])))
+        # Pure states (sqrt(1 - w), sqrt(w)), each with weight w outside the support of |0><0|.
+        weights = [0.0, 0.3, 0.0, 0.7]
+        vectors = [np.array([math.sqrt(1.0 - w), math.sqrt(w)]) for w in weights]
+        stack = state_spectra(np.array([np.outer(v, v) for v in vectors]))
+        with pytest.raises(SupportViolationError, match="^first state has weight 3.000e-01 outside"):
+            require_support(stack, kernel)
+        for k, w in enumerate(weights):
+            if w:
+                with pytest.raises(SupportViolationError, match=f"^first state has weight {w:.3e} outside"):
+                    require_support(stack[k], kernel)
+            else:
+                require_support(stack[k], kernel)
+        require_support(stack[::2], kernel)
 
     def test_relative_entropy_nonnegative(self):
         rng = np.random.default_rng(2)

@@ -192,13 +192,13 @@ def test_round_robin_ledger_is_additive(beta_a, beta_b, lam, tau):
     for f in fields(total):
         assert abs(getattr(a, f.name) + getattr(b, f.name) - getattr(total, f.name)[-1]) <= TOL
     h_s = cfgs[0].h_system
-    d_energy = record.states[-1].expectation(h_s) - rho0.expectation(h_s)
+    d_energy = np.trace(h_s @ record.states.matrix[-1]).real - rho0.expectation(h_s)
     assert abs(total.d_energy[-1] - d_energy) <= TOL
 
 
 def assert_round_states_match_trajectory(rho0, cfgs, n_steps):
     record = run_trajectory(rho0, cfgs, n_steps)
-    assert len(record.states) == n_steps
+    assert record.states.matrix.shape == (n_steps, rho0.dim, rho0.dim)
     assert record_bits(record) == record_bits(stroke_by_stroke_trajectory(rho0, cfgs, n_steps))
 
 

@@ -19,9 +19,9 @@ from qcollide.errors import RankDeficientError
 from qcollide.lindblad import rate_columns, rates
 from qcollide.presets import maximally_mixed, qubit_collision, qutrit_ancilla_collision, random_collision
 from qcollide.rng import SplitMix64
-from qcollide.states import DensityMatrix
+from qcollide.states import DensityMatrix, state_spectra
 from qcollide.verify import generator_for
-from reference import per_state_rates, raised, row_by_row_trajectory_csv
+from reference import per_state_rates, raised, row_by_row_trajectory_csv, unstacked
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -66,7 +66,7 @@ def test_scenario_csv_is_the_row_by_row_csv(tmp_path, monkeypatch, capsys, doc):
     row_by_row_trajectory_csv(tmp_path / "rows.csv", record, gen)
     written = (tmp_path / "out" / "trajectory.csv").read_bytes()
     assert written == (tmp_path / "rows.csv").read_bytes()
-    assert written.count(b"\n") == len(record.states) + 1
+    assert written.count(b"\n") == len(record.times) + 1
 
 
 @pytest.mark.parametrize(
@@ -101,7 +101,7 @@ def test_rates_of_the_qubit_demo_states_are_the_per_state_rates_bit_for_bit():
     gen = generator_for([cfg])
     table = rate_columns(gen, states)
     assert table.shape == (1000, 5)
-    for row, rho in zip(table, states):
+    for row, rho in zip(table, unstacked(states)):
         want = ledger_reprs(per_state_rates(gen, rho))
         assert ledger_reprs(rates(gen, rho)) == want
         assert column_reprs(row, 1) == want
@@ -115,7 +115,7 @@ def test_stacked_log_and_dot_product_match_the_per_state_route_on_random_draws()
         rho0, cfg = random_collision(rng, eigenoperator=bool(k % 2))
         states = run_trajectory(rho0, [cfg], 30).states
         gen = generator_for([cfg])
-        for row, rho in zip(rate_columns(gen, states), states):
+        for row, rho in zip(rate_columns(gen, states), unstacked(states)):
             assert column_reprs(row, 1) == ledger_reprs(per_state_rates(gen, rho))
         dims.add(cfg.dim_system)
     assert dims == {2, 3}
@@ -123,7 +123,7 @@ def test_stacked_log_and_dot_product_match_the_per_state_route_on_random_draws()
 
 def test_no_states_give_no_rows():
     gen = generator_for([qubit_collision(label="A"), qubit_collision(label="B")])
-    assert rate_columns(gen, []).shape == (0, 7)
+    assert rate_columns(gen, state_spectra(np.empty((0, 2, 2)))).shape == (0, 7)
 
 
 def cooling_run():
@@ -136,7 +136,7 @@ def cooling_run():
 def first_failures(gen, states, count=2):
     """Indices and errors of the first ``count`` states that the per-state route rejects."""
     found = []
-    for i, rho in enumerate(states):
+    for i, rho in enumerate(unstacked(states)):
         error = raised(per_state_rates, gen, rho)
         if error is not None:
             found.append((i, error))
@@ -171,13 +171,13 @@ def test_failing_closure_raises_as_the_per_state_route_from_the_chosen_step(tmp_
     cfg = qubit_collision()
     record = run_trajectory(maximally_mixed(2), [cfg], 200)
     states = record.states
-    energies = np.abs([rho.expectation(cfg.h_system) for rho in states])
+    energies = np.abs([rho.expectation(cfg.h_system) for rho in unstacked(states)])
     # |<H_S>| grows along these rounds and every rate stays below 1, so a defect of
     # delta |<H_S>| exceeds the closure tolerance 1e-10 exactly from the chosen step on.
     below = energies[step - 2] if step > 1 else 0.0
     gen = with_energy_row_offset(generator_for([cfg]), 1e-10 / (0.5 * (below + energies[step - 1])))
-    failing = [i for i, rho in enumerate(states) if raised(per_state_rates, gen, rho) is not None]
-    assert failing == list(range(step - 1, len(states)))
+    failing = [i for i, rho in enumerate(unstacked(states)) if raised(per_state_rates, gen, rho) is not None]
+    assert failing == list(range(step - 1, len(record.times)))
     ((_, error),) = first_failures(gen, states, count=1)
     assert error[0] is ValueError and error[1].startswith("energy rate ")
     assert raised(rate_columns, gen, states) == error
@@ -192,5 +192,5 @@ def test_rank_gate_wins_on_a_state_that_fails_both_gates():
     assert raised(per_state_rates, gen, states[0])[0] is ValueError
     error = raised(per_state_rates, gen, states[1])
     assert error[0] is RankDeficientError
-    assert raised(rate_columns, gen, states[1:]) == error
+    assert raised(rate_columns, gen, states[1].spectrum) == error
     assert raised(rates, gen, states[1]) == error

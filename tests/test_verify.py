@@ -28,10 +28,10 @@ def test_deviation_starts_from_the_maximally_mixed_state_of_the_species():
         strobes = run_trajectory(maximally_mixed(3), cfgs, n_rounds).states
         gen = generator_for(cfgs)
         substeps = max(1, math.ceil(tau / min(DEFAULT_DT_TARGET, 0.09 / gen.norm)))
-        reference = integrate(gen, maximally_mixed(3), n_rounds * tau, tau / substeps)
+        _, reference = integrate(gen, maximally_mixed(3), n_rounds * tau, tau / substeps)
+        # The state at the end of round k + 1 is that of step (k + 1) * substeps.
         distances = trace_distance(
-            np.array([state.matrix for state in strobes]),
-            np.array([reference[(k + 1) * substeps][1].matrix for k in range(n_rounds)]),
+            strobes.matrix, np.array([reference.matrix[(k + 1) * substeps - 1] for k in range(n_rounds)])
         )
         want.append((tau, float(distances.max())))
     assert stroboscopic_deviation(lambda tau: [three_level_collision(tau)], taus, t_final) == want
