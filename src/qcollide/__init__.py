@@ -17,12 +17,10 @@ from .lindblad import (
     EigenoperatorCoupling,
     JumpRates,
     LindbladGenerator,
-    RateLedger,
     eigenoperator_dissipator,
     eigenoperator_interaction,
     integrate,
     multi_bath_generator,
-    rates,
     steady_state,
 )
 from .linalg import (

@@ -40,10 +40,10 @@ from .linalg import require_hermitian
 from .presets import DEFAULT_BETA, maximally_mixed, qubit_collision, qutrit_ancilla_collision
 from .states import AncillaSpec, shannon_entropy
 from .verify import (
+    energy_scale,
     entropic_identity_residuals,
     ergotropy_ratio_deviations,
     generator_for,
-    h_scale,
     halving_ratios,
     loglog_slope,
     random_collision_suite,
@@ -55,25 +55,16 @@ from .verify import (
 POSITIVITY_BOUND = -1e-9
 WORK_BOUND = 1e-9
 SLOPE_WINDOW = (0.4, 0.7)
+ERGOTROPY_RISE_BOUND = 0.0
+ERGOTROPY_MID_BOUND = 5e-2
+POPULATION_ERROR_BOUND = 1e-8
 HALVING_WINDOW = (2.4, 3.2)
 SERIES_WINDOW = (6.0, 10.0)
 COHERENT_BOUND_SCALE = -200.0
 
 
 class ConfigError(Exception):
-    """Base class for configuration problems (exit code 1)."""
-
-
-class ParseError(ConfigError):
-    pass
-
-
-class SchemaError(ConfigError):
-    pass
-
-
-class ValidationError(ConfigError):
-    pass
+    """A configuration that cannot be read, parsed or run (exit code 1)."""
 
 
 _MATRIX_KEYS = ("H_S", "H_A", "V", "chi")
@@ -99,38 +90,38 @@ _ALLOWED_KEYS = {"scenario", "output_dir"}.union(*_SCENARIO_KEYS.values())
 def _parse_matrix(key: str, raw: Any) -> np.ndarray:
     """One Hermitian matrix from nested ``[re, im]`` pairs, symmetrized and finite."""
     if not isinstance(raw, list) or not raw:
-        raise SchemaError(f"{key}: expected a nested array of [re, im] pairs")
+        raise ConfigError(f"{key}: expected a nested array of [re, im] pairs")
     dim = len(raw)
     out = np.zeros((dim, dim), dtype=complex)
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != dim:
-            raise SchemaError(f"{key}: row {i} is not a length-{dim} list")
+            raise ConfigError(f"{key}: row {i} is not a length-{dim} list")
         for j, cell in enumerate(row):
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)
             ):
-                raise SchemaError(f"{key}: entry ({i},{j}) is not an [re, im] pair")
+                raise ConfigError(f"{key}: entry ({i},{j}) is not an [re, im] pair")
             try:
                 out[i, j] = complex(cell[0], cell[1])
             except OverflowError as exc:
-                raise ValidationError(f"{key}: entry ({i},{j}) is too large for a float") from exc
+                raise ConfigError(f"{key}: entry ({i},{j}) is too large for a float") from exc
     try:
         # Entries near the float limit overflow in the symmetrization; the check below names them.
         with np.errstate(over="ignore", invalid="ignore"):
             out = require_hermitian(out, name=key)
     except (NonHermitianError, ValueError) as exc:
-        raise ValidationError(str(exc)) from exc
+        raise ConfigError(str(exc)) from exc
     if not np.isfinite(out).all():
-        raise ValidationError(f"{key}: its Hermitian part overflows a float")
+        raise ConfigError(f"{key}: its Hermitian part overflows a float")
     return out
 
 
 def _parse_number(key: str, v: Any) -> float | int:
     """One finite number; an integer for the keys of ``_INTEGER_KEYS``."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{key}: expected a number, got {reprlib.repr(v)}")
+        raise ConfigError(f"{key}: expected a number, got {reprlib.repr(v)}")
     if isinstance(v, int) and key in _INTEGER_KEYS:
         return v
     try:
@@ -138,10 +129,10 @@ def _parse_number(key: str, v: Any) -> float | int:
     except OverflowError:
         x = math.inf
     if not math.isfinite(x):
-        raise ValidationError(f"{key}: expected a finite number, got {reprlib.repr(v)}")
+        raise ConfigError(f"{key}: expected a finite number, got {reprlib.repr(v)}")
     if key in _INTEGER_KEYS:
         if not x.is_integer():
-            raise SchemaError(f"{key}: expected an integer, got {v!r}")
+            raise ConfigError(f"{key}: expected an integer, got {v!r}")
         return int(x)
     return x
 
@@ -151,7 +142,7 @@ def _parse_value(key: str, raw: Any, default: Any) -> Any:
         return _parse_matrix(key, raw)
     if isinstance(raw, list) != isinstance(default, list):
         shape = "a list of numbers" if isinstance(default, list) else "one number"
-        raise ValidationError(f"{key}: expected {shape}, got {reprlib.repr(raw)}")
+        raise ConfigError(f"{key}: expected {shape}, got {reprlib.repr(raw)}")
     return [_parse_number(key, v) for v in raw] if isinstance(raw, list) else _parse_number(key, raw)
 
 
@@ -164,55 +155,53 @@ def load_config(path: str | Path) -> dict[str, Any]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except (RecursionError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise SchemaError("top level must be a JSON object")
+        raise ConfigError("top level must be a JSON object")
     unknown = sorted(set(raw) - _ALLOWED_KEYS)
     if unknown:
-        raise SchemaError(f"unknown key {unknown[0]!r}")
+        raise ConfigError(f"unknown key {unknown[0]!r}")
     scenario = raw.get("scenario")
     if scenario not in SCENARIOS:
-        raise SchemaError(f"scenario must be one of {SCENARIOS}, got {reprlib.repr(scenario)}")
+        raise ConfigError(f"scenario must be one of {SCENARIOS}, got {reprlib.repr(scenario)}")
     keys = _SCENARIO_KEYS[scenario]
     unread = sorted(set(raw) - {"scenario", "output_dir"} - set(keys))
     if unread:
-        raise SchemaError(f"key {unread[0]!r} is not read by scenario {scenario!r}")
+        raise ConfigError(f"key {unread[0]!r} is not read by scenario {scenario!r}")
     output_dir = raw.get("output_dir", ".")
     if not isinstance(output_dir, str):
-        raise SchemaError(f"output_dir: expected a string, got {reprlib.repr(output_dir)}")
+        raise ConfigError(f"output_dir: expected a string, got {reprlib.repr(output_dir)}")
 
     cfg = {"scenario": scenario, "output_dir": output_dir}
     for key, default in keys.items():
         cfg[key] = _parse_value(key, raw[key], default) if key in raw else copy.copy(default)
     missing = [key for key in keys if cfg[key] is None]
     if missing:
-        raise ValidationError(f"{missing[0]}: required for scenario {scenario!r}")
+        raise ConfigError(f"{missing[0]}: required for scenario {scenario!r}")
     if "seed" in cfg and not 0 <= cfg["seed"] < 2**64:
-        raise ValidationError(f"seed: expected an integer in [0, 2^64), got {reprlib.repr(cfg['seed'])}")
-    if scenario == "bound-check" and cfg["n_steps"] < 1:
-        raise ValidationError(f"n_steps: bound-check needs n_steps >= 1, got {reprlib.repr(cfg['n_steps'])}")
+        raise ConfigError(f"seed: expected an integer in [0, 2^64), got {reprlib.repr(cfg['seed'])}")
+    if cfg.get("n_steps", 1) < 1:
+        raise ConfigError(f"n_steps: must be >= 1, got {reprlib.repr(cfg['n_steps'])}")
     if cfg.get("omega") == 0.0:
-        raise ValidationError("omega: must be nonzero, since work_scaled divides by the Hamiltonian scale")
+        raise ConfigError("omega: must be nonzero, since work_scaled divides by the Hamiltonian scale")
     if isinstance(cfg.get("tau"), list) and len(set(cfg["tau"])) < 2:
-        raise ValidationError("tau: a sweep needs at least 2 distinct values")
-    if cfg.get("n_steps", 0) < 0:
-        raise ValidationError(f"n_steps: must be >= 0, got {cfg['n_steps']!r}")
+        raise ConfigError("tau: a sweep needs at least 2 distinct values")
     if scenario == "custom" and not (cfg["H_S"].any() or cfg["H_A"].any()):
-        raise ValidationError("H_S, H_A: must not both be zero, since work_scaled divides by the Hamiltonian scale")
+        raise ConfigError("H_S, H_A: must not both be zero, since work_scaled divides by the Hamiltonian scale")
     if scenario == "multibath":
         for key in ("beta", "lambda", "g"):
             if len(cfg[key]) != 2:
-                raise ValidationError(f"{key}: multibath needs one value per species (2), got {len(cfg[key])}")
+                raise ConfigError(f"{key}: multibath needs one value per species (2), got {len(cfg[key])}")
     for key in ("tau", "beta", "t_final"):
         smallest = min(cfg[key]) if isinstance(cfg.get(key), list) else cfg.get(key, 1.0)
         if smallest <= 0.0:
-            raise ValidationError(f"{key}: must be > 0, got {smallest!r}")
+            raise ConfigError(f"{key}: must be > 0, got {smallest!r}")
     return cfg
 
 
@@ -282,19 +271,12 @@ def _trajectory_checks(collision: CollisionConfig, n_steps: int, out_dir: Path) 
     record = run_trajectory(maximally_mixed(collision.dim_system), [collision], n_steps)
     _write_trajectory_csv(out_dir / "trajectory.csv", record, generator_for([collision]))
     rounds = record.rounds
-    if n_steps:
-        min_sigma = rounds.entropy_production.min()
-        min_mutual = rounds.mutual_info.min()
-        min_rel = rounds.rel_entropy_ancilla.min()
-        max_work = np.abs(rounds.work).max() / h_scale(collision)
-    else:
-        # An empty column has no extremes.
-        min_sigma = min_mutual = min_rel = max_work = 0.0
+    scale = energy_scale(collision.h_system, collision.ancilla.h_ancilla)
     return _limit_checks([
-        ("entropy_production_min", min_sigma, POSITIVITY_BOUND),
-        ("mutual_info_min", min_mutual, POSITIVITY_BOUND),
-        ("ancilla_rel_entropy_min", min_rel, POSITIVITY_BOUND),
-        ("work_scaled_max", max_work, WORK_BOUND),
+        ("entropy_production_min", rounds.entropy_production.min(), POSITIVITY_BOUND),
+        ("mutual_info_min", rounds.mutual_info.min(), POSITIVITY_BOUND),
+        ("ancilla_rel_entropy_min", rounds.rel_entropy_ancilla.min(), POSITIVITY_BOUND),
+        ("work_scaled_max", np.abs(rounds.work).max() / scale, WORK_BOUND),
     ])
 
 
@@ -303,7 +285,7 @@ def _prepared(collision: CollisionConfig) -> CollisionConfig:
     try:
         collision.ancilla_state
     except NotPositiveError as exc:
-        raise ValidationError(f"lambda: too large for species {collision.label!r}: {exc}") from exc
+        raise ConfigError(f"lambda: too large for species {collision.label!r}: {exc}") from exc
     return collision
 
 
@@ -317,7 +299,7 @@ def _scenario_custom(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
         spec = AncillaSpec(h_ancilla=cfg["H_A"], beta=cfg["beta"], chi=cfg["chi"], lam=cfg["lambda"], tau=cfg["tau"])
         collision = CollisionConfig(cfg["H_S"], cfg["V"], spec)
     except (QCollideError, ValueError) as exc:
-        raise ValidationError(str(exc)) from exc
+        raise ConfigError(str(exc)) from exc
     return _trajectory_checks(_prepared(collision), cfg["n_steps"], out_dir)
 
 
@@ -375,8 +357,12 @@ def _scenario_oracle_check(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
     # Ergotropy-to-coherence ratio.
     deviations = ergotropy_ratio_deviations()
     worst_rise = max(deviations[i + 1] - deviations[i] for i in range(len(deviations) - 1))
-    checks.append(Check("ergotropy_deviation_monotone", worst_rise, 0.0, worst_rise <= 0.0))
-    checks.append(Check("ergotropy_deviation_mid", deviations[1], 5e-2, deviations[1] <= 5e-2))
+    checks.append(
+        Check("ergotropy_deviation_monotone", worst_rise, ERGOTROPY_RISE_BOUND, worst_rise <= ERGOTROPY_RISE_BOUND)
+    )
+    checks.append(
+        Check("ergotropy_deviation_mid", deviations[1], ERGOTROPY_MID_BOUND, deviations[1] <= ERGOTROPY_MID_BOUND)
+    )
     return checks
 
 
@@ -394,7 +380,9 @@ def _scenario_multibath(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
 
     # Two thermal qubit baths: stationary excited population from the jump rates.
     error = two_bath_population_error(gs, betas)
-    checks.append(Check("steady_state_population_error", error, 1e-8, error <= 1e-8))
+    checks.append(
+        Check("steady_state_population_error", error, POPULATION_ERROR_BOUND, error <= POPULATION_ERROR_BOUND)
+    )
     return checks
 
 

@@ -11,7 +11,6 @@ product operator ``A (x) B`` places the system index on the slow axis,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -107,11 +106,6 @@ class Spectrum:
     def __getitem__(self, index) -> "Spectrum":
         """Spectrum of one matrix (an integer index) or of a sub-stack (a slice) of a stack."""
         return Spectrum(self.eigenvalues[index], self.eigenvectors[index], self.matrix[index])
-
-    def apply(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Matrix function ``V fn(w) V^dag`` of one matrix, evaluated on the eigenvalues."""
-        v = self.eigenvectors
-        return (v * fn(self.eigenvalues)) @ v.conj().T
 
 
 def hermitian_eig(m, *, name: str = "matrix", stack: bool = False) -> Spectrum:

@@ -19,8 +19,7 @@ run does.  The generator keeps the system Hamiltonian it is built from, so
 reads each species' work and heat rate, and the energy rate, off rows
 cached on the generator, since a row ``x.reshape(-1)`` dotted with
 ``vec(rho)`` is ``tr(x rho)``, in one stacked matvec over all the states,
-and gates each state on its rank and its energy closure.  :func:`rates` is
-its call on one state.
+and gates each state on its rank and its energy closure.
 """
 
 from __future__ import annotations
@@ -146,7 +145,7 @@ class LindbladGenerator:
 
     @cached_property
     def rate_rows(self) -> np.ndarray:
-        """Rows that map ``vec(rho)`` to the rates of :func:`rates`.
+        """Rows that map ``vec(rho)`` to the work, heat and energy rates of :func:`rate_columns`.
 
         One row per species for the coherent work ``i lam_j tr([G_j, H_S] rho)``,
         then one per species for the heat ``tr(H_S D_j(rho))``, then the energy
@@ -300,17 +299,8 @@ def eigenoperator_dissipator(
     return rates, matrix
 
 
-def rk4_step(l_matrix: np.ndarray, state: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of ``d vec(rho)/dt = L vec(rho)`` over ``h``."""
-    k1 = l_matrix @ state
-    k2 = l_matrix @ (state + 0.5 * h * k1)
-    k3 = l_matrix @ (state + 0.5 * h * k2)
-    k4 = l_matrix @ (state + h * k3)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def rk4_propagator(l_matrix: np.ndarray, h: float) -> np.ndarray:
-    """Matrix ``I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24`` of one :func:`rk4_step`."""
+    """Matrix ``I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24`` of one classical RK4 step over ``h``."""
     hl = h * l_matrix
     eye = np.eye(l_matrix.shape[0])
     # Horner form: I + hL (I + hL/2 (I + hL/3 (I + hL/4))).
@@ -424,41 +414,8 @@ def steady_state(gen: LindbladGenerator) -> DensityMatrix:
     return DensityMatrix(rho)
 
 
-@dataclass(frozen=True)
-class RateLedger:
-    """Instantaneous thermodynamic rates at a given state."""
-
-    energy_rate: float
-    coherent_work_rates: tuple[float, ...]
-    incoherent_heat_rates: tuple[float, ...]
-    entropy_rate: float
-    entropy_production_rate: float
-
-    @property
-    def coherent_work_rate(self) -> float:
-        return float(sum(self.coherent_work_rates))
-
-    @property
-    def incoherent_heat_rate(self) -> float:
-        return float(sum(self.incoherent_heat_rates))
-
-
-def rates(gen: LindbladGenerator, rho: DensityMatrix) -> RateLedger:
-    """Energy, work, heat and entropy rates of the generator at ``rho``: :func:`rate_columns` of one state."""
-    n = len(gen.species)
-    row = rate_columns(gen, rho.spectrum)[0].tolist()
-    energy_rate, entropy_rate, pi = row[2 * n :]
-    return RateLedger(
-        energy_rate=energy_rate,
-        coherent_work_rates=tuple(row[:n]),
-        incoherent_heat_rates=tuple(row[n : 2 * n]),
-        entropy_rate=entropy_rate,
-        entropy_production_rate=pi,
-    )
-
-
 def rate_columns(gen: LindbladGenerator, states: Spectrum) -> np.ndarray:
-    """The rates of :func:`rates` at each of ``states``, as rows ``(n, 2m + 3)``.
+    """Energy, work, heat and entropy rates of the generator at each of ``states``, as rows ``(n, 2m + 3)``.
 
     ``states`` is the spectrum of one state or a stack of ``n``.  Each row
     holds the ``m`` species' coherent work rates, their heat rates, the

@@ -377,11 +377,6 @@ def draw_collisions(rng: SplitMix64, count: int, *, eigenoperator: bool = True) 
     return [_draw_fields(fields, dims=pair, eigenoperator=eigenoperator) for pair in dims]
 
 
-def draw_collision(rng: SplitMix64, *, eigenoperator: bool = True) -> dict:
-    """The draw of one :func:`random_collision` instance: the one-draw case of :func:`draw_collisions`."""
-    return draw_collisions(rng, 1, eigenoperator=eigenoperator)[0]
-
-
 @dataclass(frozen=True, eq=False)
 class CollisionStack:
     """Random collision instances of one ``(d_S, d_A)`` as stacked arrays, stack axis first.
@@ -515,10 +510,10 @@ def random_collision(rng: SplitMix64, *, eigenoperator: bool = True) -> tuple[De
     interaction is a generic Hermitian matrix with the first moment shifted
     away.  The coherence strength is drawn inside the positivity margin of
     the prepared ancilla state.  This is the one-instance case of
-    :func:`draw_collision` and :func:`collision_stack`; the initial state
+    :func:`draw_collisions` and :func:`collision_stack`; the initial state
     wraps the spectrum that the stack's state gates produced.
     """
-    stack = collision_stack([draw_collision(rng, eigenoperator=eigenoperator)])
+    stack = collision_stack(draw_collisions(rng, 1, eigenoperator=eigenoperator))
     spec = AncillaSpec(
         h_ancilla=stack.h_ancilla[0],
         beta=float(stack.beta[0]),

@@ -40,8 +40,10 @@ from .lindblad import (
     integrate,
     multi_bath_generator,
     rate_columns,
-    rk4_step,
+    rk4_propagator,
     steady_state,
+    unvec,
+    vec,
 )
 from .linalg import Spectrum, commutator, dag, kron
 from .presets import (
@@ -111,13 +113,8 @@ def halving_ratios(values: Sequence[float]) -> list[float]:
     return [values[i] / values[i + 1] for i in range(len(values) - 1)]
 
 
-def h_scale(cfg: CollisionConfig) -> float:
-    """``||H_S|| + ||H_A||`` in spectral norms, the energy scale of a species."""
-    return float(_energy_scale(cfg.h_system, cfg.ancilla.h_ancilla))
-
-
-def _energy_scale(h_system, h_ancilla) -> np.ndarray:
-    """``||H_S|| + ||H_A||`` in spectral norms, per matrix of stacks."""
+def energy_scale(h_system, h_ancilla) -> np.ndarray:
+    """``||H_S|| + ||H_A||`` in spectral norms, the energy scale of a species, per matrix of stacks."""
     return np.abs(np.linalg.eigvalsh(h_system)).max(axis=-1) + np.abs(np.linalg.eigvalsh(h_ancilla)).max(axis=-1)
 
 
@@ -422,7 +419,7 @@ def _suite_columns(draws: list[dict]) -> np.ndarray:
             mutual + rel_ancilla,
             mutual,
             rel_ancilla,
-            np.abs(work) / _energy_scale(h_system, h_ancilla),
+            np.abs(work) / energy_scale(h_system, h_ancilla),
             (beta * coherent_work + d_coherence) / tau**1.5,
         ]
     )
@@ -437,14 +434,14 @@ def free_energy_rate_fd(gen: LindbladGenerator, rho: np.ndarray, beta: float) ->
     """Centered finite difference of the free energy along the generator flow.
 
     One RK4 micro-step of ``+dt`` and one of ``-dt`` from the state matrix
-    ``rho``, with ``dt`` = :data:`FREE_ENERGY_FD_DT`, give the two evaluation
-    points; independent of the algebraic rate formulas.
+    ``rho``, each one :func:`~qcollide.lindblad.rk4_propagator` matvec with
+    ``dt`` = :data:`FREE_ENERGY_FD_DT`, give the two evaluation points;
+    independent of the algebraic rate formulas.
     """
     dt = FREE_ENERGY_FD_DT
 
     def step(sign: float) -> DensityMatrix:
-        moved = rk4_step(gen.matrix, rho.reshape(-1, order="F"), sign * dt)
-        return DensityMatrix(moved.reshape((gen.dim, gen.dim), order="F"))
+        return DensityMatrix(unvec(rk4_propagator(gen.matrix, sign * dt) @ vec(rho), gen.dim))
 
     forward = free_energy(step(+1.0), gen.h_system, beta)
     backward = free_energy(step(-1.0), gen.h_system, beta)

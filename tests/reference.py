@@ -2,9 +2,9 @@
 
 The reference routes are written out the slow, explicit way (full joint
 states, nested commutators, partial traces, one ``collide`` per stroke, one
-``DensityMatrix`` per RK4 step, one ``rates`` evaluation per state, one
-``next_u64`` per random number) so that the tests can hold the package's
-closed-form, stacked and block paths against them.
+``DensityMatrix`` per RK4 step, RK4 by its four stages, one rates row per
+state, one ``next_u64`` per random number) so that the tests can hold the
+package's closed-form, stacked and block paths against them.
 """
 
 import math
@@ -25,12 +25,11 @@ from qcollide.lindblad import (
     INTEGRATOR_PSD_TOL,
     RANK_EIGENVALUE_TOL,
     LindbladGenerator,
-    RateLedger,
     rk4_propagator,
     unvec,
     vec,
 )
-from qcollide.linalg import Spectrum, double_commutator, kron, partial_trace
+from qcollide.linalg import Spectrum, dag, double_commutator, kron, partial_trace
 from qcollide.presets import RANDOM_DIMS, _mixed_wishart, random_matrix
 from qcollide.rng import SplitMix64
 from qcollide.states import TRACE_TOL, DensityMatrix, von_neumann_entropy
@@ -157,6 +156,15 @@ def unstacked(states: Spectrum) -> list[DensityMatrix]:
     return [DensityMatrix(matrix) for matrix in states.matrix]
 
 
+def rk4_step(l_matrix: np.ndarray, state: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of ``d vec(rho)/dt = L vec(rho)`` over ``h``, stage by stage."""
+    k1 = l_matrix @ state
+    k2 = l_matrix @ (state + 0.5 * h * k1)
+    k3 = l_matrix @ (state + 0.5 * h * k2)
+    k4 = l_matrix @ (state + h * k3)
+    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def step_by_step_integrate(gen: LindbladGenerator, rho0: DensityMatrix, t_final: float, dt: float):
     """``integrate`` as a loop of one RK4 propagator matvec and one ``DensityMatrix`` per step.
 
@@ -259,11 +267,13 @@ def record_bits(record: TrajectoryRecord) -> tuple:
     )
 
 
-def per_state_rates(gen: LindbladGenerator, rho: DensityMatrix) -> RateLedger:
-    """``lindblad.rates`` for one state, with its own matvecs, ``ln(rho)`` and gates.
+def per_state_rates(gen: LindbladGenerator, rho: DensityMatrix) -> list[float]:
+    """The ``lindblad.rate_columns`` row of one state, with its own matvecs, ``ln(rho)`` and gates.
 
-    Its rank gate runs first, then the closure of the energy rate against the
-    work and heat rates, as scalar sums in species order.
+    The row holds the species' work rates, their heat rates, then the energy,
+    entropy and entropy production rates.  Its rank gate runs first, then the
+    closure of the energy rate against the work and heat rates, as scalar
+    sums in species order.
     """
     if rho.dim != gen.dim:
         raise DimensionMismatchError("state dimension differs from generator")
@@ -273,8 +283,9 @@ def per_state_rates(gen: LindbladGenerator, rho: DensityMatrix) -> RateLedger:
     state = vec(rho.matrix)
     n = len(gen.species)
     values = (gen.rate_rows @ state).real.tolist()
-    work, heat, energy_rate = tuple(values[:n]), tuple(values[n : 2 * n]), values[2 * n]
-    log_rho = rho.spectrum.apply(np.log)
+    work, heat, energy_rate = values[:n], values[n : 2 * n], values[2 * n]
+    v = rho.spectrum.eigenvectors
+    log_rho = (v * np.log(rho.eigenvalues)) @ dag(v)
     entropy_rate = -float((log_rho.reshape(-1) @ (gen.matrix @ state)).real)
     closure = abs(energy_rate - (sum(work) + sum(heat)))
     scale = max(1.0, abs(energy_rate), sum(abs(x) for x in work) + sum(abs(x) for x in heat))
@@ -283,13 +294,7 @@ def per_state_rates(gen: LindbladGenerator, rho: DensityMatrix) -> RateLedger:
             f"energy rate {energy_rate!r} does not close against work+heat (defect {closure:.3e})"
         )
     pi = entropy_rate - sum(term.beta * q for term, q in zip(gen.species, heat))
-    return RateLedger(
-        energy_rate=energy_rate,
-        coherent_work_rates=work,
-        incoherent_heat_rates=heat,
-        entropy_rate=entropy_rate,
-        entropy_production_rate=pi,
-    )
+    return [*work, *heat, energy_rate, entropy_rate, pi]
 
 
 def _fmt(x: float) -> str:
@@ -308,7 +313,7 @@ def row_by_row_trajectory_csv(path, record: TrajectoryRecord, gen: LindbladGener
     lines = [header]
     cum, rounds = record.cumulative, record.rounds
     for k, state in enumerate(unstacked(record.states)):
-        pi_rate = per_state_rates(gen, state).entropy_production_rate
+        pi_rate = per_state_rates(gen, state)[-1]
         row = [
             str(k + 1),
             _fmt(record.times[k]),

@@ -11,13 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qcollide
 from qcollide.cli import (
     _ALLOWED_KEYS,
     _SCENARIO_KEYS,
     ConfigError,
-    ParseError,
-    SchemaError,
-    ValidationError,
     load_config,
     main,
     run_scenario,
@@ -48,18 +46,18 @@ class TestLoadConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write(tmp_path, "bad.json", {"scenario": "qubit-demo", "foo": 1})
-        with pytest.raises(SchemaError, match="foo"):
+        with pytest.raises(ConfigError, match="^unknown key 'foo'$"):
             load_config(path)
 
     def test_unknown_scenario_rejected(self, tmp_path):
         path = write(tmp_path, "bad.json", {"scenario": "warp"})
-        with pytest.raises(SchemaError, match="scenario"):
+        with pytest.raises(ConfigError, match="^scenario must be one of "):
             load_config(path)
 
     def test_parse_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"scenario": \n', encoding="utf-8")
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ConfigError, match=": line 2 column 1: Expecting value$"):
             load_config(path)
 
     def test_non_hermitian_matrix_named(self, tmp_path):
@@ -71,22 +69,22 @@ class TestLoadConfig:
             "chi": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
         }
         path = write(tmp_path, "bad.json", payload)
-        with pytest.raises(ValidationError, match="H_S"):
+        with pytest.raises(ConfigError, match="^H_S deviates from Hermiticity by "):
             load_config(path)
 
     def test_missing_seed_for_randomized(self, tmp_path):
         path = write(tmp_path, "bad.json", {"scenario": "bound-check"})
-        with pytest.raises(ValidationError, match="seed"):
+        with pytest.raises(ConfigError, match="^seed: required for scenario 'bound-check'$"):
             load_config(path)
 
     def test_custom_requires_matrices(self, tmp_path):
         path = write(tmp_path, "bad.json", {"scenario": "custom"})
-        with pytest.raises(ValidationError, match="H_S"):
+        with pytest.raises(ConfigError, match="^H_S: required for scenario 'custom'$"):
             load_config(path)
 
     def test_tau_list_only_for_sweeps(self, tmp_path):
         path = write(tmp_path, "bad.json", {"scenario": "qubit-demo", "tau": [0.01, 0.02]})
-        with pytest.raises(ValidationError, match="tau"):
+        with pytest.raises(ConfigError, match="^tau: expected one number, got "):
             load_config(path)
 
 
@@ -146,6 +144,11 @@ class TestMainEntry:
             main(["--version"])
         assert info.value.code == 0
 
+    def test_pyproject_version_is_the_package_version(self):
+        tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+        project = tomllib.loads((CONFIG_DIR.parent / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+        assert project["version"] == qcollide.__version__
+
     def test_validate_ok(self, capsys):
         assert main(["validate", "--config", str(CONFIG_DIR / "qubit-demo.json")]) == 0
         assert "OK scenario=qubit-demo" in capsys.readouterr().out
@@ -180,6 +183,8 @@ BAD_SCALAR_CONFIGS = {
     "converge-one-tau": ("tau", {"scenario": "converge", "tau": [0.5]}),
     "multibath-duplicate-tau": ("tau", {"scenario": "multibath", "tau": [0.5, 0.5]}),
     "bound-check-zero-samples": ("n_steps", {"scenario": "bound-check", "seed": 1, "n_steps": 0}),
+    "qubit-demo-no-steps": ("n_steps", {"scenario": "qubit-demo", "n_steps": 0}),
+    "custom-no-steps": ("n_steps", {**CUSTOM, "n_steps": 0}),
     "omega-zero": ("omega", {"scenario": "qubit-demo", "omega": 0}),
     "custom-empty-H_A": ("H_A", {**CUSTOM, "H_A": []}),
     "custom-two-H_A": ("H_A", {**CUSTOM, "H_A": [CUSTOM["H_A"], CUSTOM["H_A"]]}),
@@ -285,12 +290,14 @@ def test_input_that_would_divide_by_zero_is_one_line_error(tmp_path, capsys, com
     assert lines[0].startswith(f"error: {key}: ")
 
 
-# Documents that load_config once passed and run then rejected.
+# Documents that load_config once passed: run then rejected them, or, for n_steps 0,
+# checked the extremes of empty columns and exited 0.
 NOT_POSITIVE = {
     "qubit-demo-zero-tau": ("tau", {"scenario": "qubit-demo", "tau": 0}),
     "qubit-demo-negative-tau": ("tau", {"scenario": "qubit-demo", "tau": -1}),
     "qubit-demo-negative-beta": ("beta", {"scenario": "qubit-demo", "beta": -1}),
     "qubit-demo-negative-n_steps": ("n_steps", {"scenario": "qubit-demo", "n_steps": -3}),
+    "custom-zero-n_steps": ("n_steps", {**CUSTOM, "n_steps": 0}),
     "multibath-zero-beta": ("beta", {"scenario": "multibath", "beta": [0, 1]}),
     "custom-zero-beta": ("beta", {**CUSTOM, "beta": 0}),
     "converge-zero-t_final": ("t_final", {"scenario": "converge", "t_final": 0}),

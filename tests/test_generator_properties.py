@@ -7,8 +7,8 @@ for the thermal dissipators, ``J rho J^dag - {J^dag J, rho}/2`` for the jump
 dissipators).  Draws come from the seeded random-collision sampler in both
 branches; the file also checks the steady state of drawn two-bath generators
 and the sub-collision rescaling of round-robin runs.  The RK4 propagator
-is checked against stage-by-stage :func:`rk4_step`, and every
-:class:`RateLedger` field against the same operator-form maps.
+is checked against the stage-by-stage ``reference.rk4_step``, and every
+entry of a ``rate_columns`` row against the same operator-form maps.
 """
 
 import math
@@ -23,9 +23,8 @@ from qcollide.lindblad import (
     EigenoperatorCoupling,
     eigenoperator_dissipator,
     integrate,
-    rates,
+    rate_columns,
     rk4_propagator,
-    rk4_step,
     steady_state,
     vec,
 )
@@ -40,7 +39,7 @@ from qcollide.presets import (
 )
 from qcollide.rng import SplitMix64
 from qcollide.verify import generator_for
-from reference import dissipator_apply, next_below, random_density_matrix
+from reference import dissipator_apply, next_below, random_density_matrix, rk4_step
 from test_stroke_properties import TOL, seeds, stroke_settings
 
 
@@ -183,7 +182,7 @@ def test_integrate_takes_its_remainder_step_with_its_own_propagator(seed, eigeno
 
 
 def operator_form_rates(cfgs, gen, rho):
-    """Every :class:`RateLedger` field from the operator-form maps at ``rho``."""
+    """The work, heat, energy, entropy and entropy production rates from the operator-form maps at ``rho``."""
     h_s, m = cfgs[0].h_system, rho.matrix
     images = [thermal_dissipator(cfg)(m) for cfg in cfgs]
     flow = -1j * commutator(gen.h_eff, m) + sum(images)
@@ -209,8 +208,15 @@ def test_rates_match_operator_form(seed, eigenoperator, count):
     cfgs = draw_species(seed, eigenoperator, count)
     gen = generator_for(cfgs)
     rho = random_density_matrix(SplitMix64(seed ^ 0x5EED), gen.dim)
-    ledger = rates(gen, rho)
+    row, m = rate_columns(gen, rho.spectrum)[0], len(cfgs)
+    fields = {
+        "coherent_work_rates": row[:m],
+        "incoherent_heat_rates": row[m : 2 * m],
+        "energy_rate": row[2 * m],
+        "entropy_rate": row[2 * m + 1],
+        "entropy_production_rate": row[2 * m + 2],
+    }
     for name, want in operator_form_rates(cfgs, gen, rho).items():
-        got = getattr(ledger, name)
+        got = fields[name]
         assert np.shape(got) == np.shape(want), name
         assert max_abs(np.subtract(got, want)) <= 1e-12 * max(1.0, max_abs(np.asarray(want))), name

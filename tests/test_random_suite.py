@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 from qcollide import presets
 from qcollide.collisions import collide
 from qcollide.errors import NotPositiveError, SupportViolationError
-from qcollide.presets import collision_stack, draw_collision, draw_collisions, random_collision
+from qcollide.presets import collision_stack, draw_collisions, random_collision
 from qcollide.rng import SplitMix64
 from qcollide.states import DensityMatrix
-from qcollide.verify import h_scale, random_collision_suite
+from qcollide.verify import energy_scale, random_collision_suite
 from reference import scalar_draw
 
 TOL = 1e-12
@@ -49,7 +49,8 @@ def test_every_sample_matches_the_one_sample_route(seed, eigenoperator):
         assert abs(samples.entropy_production[k] - ledger.entropy_production) <= TOL
         assert abs(samples.mutual_info[k] - ledger.mutual_info) <= TOL
         assert abs(samples.rel_entropy_ancilla[k] - ledger.rel_entropy_ancilla) <= TOL
-        assert abs(samples.work_scaled[k] - abs(ledger.work) / h_scale(cfg)) <= TOL
+        scale = energy_scale(cfg.h_system, cfg.ancilla.h_ancilla)
+        assert abs(samples.work_scaled[k] - abs(ledger.work) / scale) <= TOL
         # The column divides the slack by tau^{3/2}; compare the slack itself.
         slack = cfg.ancilla.beta * ledger.coherent_work + ledger.coherence_after - ledger.coherence_before
         assert abs(samples.coherent_bound_scaled[k] * tau**1.5 - slack) <= TOL
@@ -59,7 +60,7 @@ def test_every_sample_matches_the_one_sample_route(seed, eigenoperator):
 @given(seeds, st.booleans())
 def test_group_build_gives_each_instance_its_own_bits(seed, eigenoperator):
     rng = SplitMix64(seed)
-    draws = [draw_collision(rng, eigenoperator=eigenoperator) for _ in range(COUNT)]
+    draws = draw_collisions(rng, COUNT, eigenoperator=eigenoperator)
     for dims in {draw["dims"] for draw in draws}:
         group = [draw for draw in draws if draw["dims"] == dims]
         stack = collision_stack(group)
@@ -104,7 +105,7 @@ def test_draws_are_the_scalar_oracle(eigenoperator):
 def test_one_draw_is_the_scalar_oracle(eigenoperator):
     block_rng, scalar_rng = SplitMix64(20260810), SplitMix64(20260810)
     for _ in range(30):
-        draw = draw_collision(block_rng, eigenoperator=eigenoperator)
+        (draw,) = draw_collisions(block_rng, 1, eigenoperator=eigenoperator)
         assert draw_bits(draw) == draw_bits(scalar_draw(scalar_rng, eigenoperator=eigenoperator))
         assert block_rng._state == scalar_rng._state
 
@@ -141,7 +142,7 @@ BAD_DRAWS = {
 def corrupt(monkeypatch, indices, changes):
     """Make the draws at ``indices`` of ``SplitMix64(SEED)`` bad, for both routes."""
     rng = SplitMix64(SEED)
-    draws = [draw_collision(rng) for _ in range(COUNT)]
+    draws = draw_collisions(rng, COUNT)
     targets = {draws[i]["tau"] for i in indices}
     original = presets._draw_fields
 
@@ -183,6 +184,6 @@ def test_first_failing_sample_is_named(monkeypatch):
 
 def test_seed_draws_the_groups_the_bad_sample_tests_assume():
     rng = SplitMix64(SEED)
-    assert [draw_collision(rng)["dims"] for _ in range(COUNT)] == [
+    assert [draw["dims"] for draw in draw_collisions(rng, COUNT)] == [
         (2, 2), (2, 3), (3, 3), (3, 2), (3, 3), (2, 3), (2, 2), (2, 2), (2, 2), (3, 3), (3, 2), (3, 3)
     ]
