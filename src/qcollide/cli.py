@@ -32,7 +32,7 @@ from typing import Any
 
 import numpy as np
 
-from . import __version__
+from . import __version__, verify
 from .collisions import CollisionConfig, run_trajectory
 from .errors import NonHermitianError, NotPositiveError, QCollideError
 from .lindblad import rate_columns
@@ -202,6 +202,11 @@ def load_config(path: str | Path) -> dict[str, Any]:
         smallest = min(cfg[key]) if isinstance(cfg.get(key), list) else cfg.get(key, 1.0)
         if smallest <= 0.0:
             raise ConfigError(f"{key}: must be > 0, got {smallest!r}")
+    try:
+        if "t_final" in cfg:
+            verify._whole_rounds(cfg["tau"], cfg["t_final"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 

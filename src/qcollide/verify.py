@@ -26,6 +26,9 @@ gates included, against the step stack of :func:`~qcollide.lindblad.integrate`.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -127,6 +130,55 @@ def generator_for(cfgs: Sequence[CollisionConfig]) -> LindbladGenerator:
     )
 
 
+def _whole_rounds(taus: Sequence[float], t_final: float) -> list[int]:
+    """Rounds of each ``tau`` in ``t_final``; ``ValueError`` naming ``t_final`` unless whole (to 1e-9) and >= 1."""
+    for tau in taus:
+        if math.isinf(t_final / tau):
+            raise ValueError(f"t_final: {t_final!r} holds too many rounds of tau={tau!r} to count")
+        if round(t_final / tau) < 1:
+            raise ValueError(f"t_final: {t_final!r} is shorter than one round of tau={tau!r}")
+        if abs(t_final / tau - round(t_final / tau)) > 1e-9 * round(t_final / tau):
+            raise ValueError(f"t_final: {t_final!r} is not a whole number of rounds of tau={tau!r}")
+    return [round(t_final / tau) for tau in taus]
+
+
+def _until_failure(step: Callable, jobs) -> tuple[list, Exception | None]:
+    """``step(*job)`` of each job in order until one raises: the results before it, and its exception or ``None``."""
+    done = []
+    try:
+        for job in jobs:
+            done.append(step(*job))
+    except Exception as exc:  # raised by the caller, in the order of the serial loop
+        return done, exc
+    return done, None
+
+
+def _side_by_side(jobs: list[tuple], child_step: Callable, parent_step: Callable) -> list[tuple]:
+    """:func:`_until_failure` of both steps over ``jobs``, the child's in a forked child where ``os.fork`` exists."""
+    if not hasattr(os, "fork"):
+        return [_until_failure(child_step, jobs), _until_failure(parent_step, jobs)]
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
+        if (pid := os.fork()) == 0:
+            try:  # no stdio flush, no exit handler: the child writes only the pipe
+                pickle.dump(_until_failure(child_step, jobs), writer, pickle.HIGHEST_PROTOCOL)
+                writer.flush()
+            finally:
+                os._exit(0)
+        try:
+            writer.close()
+            mine = _until_failure(parent_step, jobs)
+            theirs = pickle.load(reader)
+        except (EOFError, pickle.UnpicklingError) as exc:
+            raise ChildProcessError("the stroke process ended without a result") from exc
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            os.waitpid(pid, 0)
+    return [theirs, mine]
+
+
 def stroboscopic_deviation(
     build_cfgs: Callable[[float], list[CollisionConfig]],
     taus: Sequence[float],
@@ -138,31 +190,33 @@ def stroboscopic_deviation(
     species), started from the maximally mixed system state, is compared at
     every multiple of ``tau`` against an RK4 reference on a commensurate
     grid, with steps no longer than :data:`DEFAULT_DT_TARGET`.  Every ``tau``
-    runs to the same horizon ``t_final``: raises ``ValueError`` when
-    ``t_final`` is shorter than one round of some ``tau``, or not a whole
-    number of its rounds (relative tolerance ``1e-9``).
+    runs to the same horizon ``t_final``, a whole number of its rounds.  The
+    strokes run in a forked child, side by side with the references; results
+    and exceptions are those of running each ``tau`` in turn: its configs,
+    strokes, then reference, so the first failing ``tau`` raises.
     """
-    rounds = []
-    for tau in taus:
-        n_rounds = round(t_final / tau)
-        if n_rounds < 1:
-            raise ValueError(f"t_final={t_final!r} is shorter than one round of tau={tau!r}")
-        if abs(t_final / tau - n_rounds) > 1e-9 * n_rounds:
-            raise ValueError(f"t_final={t_final!r} is not a whole number of rounds of tau={tau!r}")
-        rounds.append(n_rounds)
-    results = []
-    for tau, n_rounds in zip(taus, rounds):
+
+    def build(tau, n_rounds):
         cfgs = list(build_cfgs(tau))
         if not cfgs:
             raise ValueError("need at least one collision config")
-        rho0 = maximally_mixed(cfgs[0].dim_system)
-        strobes = run_trajectory(rho0, cfgs, n_rounds).states
+        return maximally_mixed(cfgs[0].dim_system), cfgs, n_rounds, tau
+
+    def reference(rho0, cfgs, n_rounds, tau):
         gen = generator_for(cfgs)
         cap = 0.09 / max(gen.norm, 1e-12)
         substeps = max(1, math.ceil(tau / min(DEFAULT_DT_TARGET, cap)))
-        _, reference = integrate(gen, rho0, n_rounds * tau, tau / substeps)
-        distances = trace_distance(strobes.matrix, reference.matrix[substeps - 1 :: substeps])
-        results.append((tau, float(distances.max())))
+        _, states = integrate(gen, rho0, n_rounds * tau, tau / substeps)
+        # A copy, so that the full RK4 stack is freed before the next tau.
+        return states.matrix[substeps - 1 :: substeps].copy()
+
+    built = _until_failure(build, zip(taus, _whole_rounds(taus, t_final)))
+    stages = [built, *_side_by_side(built[0], lambda *job: run_trajectory(*job[:3]).states.matrix, reference)]
+    (jobs, _), (strobes, _), (references, _) = stages
+    results = [(tau, float(trace_distance(s, r).max())) for (*_, tau), s, r in zip(jobs, strobes, references)]
+    failures = [(len(done), stage, error) for stage, (done, error) in enumerate(stages) if error is not None]
+    if failures:
+        raise min(failures)[2]
     return results
 
 

@@ -291,8 +291,9 @@ def test_input_that_would_divide_by_zero_is_one_line_error(tmp_path, capsys, com
 
 
 # Documents that load_config once passed: run then rejected them, or, for n_steps 0,
-# checked the extremes of empty columns and exited 0.
-NOT_POSITIVE = {
+# checked the extremes of empty columns and exited 0.  A sweep's t_final must also be
+# a whole number (at least one) of rounds of every tau.
+OUT_OF_RANGE = {
     "qubit-demo-zero-tau": ("tau", {"scenario": "qubit-demo", "tau": 0}),
     "qubit-demo-negative-tau": ("tau", {"scenario": "qubit-demo", "tau": -1}),
     "qubit-demo-negative-beta": ("beta", {"scenario": "qubit-demo", "beta": -1}),
@@ -301,10 +302,14 @@ NOT_POSITIVE = {
     "multibath-zero-beta": ("beta", {"scenario": "multibath", "beta": [0, 1]}),
     "custom-zero-beta": ("beta", {**CUSTOM, "beta": 0}),
     "converge-zero-t_final": ("t_final", {"scenario": "converge", "t_final": 0}),
+    "multibath-t_final-not-whole-rounds": ("t_final", {"scenario": "multibath", "t_final": 2.001}),
+    "multibath-t_final-below-tau": ("t_final", {"scenario": "multibath", "t_final": 0.001}),
+    "converge-t_final-not-whole-rounds-of-a-tau": ("t_final", {"scenario": "converge", "tau": [0.04, 0.03]}),
+    "converge-t_final-too-many-rounds": ("t_final", {"scenario": "converge", "tau": [1e-300, 0.01], "t_final": 1e10}),
 }
 
 
-@pytest.mark.parametrize("key,payload", list(NOT_POSITIVE.values()), ids=list(NOT_POSITIVE))
+@pytest.mark.parametrize("key,payload", list(OUT_OF_RANGE.values()), ids=list(OUT_OF_RANGE))
 def test_validate_and_run_both_reject_a_value_out_of_range(tmp_path, capsys, key, payload):
     path = str(write(tmp_path, "bad.json", payload))
     for argv in (["validate", "--config", path], ["run", "--config", path, "--out", str(tmp_path / "out")]):
