@@ -46,6 +46,7 @@ from .verify import (
     generator_for,
     halving_ratios,
     loglog_slope,
+    modified_second_law_defects,
     random_collision_suite,
     series_halving_ratios,
     stroboscopic_deviation,
@@ -61,6 +62,7 @@ POPULATION_ERROR_BOUND = 1e-8
 HALVING_WINDOW = (2.4, 3.2)
 SERIES_WINDOW = (6.0, 10.0)
 COHERENT_BOUND_SCALE = -200.0
+SECOND_LAW_BOUND = 1e-7
 
 
 class ConfigError(Exception):
@@ -198,6 +200,8 @@ def load_config(path: str | Path) -> dict[str, Any]:
         for key in ("beta", "lambda", "g"):
             if len(cfg[key]) != 2:
                 raise ConfigError(f"{key}: multibath needs one value per species (2), got {len(cfg[key])}")
+        if not any(cfg["g"]):
+            raise ConfigError("g: multibath needs a nonzero coupling, since with none the steady state is not unique")
     for key in ("tau", "beta", "t_final"):
         smallest = min(cfg[key]) if isinstance(cfg.get(key), list) else cfg.get(key, 1.0)
         if smallest <= 0.0:
@@ -368,6 +372,8 @@ def _scenario_oracle_check(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
     checks.append(
         Check("ergotropy_deviation_mid", deviations[1], ERGOTROPY_MID_BOUND, deviations[1] <= ERGOTROPY_MID_BOUND)
     )
+    # Modified second law along the integrated flow of the qubit fixture.
+    checks += _limit_checks([("second_law_defect_max", max(modified_second_law_defects()), SECOND_LAW_BOUND)])
     return checks
 
 

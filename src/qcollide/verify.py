@@ -20,7 +20,9 @@ matrix: it draws every sample first, then builds and strokes each
 of columns over the draws.  Trajectories, which reuse one config for many
 strokes, keep the cached stroke matrix; the convergence study reads the
 round-end state stack of :func:`~qcollide.collisions.run_trajectory`, ledger
-gates included, against the step stack of :func:`~qcollide.lindblad.integrate`.
+gates included, against :func:`rk4_round_states`, the RK4 flow sampled at
+round ends by repeated squaring of one round map, and runs the tail of its
+``tau`` sweep in a forked child.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ import numpy as np
 from .collisions import CollisionConfig, collide, energy_conserving, joint_unitaries, run_trajectory
 from .errors import QCollideError
 from .lindblad import (
+    INTEGRATOR_PSD_TOL,
     LindbladGenerator,
+    _gate_step,
     coherent_generator,
     eigenoperator_dissipator,
     integrate,
@@ -153,30 +157,73 @@ def _until_failure(step: Callable, jobs) -> tuple[list, Exception | None]:
     return done, None
 
 
-def _side_by_side(jobs: list[tuple], child_step: Callable, parent_step: Callable) -> list[tuple]:
-    """:func:`_until_failure` of both steps over ``jobs``, the child's in a forked child where ``os.fork`` exists."""
-    if not hasattr(os, "fork"):
-        return [_until_failure(child_step, jobs), _until_failure(parent_step, jobs)]
-    read_fd, write_fd = os.pipe()
-    with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
-        if (pid := os.fork()) == 0:
-            try:  # no stdio flush, no exit handler: the child writes only the pipe
-                pickle.dump(_until_failure(child_step, jobs), writer, pickle.HIGHEST_PROTOCOL)
-                writer.flush()
+def _head_and_tail(step: Callable, head: list, tail: list) -> list:
+    """``step(*job)`` of each job of ``head + tail`` in order, raising the first failure as the serial loop would.
+
+    Where ``os.fork`` exists and ``tail`` is not empty, the tail runs in a
+    forked child beside the head.  A failing head wins: the child is killed
+    and reaped before its error is raised.
+    """
+    if not tail or not hasattr(os, "fork"):
+        done, error = _until_failure(step, head + tail)
+    else:
+        read_fd, write_fd = os.pipe()
+        with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
+            if (pid := os.fork()) == 0:
+                try:  # no stdio flush, no exit handler: the child writes only the pipe
+                    pickle.dump(_until_failure(step, tail), writer, pickle.HIGHEST_PROTOCOL)
+                    writer.flush()
+                finally:
+                    os._exit(0)
+            try:
+                writer.close()
+                done, error = _until_failure(step, head)
+                if error is not None:
+                    raise error
+                try:
+                    theirs, error = pickle.load(reader)
+                except (EOFError, pickle.UnpicklingError) as exc:
+                    raise ChildProcessError("the tail process ended without a result") from exc
+                done += theirs
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
             finally:
-                os._exit(0)
+                os.waitpid(pid, 0)
+    if error is not None:
+        raise error
+    return done
+
+
+def rk4_round_states(gen: LindbladGenerator, rho0: DensityMatrix, tau: float, n_rounds: int) -> Spectrum:
+    """Gated states of the RK4 reference flow from ``rho0`` at the end of rounds ``1..n_rounds`` of ``tau``.
+
+    The flow is that of :func:`~qcollide.lindblad.integrate` at the step
+    ``tau / substeps``, read at round ends only: one round is the map
+    ``P = R(tau / substeps)^substeps`` of :func:`~qcollide.lindblad.rk4_propagator`,
+    and the rows ``vec(rho_k)^T`` are doubled by repeated squaring,
+    ``X -> [X, X (P^T)^len(X)]``, about ``2 log2(n_rounds)`` matrix products
+    in all.  The states are gated by one
+    :func:`~qcollide.states.state_spectra` call with positivity loosened to
+    ``-1e-6``; when that fails, the first failing round raises as a step
+    of ``integrate`` does, :class:`~qcollide.errors.TraceDriftError` or
+    :class:`~qcollide.errors.PositivityLostError` at its end time.
+    """
+    substeps = max(1, math.ceil(tau / min(DEFAULT_DT_TARGET, 0.09 / max(gen.norm, 1e-12))))
+    round_map = np.linalg.matrix_power(rk4_propagator(gen.matrix, tau / substeps), substeps)
+    # A failing round is computed before the gate finds it; should one overflow, the gate rejects it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, jump = (round_map @ vec(rho0.matrix))[None, :], round_map.T
+        while len(rows) < n_rounds:
+            rows = np.concatenate([rows, rows[: n_rounds - len(rows)] @ jump])
+            jump = jump @ jump
+        matrices = unvec(rows, gen.dim)
         try:
-            writer.close()
-            mine = _until_failure(parent_step, jobs)
-            theirs = pickle.load(reader)
-        except (EOFError, pickle.UnpicklingError) as exc:
-            raise ChildProcessError("the stroke process ended without a result") from exc
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
+            return state_spectra(matrices, psd_tol=INTEGRATOR_PSD_TOL)
+        except (QCollideError, ValueError):
+            for k, rho in enumerate(matrices, start=1):
+                _gate_step(k * tau, rho)
             raise
-        finally:
-            os.waitpid(pid, 0)
-    return [theirs, mine]
 
 
 def stroboscopic_deviation(
@@ -188,36 +235,30 @@ def stroboscopic_deviation(
 
     For each ``tau`` the stroboscopic trajectory (round-robin over the built
     species), started from the maximally mixed system state, is compared at
-    every multiple of ``tau`` against an RK4 reference on a commensurate
-    grid, with steps no longer than :data:`DEFAULT_DT_TARGET`.  Every ``tau``
-    runs to the same horizon ``t_final``, a whole number of its rounds.  The
-    strokes run in a forked child, side by side with the references; results
-    and exceptions are those of running each ``tau`` in turn: its configs,
-    strokes, then reference, so the first failing ``tau`` raises.
+    every multiple of ``tau`` against :func:`rk4_round_states`, the RK4 flow
+    on a commensurate grid with steps no longer than
+    :data:`DEFAULT_DT_TARGET`.  Every ``tau`` runs to the same horizon
+    ``t_final``, a whole number of its rounds.  Each ``tau`` is one job:
+    its configs, strokes, reference, then the distances.  The sweep splits
+    into a head, run here, and a tail, run in a forked child beside it, at
+    the split that best balances their rounds; results and exceptions are
+    those of running the jobs in turn, so the first failing ``tau`` raises.
     """
 
-    def build(tau, n_rounds):
+    def deviation(tau, n_rounds):
         cfgs = list(build_cfgs(tau))
         if not cfgs:
             raise ValueError("need at least one collision config")
-        return maximally_mixed(cfgs[0].dim_system), cfgs, n_rounds, tau
+        rho0 = maximally_mixed(cfgs[0].dim_system)
+        strobes = run_trajectory(rho0, cfgs, n_rounds).states
+        reference = rk4_round_states(generator_for(cfgs), rho0, tau, n_rounds)
+        return tau, float(trace_distance(strobes.matrix, reference.matrix).max())
 
-    def reference(rho0, cfgs, n_rounds, tau):
-        gen = generator_for(cfgs)
-        cap = 0.09 / max(gen.norm, 1e-12)
-        substeps = max(1, math.ceil(tau / min(DEFAULT_DT_TARGET, cap)))
-        _, states = integrate(gen, rho0, n_rounds * tau, tau / substeps)
-        # A copy, so that the full RK4 stack is freed before the next tau.
-        return states.matrix[substeps - 1 :: substeps].copy()
-
-    built = _until_failure(build, zip(taus, _whole_rounds(taus, t_final)))
-    stages = [built, *_side_by_side(built[0], lambda *job: run_trajectory(*job[:3]).states.matrix, reference)]
-    (jobs, _), (strobes, _), (references, _) = stages
-    results = [(tau, float(trace_distance(s, r).max())) for (*_, tau), s, r in zip(jobs, strobes, references)]
-    failures = [(len(done), stage, error) for stage, (done, error) in enumerate(stages) if error is not None]
-    if failures:
-        raise min(failures)[2]
-    return results
+    rounds = _whole_rounds(taus, t_final)
+    # A tie goes to the longer head, which forks less.
+    split = min(range(len(rounds), -1, -1), key=lambda k: max(sum(rounds[:k]), sum(rounds[k:])))
+    jobs = list(zip(taus, rounds))
+    return _head_and_tail(deviation, jobs[:split], jobs[split:])
 
 
 @dataclass(frozen=True)
@@ -518,3 +559,15 @@ def second_law_defects(gen: LindbladGenerator, states: Spectrum, beta: float) ->
         abs(row[-1] - beta * (sum(row[:m]) - free_energy_rate_fd(gen, rho, beta)))
         for rho, row in zip(samples.matrix, rate_columns(gen, samples).tolist())
     ]
+
+
+def modified_second_law_defects() -> list[float]:
+    """:func:`second_law_defects` of ``qubit_collision(lam=0.3)``, integrated from the maximally mixed state.
+
+    The flow is :func:`~qcollide.lindblad.integrate` to ``t = 2`` at
+    ``dt = 1e-2``, and ``beta`` is the bath's.
+    """
+    cfg = qubit_collision(lam=0.3)
+    gen = generator_for([cfg])
+    _, states = integrate(gen, maximally_mixed(cfg.dim_system), 2.0, 1e-2)
+    return second_law_defects(gen, states, cfg.ancilla.beta)

@@ -15,11 +15,16 @@ import qcollide
 from qcollide.cli import (
     _ALLOWED_KEYS,
     _SCENARIO_KEYS,
+    SECOND_LAW_BOUND,
     ConfigError,
     load_config,
     main,
     run_scenario,
 )
+
+from qcollide.lindblad import integrate
+from qcollide.presets import maximally_mixed, qubit_collision
+from qcollide.verify import generator_for, second_law_defects
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -126,6 +131,16 @@ class TestRunScenario:
         assert run_scenario(cfg, out_dir=tmp_path / "out") == 2
         lines = capsys.readouterr().out.strip().splitlines()
         assert any(line.startswith("CHECK work_scaled_max FAIL") for line in lines)
+
+    def test_oracle_check_ends_with_the_second_law_of_the_qubit_fixture(self, tmp_path, capsys):
+        cfg = qubit_collision(lam=0.3)
+        gen = generator_for([cfg])
+        _, states = integrate(gen, maximally_mixed(2), 2.0, 1e-2)
+        worst = max(second_law_defects(gen, states, math.log(3.0)))
+        assert run_scenario(load_config(CONFIG_DIR / "oracle-check.json"), out_dir=tmp_path) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == f"CHECK second_law_defect_max PASS value={worst!r} bound={SECOND_LAW_BOUND!r}"
+        assert SECOND_LAW_BOUND == 1e-7
 
     def test_check_line_format(self, tmp_path, capsys):
         cfg = load_config(write(tmp_path, "demo.json", {"scenario": "qubit-demo", "n_steps": 3}))
@@ -300,6 +315,7 @@ OUT_OF_RANGE = {
     "qubit-demo-negative-n_steps": ("n_steps", {"scenario": "qubit-demo", "n_steps": -3}),
     "custom-zero-n_steps": ("n_steps", {**CUSTOM, "n_steps": 0}),
     "multibath-zero-beta": ("beta", {"scenario": "multibath", "beta": [0, 1]}),
+    "multibath-zero-g": ("g", {"scenario": "multibath", "g": [0, 0]}),
     "custom-zero-beta": ("beta", {**CUSTOM, "beta": 0}),
     "converge-zero-t_final": ("t_final", {"scenario": "converge", "t_final": 0}),
     "multibath-t_final-not-whole-rounds": ("t_final", {"scenario": "multibath", "t_final": 2.001}),
@@ -335,6 +351,15 @@ def test_lambda_past_the_positivity_margin_names_the_key(tmp_path, capsys, paylo
     assert len(lines) == 1
     assert lines[0].startswith(f"error: lambda: too large for species '{species}': ")
     assert "density matrix has eigenvalue -" in lines[0]
+
+
+@pytest.mark.parametrize("g", [[0, 1], [1, 0]], ids=["A-uncoupled", "B-uncoupled"])
+def test_multibath_with_one_zero_coupling_runs(tmp_path, capsys, g):
+    path = write(tmp_path, "half.json", {"scenario": "multibath", "g": g})
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) in (0, 2)
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "out" / "report.json").exists()
 
 
 def test_one_zero_hamiltonian_is_accepted(tmp_path, capsys):
