@@ -16,15 +16,18 @@ check of ``rho_A'`` runs only when ``rho_A`` has a kernel.
 :func:`collide` is one stroke: the matvec, the state gates on both outputs,
 their spectra and the ledger.  :func:`run_trajectory` runs one species, or
 ``m`` species round-robin with each sub-collision a ``1/m`` share of the
-round: one stroke loop of matvecs, then one stacked gate pass over all
+round.  With the ancillae fixed, one round is one linear map on
+``vec(rho_S)``, so the round starts are its
+:func:`~qcollide.lindblad.powers`; each species' stroke rows are then one
+matrix product over all rounds, followed by one stacked gate pass over all
 system outputs and one over each species' ancilla outputs.  Its record holds
 the round-end states, a slice of the gated system spectra, and two ledgers
 of columns over the rounds: each round's :class:`CollisionLedger` and their
 running sums.  The columns use the formulas of :func:`collide` and the
 entropies of the gated spectra, so the record is that of a ``collide`` per
-stroke bit for bit.  When a gate fails,
-the run is replayed through :func:`collide`, which locates the first failing
-stroke and raises what it raises.
+stroke up to round-off.  When a gate fails, the run is replayed through
+:func:`collide`, which locates the first failing stroke and raises what it
+raises.
 
 Sign conventions: ``heat_ancilla > 0`` means the ancilla gained energy, and
 the switching work is stored as ``work = d_energy + heat_ancilla``.
@@ -39,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, QCollideError, UnitaryDefectError
-from .lindblad import coherent_generator, propagate, unvec, vec
+from .lindblad import coherent_generator, powers, unvec, vec
 from .linalg import (
     ENERGY_CONSERVING_RTOL,
     Spectrum,
@@ -357,18 +360,19 @@ def run_trajectory(rho0: DensityMatrix, cfgs: list[CollisionConfig], n_steps: in
     interaction rescaled by ``sqrt(m)``, so one recorded step is a full round
     of duration ``tau`` and cumulative columns compare directly with the
     additive continuous-time generator.  The record is that of a
-    :func:`collide` per stroke with its ledgers summed in stroke order, bit
-    for bit.  A failing gate replays the run by :func:`collide` to raise at
-    the first failing stroke.
+    :func:`collide` per stroke with its ledgers summed in stroke order, up
+    to round-off.  A failing gate replays the run by :func:`collide` to
+    raise at the first failing stroke.
     """
     subs = _round_configs(rho0, cfgs, n_steps)
-    # Allocated before the gates run, so that numpy refusing a run too long for memory raises at once.
+    # Allocated before any product, so that numpy refusing a run too long for memory raises at once.
+    starts = np.empty((n_steps, rho0.dim**2), dtype=complex)
     rows = [np.empty((n_steps, len(sub.stroke_matrix)), dtype=complex) for sub in subs]
     try:
         # Strokes after one that leaves the state space run before the gates find it;
         # should they overflow, the gates reject them, so numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
-            systems, ancillas = _gated_strokes(rho0, subs, rows)
+            systems, ancillas = _gated_strokes(rho0, subs, starts, rows)
             return _record(rho0, cfgs[0].ancilla.tau, subs, rows, systems, ancillas)
     except (QCollideError, ValueError) as exc:
         failure = exc
@@ -379,16 +383,24 @@ def run_trajectory(rho0: DensityMatrix, cfgs: list[CollisionConfig], n_steps: in
     raise failure
 
 
-def _gated_strokes(rho0, subs, rows):
+def _gated_strokes(rho0, subs, starts, rows):
     """Fill each species' stroke rows ``(n_steps, len(stroke_matrix))``; return the gated spectra of the outputs.
 
-    The strokes are one :func:`~qcollide.lindblad.propagate` in round order,
-    so the symmetrized system block of each stroke feeds the next.  The
-    system spectra are in stroke order, the ancilla spectra one stack per
-    species.
+    ``starts`` takes the round starts, the :func:`~qcollide.lindblad.powers`
+    of the round map ``S_m[:d^2] ... S_1[:d^2]`` built from the species'
+    stroke matrices.  Species ``j`` then strokes every round at once, one
+    product of its round inputs with ``S_j^T``, and the system block of its
+    rows is the input of species ``j + 1``.  The system spectra are in
+    stroke order, the ancilla spectra one stack per species.
     """
-    n_steps, n_s = len(rows[0]), rho0.dim**2
-    propagate(rho0, [sub.stroke_matrix for sub in subs] * n_steps, (r[n] for n in range(n_steps) for r in rows))
+    n_s = rho0.dim**2
+    if len(starts):
+        round_map = subs[0].stroke_matrix[:n_s]
+        for sub in subs[1:]:
+            round_map = sub.stroke_matrix[:n_s] @ round_map
+        x = powers(round_map, vec(rho0.matrix), starts)
+        for sub, r in zip(subs, rows):
+            x = np.matmul(x, sub.stroke_matrix.T, out=r)[:, :n_s]
     systems = state_spectra(unvec(np.stack([r[:, :n_s] for r in rows], axis=1).reshape(-1, n_s), rho0.dim))
     ancillas = []
     for sub, r in zip(subs, rows):

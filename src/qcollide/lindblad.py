@@ -11,13 +11,14 @@ spectral norm are plain dense linear algebra.
 
 The same matrices carry the time stepping and the rates.  One classical RK4
 step over ``h`` is the fixed matrix ``R(h) = sum_{k<=4} (hL)^k / k!``
-(:func:`rk4_propagator`), so :func:`integrate` applies one matvec per step
-through :func:`propagate`, the loop the collision strokes share, and gates
-its step states in one batched pass into one spectrum stack, as a collision
-run does.  The generator keeps the system Hamiltonian it is built from, so
-:func:`rate_columns` needs only the generator and a stack of states: it
-reads each species' work and heat rate, and the energy rate, off rows
-cached on the generator, since a row ``x.reshape(-1)`` dotted with
+(:func:`rk4_propagator`), so the states of :func:`integrate` are powers of
+one matrix applied to ``vec(rho0)``.  :func:`powers` forms them by repeated
+squaring, as it does the round starts of a collision run, and the step
+states are gated in one batched pass into one spectrum stack, as a
+collision run's are.  The generator keeps the system Hamiltonian it is
+built from, so :func:`rate_columns` needs only the generator and a stack of
+states: it reads each species' work and heat rate, and the energy rate, off
+rows cached on the generator, since a row ``x.reshape(-1)`` dotted with
 ``vec(rho)`` is ``tr(x rho)``, in one stacked matvec over all the states,
 and gates each state on its rank and its energy closure.
 """
@@ -310,20 +311,23 @@ def rk4_propagator(l_matrix: np.ndarray, h: float) -> np.ndarray:
     return r
 
 
-def propagate(rho0: DensityMatrix, maps, outs) -> None:
-    """Write each ``map @ state`` into its ``out``, in order, starting from ``vec(rho0)``.
+def powers(matrix: np.ndarray, x0: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with the rows ``(M^k x0)^T``, ``k = 0..len(out)-1``, by doubling; return it.
 
-    A map may return more than the ``d^2`` entries of the state, as a stroke
-    matrix appends the ancilla's; the symmetrized leading ``d^2`` block
-    ``(rho + rho^dag)/2`` of each output is the state that the next map takes.
+    Row ``k + len`` is row ``k`` times the jump ``(M^T)^len``, so
+    ``len(out)`` rows take about ``2 log2(len(out))`` matrix products, the
+    jump squared only while rows remain.  An empty ``out`` takes none.
     """
-    n = rho0.dim**2
-    # vec(rho^T) = vec(rho)[transposed], so the symmetrization stays on vectors.
-    transposed = np.arange(n).reshape(rho0.dim, rho0.dim).T.reshape(-1)
-    state = vec(rho0.matrix)
-    for matrix, out in zip(maps, outs):
-        step = np.matmul(matrix, state, out=out)[:n]
-        state = 0.5 * (step + step[transposed].conj())
+    if len(out):
+        out[0] = x0
+        done, jump = 1, matrix.T
+        while done < len(out):
+            k = min(done, len(out) - done)
+            np.matmul(out[:k], jump, out=out[done : done + k])
+            done += k
+            if done < len(out):
+                jump = jump @ jump
+    return out
 
 
 def integrate(
@@ -332,9 +336,10 @@ def integrate(
     """Fixed-step RK4 integration of the master equation.
 
     The step must satisfy ``dt <= 0.1 / ||L||``, with the exact spectral norm
-    :attr:`LindbladGenerator.norm`.  The steps are one :func:`propagate` with
-    the step's :func:`rk4_propagator`, built once for ``dt`` and once for the
-    remainder step.  The raw step matrices are then gated together by one
+    :attr:`LindbladGenerator.norm`.  The whole ``dt`` steps are the
+    :func:`powers` of ``R(dt)`` (:func:`rk4_propagator`) from its first
+    step, and a remainder step is one more matvec with its own propagator.
+    The raw step matrices are then gated together by one
     :func:`~qcollide.states.state_spectra` call, with positivity loosened
     to ``-1e-6``, since a coarse but admissible step can push eigenvalues
     slightly negative.  The trace is never renormalized.  When the stack
@@ -358,14 +363,18 @@ def integrate(
     steps = [dt] * n_whole
     if remainder > 1e-12 * max(t_final, 1.0):
         steps.append(remainder)
-    propagators = {h: rk4_propagator(gen.matrix, h) for h in set(steps)}
     # The sums of a loop that adds the steps in order, from 0.0.
     times = np.add.accumulate(steps, dtype=float)
     raw = np.empty((len(steps), gen.dim**2), dtype=complex)
+    state = vec(rho0.matrix)
     # Steps after one that leaves the cone are computed before the gate finds it;
     # should they overflow, the gate rejects them, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        propagate(rho0, [propagators[h] for h in steps], raw)
+        if n_whole:
+            step = rk4_propagator(gen.matrix, dt)
+            state = powers(step, step @ state, raw[:n_whole])[-1]
+        if len(steps) > n_whole:
+            np.matmul(rk4_propagator(gen.matrix, remainder), state, out=raw[-1])
         matrices = unvec(raw, gen.dim)
         try:
             return times, state_spectra(matrices, psd_tol=INTEGRATOR_PSD_TOL)

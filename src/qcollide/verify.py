@@ -21,16 +21,12 @@ of columns over the draws.  Trajectories, which reuse one config for many
 strokes, keep the cached stroke matrix; the convergence study reads the
 round-end state stack of :func:`~qcollide.collisions.run_trajectory`, ledger
 gates included, against :func:`rk4_round_states`, the RK4 flow sampled at
-round ends by repeated squaring of one round map, and runs the tail of its
-``tau`` sweep in a forked child.
+round ends, the :func:`~qcollide.lindblad.powers` of one round map.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,6 +42,7 @@ from .lindblad import (
     eigenoperator_dissipator,
     integrate,
     multi_bath_generator,
+    powers,
     rate_columns,
     rk4_propagator,
     steady_state,
@@ -146,64 +143,14 @@ def _whole_rounds(taus: Sequence[float], t_final: float) -> list[int]:
     return [round(t_final / tau) for tau in taus]
 
 
-def _until_failure(step: Callable, jobs) -> tuple[list, Exception | None]:
-    """``step(*job)`` of each job in order until one raises: the results before it, and its exception or ``None``."""
-    done = []
-    try:
-        for job in jobs:
-            done.append(step(*job))
-    except Exception as exc:  # raised by the caller, in the order of the serial loop
-        return done, exc
-    return done, None
-
-
-def _head_and_tail(step: Callable, head: list, tail: list) -> list:
-    """``step(*job)`` of each job of ``head + tail`` in order, raising the first failure as the serial loop would.
-
-    Where ``os.fork`` exists and ``tail`` is not empty, the tail runs in a
-    forked child beside the head.  A failing head wins: the child is killed
-    and reaped before its error is raised.
-    """
-    if not tail or not hasattr(os, "fork"):
-        done, error = _until_failure(step, head + tail)
-    else:
-        read_fd, write_fd = os.pipe()
-        with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
-            if (pid := os.fork()) == 0:
-                try:  # no stdio flush, no exit handler: the child writes only the pipe
-                    pickle.dump(_until_failure(step, tail), writer, pickle.HIGHEST_PROTOCOL)
-                    writer.flush()
-                finally:
-                    os._exit(0)
-            try:
-                writer.close()
-                done, error = _until_failure(step, head)
-                if error is not None:
-                    raise error
-                try:
-                    theirs, error = pickle.load(reader)
-                except (EOFError, pickle.UnpicklingError) as exc:
-                    raise ChildProcessError("the tail process ended without a result") from exc
-                done += theirs
-            except BaseException:
-                os.kill(pid, signal.SIGKILL)
-                raise
-            finally:
-                os.waitpid(pid, 0)
-    if error is not None:
-        raise error
-    return done
-
-
 def rk4_round_states(gen: LindbladGenerator, rho0: DensityMatrix, tau: float, n_rounds: int) -> Spectrum:
     """Gated states of the RK4 reference flow from ``rho0`` at the end of rounds ``1..n_rounds`` of ``tau``.
 
     The flow is that of :func:`~qcollide.lindblad.integrate` at the step
     ``tau / substeps``, read at round ends only: one round is the map
     ``P = R(tau / substeps)^substeps`` of :func:`~qcollide.lindblad.rk4_propagator`,
-    and the rows ``vec(rho_k)^T`` are doubled by repeated squaring,
-    ``X -> [X, X (P^T)^len(X)]``, about ``2 log2(n_rounds)`` matrix products
-    in all.  The states are gated by one
+    and the rows ``vec(rho_k)^T`` are its :func:`~qcollide.lindblad.powers`
+    from ``P vec(rho0)``.  The states are gated by one
     :func:`~qcollide.states.state_spectra` call with positivity loosened to
     ``-1e-6``; when that fails, the first failing round raises as a step
     of ``integrate`` does, :class:`~qcollide.errors.TraceDriftError` or
@@ -213,10 +160,7 @@ def rk4_round_states(gen: LindbladGenerator, rho0: DensityMatrix, tau: float, n_
     round_map = np.linalg.matrix_power(rk4_propagator(gen.matrix, tau / substeps), substeps)
     # A failing round is computed before the gate finds it; should one overflow, the gate rejects it.
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, jump = (round_map @ vec(rho0.matrix))[None, :], round_map.T
-        while len(rows) < n_rounds:
-            rows = np.concatenate([rows, rows[: n_rounds - len(rows)] @ jump])
-            jump = jump @ jump
+        rows = powers(round_map, round_map @ vec(rho0.matrix), np.empty((n_rounds, gen.dim**2), dtype=complex))
         matrices = unvec(rows, gen.dim)
         try:
             return state_spectra(matrices, psd_tol=INTEGRATOR_PSD_TOL)
@@ -238,27 +182,20 @@ def stroboscopic_deviation(
     every multiple of ``tau`` against :func:`rk4_round_states`, the RK4 flow
     on a commensurate grid with steps no longer than
     :data:`DEFAULT_DT_TARGET`.  Every ``tau`` runs to the same horizon
-    ``t_final``, a whole number of its rounds.  Each ``tau`` is one job:
-    its configs, strokes, reference, then the distances.  The sweep splits
-    into a head, run here, and a tail, run in a forked child beside it, at
-    the split that best balances their rounds; results and exceptions are
-    those of running the jobs in turn, so the first failing ``tau`` raises.
+    ``t_final``, a whole number of its rounds, checked for every ``tau``
+    first.  The ``tau`` values then run in turn, each its configs, strokes,
+    reference and distances, so the first failing ``tau`` raises.
     """
-
-    def deviation(tau, n_rounds):
+    deviations = []
+    for tau, n_rounds in zip(taus, _whole_rounds(taus, t_final)):
         cfgs = list(build_cfgs(tau))
         if not cfgs:
             raise ValueError("need at least one collision config")
         rho0 = maximally_mixed(cfgs[0].dim_system)
         strobes = run_trajectory(rho0, cfgs, n_rounds).states
         reference = rk4_round_states(generator_for(cfgs), rho0, tau, n_rounds)
-        return tau, float(trace_distance(strobes.matrix, reference.matrix).max())
-
-    rounds = _whole_rounds(taus, t_final)
-    # A tie goes to the longer head, which forks less.
-    split = min(range(len(rounds), -1, -1), key=lambda k: max(sum(rounds[:k]), sum(rounds[k:])))
-    jobs = list(zip(taus, rounds))
-    return _head_and_tail(deviation, jobs[:split], jobs[split:])
+        deviations.append((tau, float(trace_distance(strobes.matrix, reference.matrix).max())))
+    return deviations
 
 
 @dataclass(frozen=True)

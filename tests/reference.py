@@ -235,36 +235,45 @@ def stroke_by_stroke_trajectory(rho0: DensityMatrix, cfgs, n_steps: int) -> Traj
     )
 
 
-def record_bits(record: TrajectoryRecord) -> tuple:
-    """Everything a trajectory record holds, with every float and array as its bytes.
+# Max |entry| between a stacked run and its step-by-step reference over a few dozen
+# rounds or steps: the same linear maps, multiplied out in another order.
+ENGINE_ORACLE_TOL = 1e-13
 
-    The round-end state stack: its matrices, eigenvalues and eigenvectors;
-    then the times, every column of the round and cumulative ledgers, and
-    the per-species totals in species order.
+
+def record_deviations(got: TrajectoryRecord, want: TrajectoryRecord) -> dict[str, float]:
+    """Max-abs deviation of each part of a trajectory record from a reference record.
+
+    The parts are the round-end matrices, their eigenvalues, the round and
+    cumulative ledger columns, and the per-species totals.  The times must
+    match exactly, and every part must have the shape and dtype of a record
+    of ``len(want.times)`` rounds.
     """
-    states = record.states
-    n, d = len(record.times), states.dim
-    assert states.matrix.shape == states.eigenvectors.shape == (n, d, d)
-    assert states.eigenvalues.shape == (n, d) and states.eigenvalues.dtype == np.float64
+    n, d = len(want.times), want.states.dim
+    for record in (got, want):
+        states = record.states
+        assert states.matrix.shape == states.eigenvectors.shape == (n, d, d)
+        assert states.eigenvalues.shape == (n, d) and states.eigenvalues.dtype == np.float64
+        assert record.times.dtype == np.float64 and record.times.shape == (n,)
+        for ledger in (record.rounds, record.cumulative):
+            assert all(getattr(ledger, f.name).dtype == np.float64 for f in fields(ledger))
+            assert all(getattr(ledger, f.name).shape == (n,) for f in fields(ledger))
+        assert all(type(getattr(t, f.name)) is float for t in record.species_totals.values() for f in fields(t))
+    assert got.times.tobytes() == want.times.tobytes()
+    assert list(got.species_totals) == list(want.species_totals)
 
-    def column_bits(ledger: CollisionLedger) -> list[bytes]:
-        columns = [getattr(ledger, f.name) for f in fields(ledger)]
-        assert all(c.dtype == np.float64 and c.shape == (n,) for c in columns)
-        return [c.tobytes() for c in columns]
+    def ledger_deviation(a: CollisionLedger, b: CollisionLedger) -> float:
+        return max(float(np.max(np.abs(getattr(a, f.name) - getattr(b, f.name)), initial=0.0)) for f in fields(a))
 
-    def total_bits(ledger: CollisionLedger) -> bytes:
-        values = [getattr(ledger, f.name) for f in fields(ledger)]
-        assert all(type(v) is float for v in values)
-        return np.array(values).tobytes()
-
-    assert record.times.dtype == np.float64 and record.times.shape == (n,)
-    return (
-        (states.matrix.tobytes(), states.eigenvalues.tobytes(), states.eigenvectors.tobytes()),
-        record.times.tobytes(),
-        column_bits(record.rounds),
-        column_bits(record.cumulative),
-        [(label, total_bits(ledger)) for label, ledger in record.species_totals.items()],
-    )
+    return {
+        "states": float(np.max(np.abs(got.states.matrix - want.states.matrix), initial=0.0)),
+        "eigenvalues": float(np.max(np.abs(got.states.eigenvalues - want.states.eigenvalues), initial=0.0)),
+        "rounds": ledger_deviation(got.rounds, want.rounds),
+        "cumulative": ledger_deviation(got.cumulative, want.cumulative),
+        "species_totals": max(
+            (ledger_deviation(got.species_totals[k], want.species_totals[k]) for k in want.species_totals),
+            default=0.0,
+        ),
+    }
 
 
 def per_state_rates(gen: LindbladGenerator, rho: DensityMatrix) -> list[float]:

@@ -34,7 +34,13 @@ from qcollide.states import (
     von_neumann_entropy,
 )
 from qcollide.verify import IDENTITY_TAUS, entropic_identity_residuals, halving_ratios, random_collision_suite
-from reference import mutual_information, raised, record_bits, stroke_by_stroke_trajectory
+from reference import (
+    ENGINE_ORACLE_TOL,
+    mutual_information,
+    raised,
+    record_deviations,
+    stroke_by_stroke_trajectory,
+)
 
 LN3 = math.log(3.0)
 
@@ -357,10 +363,30 @@ REFERENCE_RUNS = {
 
 class TestTrajectoryMatchesReference:
     @pytest.mark.parametrize("case", sorted(REFERENCE_RUNS))
-    def test_record_is_bit_for_bit_the_stroke_by_stroke_one(self, case):
+    def test_record_is_the_stroke_by_stroke_one_to_round_off(self, case):
         rho0, make, n_steps = REFERENCE_RUNS[case]
         expected = stroke_by_stroke_trajectory(rho0, make(), n_steps)
-        assert record_bits(run_trajectory(rho0, make(), n_steps)) == record_bits(expected)
+        deviations = record_deviations(run_trajectory(rho0, make(), n_steps), expected)
+        assert max(deviations.values()) <= ENGINE_ORACLE_TOL
+
+    def test_long_qubit_demo_run_stays_near_the_stroke_by_stroke_one(self):
+        # The qubit-demo species over 1,000 rounds.  Measured: states 1.2e-14, eigenvalues 1.3e-14,
+        # round columns 1.8e-14, cumulative columns and totals 9.0e-12 (the rounds' round-off adds up
+        # along the running sums).  The bounds are about 3x those.
+        make = lambda: [qubit_collision(lam=0.3, tau=1e-2)]
+        expected = stroke_by_stroke_trajectory(maximally_mixed(2), make(), 1000)
+        deviations = record_deviations(run_trajectory(maximally_mixed(2), make(), 1000), expected)
+        assert max(deviations[k] for k in ("states", "eigenvalues", "rounds")) <= 5e-14
+        assert max(deviations[k] for k in ("cumulative", "species_totals")) <= 3e-11
+
+    def test_run_without_strokes_takes_no_round_map(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("powers called")
+
+        monkeypatch.setattr(collisions, "powers", refuse)
+        cfgs = [qubit_collision(label="A"), qubit_collision(beta=0.5, label="B")]
+        record = run_trajectory(maximally_mixed(2), cfgs, 0)
+        assert record.states.matrix.shape == (0, 2, 2) and record.rounds.work.shape == (0,)
 
     def test_passing_run_makes_no_collide_call(self, monkeypatch):
         def refuse(*args):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qcollide import lindblad
 from qcollide.errors import (
     DegenerateSteadyStateError,
     DimensionMismatchError,
@@ -21,7 +22,9 @@ from qcollide.lindblad import (
     eigenoperator_interaction,
     integrate,
     multi_bath_generator,
+    powers,
     rate_columns,
+    rk4_propagator,
     steady_state,
     unvec,
     vec,
@@ -41,7 +44,7 @@ from qcollide.presets import (
 )
 from qcollide.states import AncillaSpec, DensityMatrix, thermal_state, trace_distance
 from qcollide.verify import generator_for
-from reference import raised, step_by_step_integrate
+from reference import ENGINE_ORACLE_TOL, raised, step_by_step_integrate
 
 LN3 = math.log(3.0)
 
@@ -228,8 +231,12 @@ class TestIntegrate:
         with pytest.raises(DimensionMismatchError, match="state dimension differs from generator"):
             integrate(gen, maximally_mixed(3), 0.1, 0.01)
 
-    def test_zero_horizon_takes_no_step(self):
+    def test_zero_horizon_takes_no_step(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("propagator built")
+
         gen, _ = qubit_generator()
+        monkeypatch.setattr(lindblad, "rk4_propagator", refuse)
         times, states = integrate(gen, maximally_mixed(2), 0.0, 0.01)
         assert times.shape == (0,)
         assert states.matrix.shape == states.eigenvectors.shape == (0, 2, 2)
@@ -252,15 +259,35 @@ class TestIntegrate:
         ],
         ids=["qubit", "remainder step", "two species"],
     )
-    def test_stack_is_the_step_by_step_loop_bit_for_bit(self, build, rho0, t_final, dt):
+    def test_stack_is_the_step_by_step_loop_to_round_off(self, build, rho0, t_final, dt):
         times, states = integrate(build(), rho0, t_final, dt)
         want_times, want = step_by_step_integrate(build(), rho0, t_final, dt)
         assert times.dtype == np.float64 and times.tobytes() == want_times.tobytes()
-        assert states.matrix.tobytes() == want.matrix.tobytes()
-        assert states.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-        assert states.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+        assert states.matrix.shape == states.eigenvectors.shape == want.matrix.shape
+        assert np.abs(states.matrix - want.matrix).max() <= ENGINE_ORACLE_TOL
+        assert np.abs(states.eigenvalues - want.eigenvalues).max() <= ENGINE_ORACLE_TOL
         for stored in (states.matrix, states.eigenvalues, states.eigenvectors):
             assert not stored.flags.writeable
+
+
+class TestPowers:
+    @pytest.mark.parametrize("n", range(10))
+    def test_rows_are_the_map_applied_in_turn(self, n):
+        gen, _ = qubit_generator(lam=0.3)
+        step = rk4_propagator(gen.matrix, 0.05)
+        x0 = vec(np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]))
+        want, x = [], x0
+        for _ in range(n):
+            want.append(x)
+            x = step @ x
+        out = np.empty((n, 4), dtype=complex)
+        assert powers(step, x0, out) is out
+        assert np.abs(out - np.reshape(want, (n, 4))).max(initial=0.0) <= ENGINE_ORACLE_TOL
+
+    def test_empty_rows_take_no_product(self):
+        # A map that cannot be multiplied: an empty output never reads it.
+        out = np.empty((0, 4), dtype=complex)
+        assert powers(None, vec(np.eye(2)), out) is out
 
 
 class TestSteadyState:

@@ -33,7 +33,13 @@ from qcollide.states import (
     von_neumann_entropy,
 )
 from qcollide.verify import generator_for
-from reference import dissipator_apply, mutual_information, record_bits, stroke_by_stroke_trajectory
+from reference import (
+    ENGINE_ORACLE_TOL,
+    dissipator_apply,
+    mutual_information,
+    record_deviations,
+    stroke_by_stroke_trajectory,
+)
 
 TOL = 1e-12
 
@@ -199,7 +205,8 @@ def test_round_robin_ledger_is_additive(beta_a, beta_b, lam, tau):
 def assert_round_states_match_trajectory(rho0, cfgs, n_steps):
     record = run_trajectory(rho0, cfgs, n_steps)
     assert record.states.matrix.shape == (n_steps, rho0.dim, rho0.dim)
-    assert record_bits(record) == record_bits(stroke_by_stroke_trajectory(rho0, cfgs, n_steps))
+    deviations = record_deviations(record, stroke_by_stroke_trajectory(rho0, cfgs, n_steps))
+    assert max(deviations.values()) <= ENGINE_ORACLE_TOL
 
 
 @stroke_settings

@@ -2,8 +2,6 @@
 
 import math
 import os
-import sys
-import time
 
 import numpy as np
 import pytest
@@ -102,9 +100,6 @@ def test_a_round_map_state_off_the_cone_names_its_round(monkeypatch):
         rk4_round_states(gen, maximally_mixed(2), 4e-2, 60)
 
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the study runs in-process without os.fork")
-
-
 def two_species(tau):
     return [
         qubit_collision(lam=0.3, tau=tau, label="A"),
@@ -112,60 +107,35 @@ def two_species(tau):
     ]
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+# Rounds 8, 4, 2 over t_final 0.08.
+SWEEP_TAUS = (1e-2, 2e-2, 4e-2)
 
 
-# Rounds 8, 4, 2 over t_final 0.08: the head is tau index 0, the forked tail indices 1 and 2.
-FORK_TAUS = (1e-2, 2e-2, 4e-2)
+def test_the_study_starts_no_process(monkeypatch):
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refuse, raising=False)
+    deviations = stroboscopic_deviation(two_species, SWEEP_TAUS, t_final=0.08)
+    assert [tau for tau, _ in deviations] == list(SWEEP_TAUS)
+
+
 # The tau of a stage's call: the strokes take the configs, the reference takes tau.
 TAU_OF = {"run_trajectory": lambda args: args[1][0].ancilla.tau, "rk4_round_states": lambda args: args[2]}
 
 
 def fail_at(monkeypatch, name, index, exc_type):
-    """Make ``verify.<name>`` raise at ``FORK_TAUS[index]``, in whichever process calls it."""
+    """Make ``verify.<name>`` raise at ``SWEEP_TAUS[index]``."""
     real = getattr(verify, name)
 
     def failing(*args):
-        if TAU_OF[name](args) == FORK_TAUS[index]:
+        if TAU_OF[name](args) == SWEEP_TAUS[index]:
             raise exc_type(f"{name} failed at tau index {index}")
         return real(*args)
 
     monkeypatch.setattr(verify, name, failing)
 
 
-def in_child(act):
-    """``act`` in a forked child of this process; the real ``verify.run_trajectory`` here."""
-    parent, real = os.getpid(), verify.run_trajectory
-    return lambda *args: act() if os.getpid() != parent else real(*args)
-
-
-def test_the_sweep_splits_where_its_rounds_balance(monkeypatch, tmp_path):
-    real = verify.run_trajectory
-
-    def record(rho0, cfgs, n_rounds):
-        (tmp_path / str(n_rounds)).write_text(str(os.getpid()), encoding="utf-8")
-        return real(rho0, cfgs, n_rounds)
-
-    monkeypatch.setattr(verify, "run_trajectory", record)
-    stroboscopic_deviation(two_species, FORK_TAUS, t_final=0.08)
-    pids = {n: int((tmp_path / str(n)).read_text(encoding="utf-8")) for n in (8, 4, 2)}
-    assert pids[8] == os.getpid()
-    assert pids[4] == pids[2]
-    assert (pids[4] != os.getpid()) == hasattr(os, "fork")
-
-
-@needs_fork
-def test_forked_study_is_the_in_process_study_bit_for_bit(monkeypatch):
-    taus = (4e-2, 1e-2, 5e-3)
-    forked = stroboscopic_deviation(two_species, taus, t_final=0.4)
-    assert_no_child_left()
-    monkeypatch.delattr(os, "fork")
-    assert stroboscopic_deviation(two_species, taus, t_final=0.4) == forked
-
-
-@pytest.mark.parametrize("fork", [pytest.param(True, marks=needs_fork), False], ids=["forked", "in-process"])
 @pytest.mark.parametrize(
     "build_at, stroke_at, reference_at, winner",
     [
@@ -180,69 +150,20 @@ def test_forked_study_is_the_in_process_study_bit_for_bit(monkeypatch):
         (2, 2, 1, "rk4_round_states"),
     ],
 )
-def test_the_first_failing_tau_raises_as_in_the_serial_loop(
-    monkeypatch, fork, build_at, stroke_at, reference_at, winner
-):
-    if not fork:
-        monkeypatch.delattr(os, "fork")
+def test_the_first_failing_tau_raises_in_stage_order(monkeypatch, build_at, stroke_at, reference_at, winner):
     errors = {"build": NameError, "run_trajectory": ArithmeticError, "rk4_round_states": LookupError}
     for name, index in (("run_trajectory", stroke_at), ("rk4_round_states", reference_at)):
         if index is not None:
             fail_at(monkeypatch, name, index, errors[name])
 
     def build(tau):
-        if build_at is not None and tau == FORK_TAUS[build_at]:
+        if build_at is not None and tau == SWEEP_TAUS[build_at]:
             raise errors["build"](f"build failed at tau index {build_at}")
         return two_species(tau)
 
     with pytest.raises(Exception, match=f"^{winner} failed") as caught:
-        stroboscopic_deviation(build, FORK_TAUS, t_final=0.08)
+        stroboscopic_deviation(build, SWEEP_TAUS, t_final=0.08)
     assert type(caught.value) is errors[winner]
-    assert_no_child_left()
-
-
-@needs_fork
-def test_a_failing_head_wins_over_a_running_child(monkeypatch):
-    monkeypatch.setattr(verify, "run_trajectory", in_child(lambda: time.sleep(60)))
-    fail_at(monkeypatch, "rk4_round_states", 0, LookupError)
-    start = time.monotonic()
-    with pytest.raises(LookupError, match="^rk4_round_states failed at tau index 0$"):
-        stroboscopic_deviation(two_species, FORK_TAUS, t_final=0.08)
-    assert time.monotonic() - start < 30
-    assert_no_child_left()
-
-
-@needs_fork
-def test_a_child_without_a_result_is_an_error(monkeypatch):
-    monkeypatch.setattr(verify, "run_trajectory", in_child(lambda: os._exit(3)))
-    with pytest.raises(ChildProcessError, match="ended without a result"):
-        stroboscopic_deviation(two_species, FORK_TAUS, t_final=0.08)
-    assert_no_child_left()
-
-
-@needs_fork
-def test_an_interrupted_parent_kills_and_reaps_the_child(monkeypatch):
-    def interrupt(*args):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(verify, "run_trajectory", in_child(lambda: time.sleep(60)))
-    monkeypatch.setattr(verify, "rk4_round_states", interrupt)
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        stroboscopic_deviation(two_species, FORK_TAUS, t_final=0.08)
-    assert time.monotonic() - start < 30
-    assert_no_child_left()
-
-
-@needs_fork
-def test_the_child_writes_nothing_to_stdout(capfd, monkeypatch):
-    # Block-buffered, as stdout is when it is a file or a pipe: "ahead" is still buffered at the fork.
-    with open(os.dup(1), "w", encoding="utf-8") as stdout:
-        monkeypatch.setattr(sys, "stdout", stdout)
-        print("ahead", end="")
-        stroboscopic_deviation(two_species, FORK_TAUS, t_final=0.08)
-        print(" after")
-    assert capfd.readouterr() == ("ahead after\n", "")
 
 
 @pytest.mark.parametrize("count", [0, -3])
