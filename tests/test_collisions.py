@@ -405,6 +405,17 @@ class TestTrajectoryMatchesReference:
         with pytest.raises(ValueError, match="^array is too big"):
             run_trajectory(maximally_mixed(2), [qubit_collision()], 10**18)
 
+    def test_memory_refused_run_raises_before_any_round_map(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("powers called")
+
+        monkeypatch.setattr(collisions, "powers", refuse)
+        # The round starts and the stroke rows of 10^15 rounds are allocated, and
+        # refused, before the round map is built or applied.
+        cfgs = [qubit_collision(label="A"), qubit_collision(beta=0.5, label="B")]
+        with pytest.raises(MemoryError, match="^Unable to allocate"):
+            run_trajectory(maximally_mixed(2), cfgs, 10**15)
+
     def test_failing_run_is_replayed_through_collide(self, monkeypatch):
         calls = []
 

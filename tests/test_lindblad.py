@@ -242,6 +242,18 @@ class TestIntegrate:
         assert states.matrix.shape == states.eigenvectors.shape == (0, 2, 2)
         assert states.eigenvalues.shape == (0, 2)
 
+    def test_horizon_under_one_step_is_one_remainder_step(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("powers called")
+
+        gen, _ = qubit_generator(lam=0.3)
+        rho0 = DensityMatrix(np.diag([0.9, 0.1]))
+        monkeypatch.setattr(lindblad, "powers", refuse)
+        times, states = integrate(gen, rho0, 0.004, 0.01)
+        assert times.tolist() == [0.004]
+        want = unvec(rk4_propagator(gen.matrix, 0.004) @ vec(rho0.matrix), 2)
+        assert np.abs(states.matrix[0] - want).max() <= ENGINE_ORACLE_TOL
+
     @pytest.mark.parametrize(
         "build, rho0, t_final, dt",
         [
