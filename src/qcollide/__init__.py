@@ -30,6 +30,7 @@ from .linalg import (
     double_commutator,
     expm_unitary,
     hermitian_eig,
+    hermitian_eigvals,
     kron,
     partial_trace,
 )

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__, verify
 from .collisions import CollisionConfig, run_trajectory
-from .errors import NonHermitianError, NotPositiveError, QCollideError
+from .errors import NonHermitianError, NotPositiveError, QCollideError, SupportViolationError
 from .lindblad import rate_columns
 from .linalg import require_hermitian
 from .presets import DEFAULT_BETA, maximally_mixed, qubit_collision, qutrit_ancilla_collision
@@ -277,7 +277,7 @@ def _write_trajectory_csv(path: Path, record, gen) -> None:
 
 def _trajectory_checks(collision: CollisionConfig, n_steps: int, out_dir: Path) -> list[Check]:
     """Run one species from the maximally mixed state, write ``trajectory.csv``, check the ledger."""
-    record = run_trajectory(maximally_mixed(collision.dim_system), [collision], n_steps)
+    record = _naming_beta(run_trajectory, maximally_mixed(collision.dim_system), [collision], n_steps)
     _write_trajectory_csv(out_dir / "trajectory.csv", record, generator_for([collision]))
     rounds = record.rounds
     scale = energy_scale(collision.h_system, collision.ancilla.h_ancilla)
@@ -296,6 +296,18 @@ def _prepared(collision: CollisionConfig) -> CollisionConfig:
     except NotPositiveError as exc:
         raise ConfigError(f"lambda: too large for species {collision.label!r}: {exc}") from exc
     return collision
+
+
+def _naming_beta(run, *args):
+    """``run(*args)``, naming ``beta`` when a stroke feeds the kernel of a prepared ancilla state.
+
+    A Gibbs state so near pure that an eigenvalue is below the support
+    tolerance has such a kernel.
+    """
+    try:
+        return run(*args)
+    except SupportViolationError as exc:
+        raise ConfigError(f"beta: a stroke feeds the kernel of a prepared ancilla state: {exc}") from exc
 
 
 def _scenario_qubit_demo(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
@@ -386,7 +398,7 @@ def _scenario_multibath(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
             _prepared(qutrit_ancilla_collision(g=gs[1], beta=betas[1], lam=lams[1], tau=tau, label="B")),
         ]
 
-    data = stroboscopic_deviation(build, cfg["tau"], cfg["t_final"])
+    data = _naming_beta(stroboscopic_deviation, build, cfg["tau"], cfg["t_final"])
     checks = [_convergence_check(data, out_dir)]
 
     # Two thermal qubit baths: stationary excited population from the jump rates.

@@ -1,15 +1,18 @@
 """Dense complex matrix algebra sized for small Hermitian problems.
 
 Everything operates on plain ``complex128`` numpy arrays of dimension up to
-a few dozen: eigendecompositions are LAPACK ``eigh`` behind a Hermiticity
-gate, matrix exponentials are spectral, and partial traces are
-reshape-based.  The joint-index convention is system-major throughout: a
-product operator ``A (x) B`` places the system index on the slow axis,
+a few dozen: eigendecompositions sit behind a Hermiticity gate and are
+closed-form for ``2 x 2`` matrices and LAPACK ``eigh`` above, matrix
+exponentials are spectral, and partial traces are reshape-based.  Every
+eigensolver choice of the package is made here, by the matrix dimension.
+The joint-index convention is system-major throughout: a product operator
+``A (x) B`` places the system index on the slow axis,
 ``idx = i_system * dim_ancilla + i_ancilla``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,25 +112,89 @@ class Spectrum:
 
 
 def hermitian_eig(m, *, name: str = "matrix", stack: bool = False) -> Spectrum:
-    """Eigendecomposition by LAPACK ``eigh`` of a matrix passing :func:`require_hermitian`.
+    """Eigendecomposition of a matrix passing :func:`require_hermitian`.
 
-    With ``stack``, ``m`` is a stack ``(n, d, d)`` decomposed by one batched
-    ``eigh`` call, which runs the same routine on each matrix, so every
-    eigenpair equals that of a single call bit for bit.  The spectrum keeps
-    the symmetrized matrix that was decomposed.  Eigenvalues are returned
-    ascending.  Inside degenerate blocks the basis is whatever LAPACK
-    returns: deterministic on one machine, not canonical.
+    A ``2 x 2`` matrix is decomposed in closed form (:func:`hermitian_eigvals`),
+    a larger one by LAPACK ``eigh``.  With ``stack``, ``m`` is a stack
+    ``(n, d, d)`` decomposed in one pass, elementwise for ``d = 2`` and by one
+    batched ``eigh`` above, which runs the same routine on each matrix; either
+    way every eigenpair equals that of a single call bit for bit.  The
+    spectrum keeps the symmetrized matrix that was decomposed.  Eigenvalues
+    are returned ascending.  A ``2 x 2`` multiple of the identity gets the
+    identity as its basis; inside the degenerate blocks of a larger matrix
+    the basis is whatever LAPACK returns: deterministic on one machine, not
+    canonical.
     """
     a = require_hermitian(m, name=name, stack=stack)
-    w, v = np.linalg.eigh(a)
+    w, v = _eig2(a, vectors=True) if a.shape[-1] == 2 else np.linalg.eigh(a)
     return Spectrum(eigenvalues=w, eigenvectors=v, matrix=a)
+
+
+def hermitian_eigvals(m) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, or of each matrix of a stack, with no gate.
+
+    Only the real diagonal and the lower triangle are read, as LAPACK
+    ``eigvalsh`` reads them, so ``m`` must already be Hermitian and finite.
+    A ``2 x 2`` matrix ``[[a, conj(b)], [b, d]]`` has the eigenvalues
+    ``(a + d)/2 -+ hypot((a - d)/2, |b|)``; a larger one goes to ``eigvalsh``.
+    """
+    a = np.asarray(m)
+    return _eig2(a, vectors=False) if a.shape[-1] == 2 else np.linalg.eigvalsh(a)
+
+
+def _eig2(a: np.ndarray, *, vectors: bool):
+    """Closed-form eigenvalues, and with ``vectors`` eigenvectors, of Hermitian ``2 x 2`` matrices.
+
+    One matrix is worked in Python floats and a stack elementwise in numpy,
+    by the same sequence of ``+ - * /`` and ``sqrt``: each is correctly
+    rounded on both paths, so a stack gets the bits of single calls.  The
+    traceless part is first divided by a power of two near its size, which
+    is exact: then no square below overflows, and one that underflows is
+    below the round-off of the sum it enters.
+    """
+    stack = a.ndim > 2
+    xp = np if stack else math
+    if stack:
+        p, q, b = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 1, 0]
+    else:
+        (p, _), (b, q) = a.tolist()
+        p, q = p.real, q.real
+    mean, half_gap = 0.5 * (p + q), 0.5 * (p - q)
+    scale = xp.ldexp(1.0, xp.frexp(abs(half_gap) + abs(b.real) + abs(b.imag))[1] - 1)
+    h, br, bi = half_gap / scale, b.real / scale, b.imag / scale
+    b2 = br * br + bi * bi
+    r = xp.sqrt(h * h + b2)
+    w = (mean - r * scale, mean + r * scale)
+    w = np.stack(w, axis=-1) if stack else np.array(w)
+    if not vectors:
+        return w
+    # (s, -y) with s = r + |h| >= r never cancels: for h <= 0 it is the
+    # eigenvector of the smaller eigenvalue, for h > 0 that of the larger,
+    # and (conj(y), s) is the other, so for h > 0 the two columns swap.
+    # r = 0 only for a multiple of the identity, whose basis is the identity.
+    s = r + abs(h) + (r == 0.0)
+    n = xp.sqrt(s * s + b2)
+    sign = 1 - 2 * (half_gap > 0.0)
+    x, yr, yi = s / n, sign * br / n, sign * bi / n
+    if not stack:
+        v = np.array([[x, complex(yr, -yi)], [complex(-yr, -yi), x]])
+        return w, v[:, ::-1] if half_gap > 0.0 else v
+    # The single path's matrices as real and imaginary parts, entry by entry;
+    # one np.where per part costs less than selecting whole swapped matrices.
+    swap = half_gap > 0.0
+    im_diagonal, im_off_diagonal = np.where(swap, -yi, 0.0), np.where(swap, 0.0, -yi)
+    parts = (
+        np.where(swap, yr, x), im_diagonal, np.where(swap, x, yr), im_off_diagonal,
+        np.where(swap, x, -yr), im_off_diagonal, np.where(swap, -yr, x), im_diagonal,
+    )
+    return w, np.stack(parts, axis=-1).view(complex).reshape(a.shape)
 
 
 def expm_unitary(h, t) -> np.ndarray:
     """Unitary ``exp(-i t H)`` for Hermitian ``H``, built spectrally.
 
     ``h`` may be a stack ``(n, d, d)`` with one ``t`` per matrix, decomposed
-    by one batched ``eigh``.
+    in one :func:`hermitian_eig` pass.
     """
     a = np.asarray(h)
     spectrum = hermitian_eig(a, name="generator", stack=a.ndim > 2)

@@ -11,7 +11,7 @@ to have no thermal first moment.
 The sampler has two stages.  :func:`draw_collisions` takes every random
 number of many instances from the SplitMix64 stream and does no linear
 algebra; :func:`collision_stack` builds the instances of many draws of one
-``(d_S, d_A)`` as stacked arrays, with stacked ``qr``, ``eigh`` and ``@``,
+``(d_S, d_A)`` as stacked arrays, with stacked ``qr``, eigensolves and ``@``,
 which give each matrix the bits of a single call.  :func:`random_collision`
 is the one-instance case of both.
 
@@ -424,7 +424,7 @@ def _canonical_phases(basis: np.ndarray) -> np.ndarray:
 def collision_stack(draws: list[dict]) -> CollisionStack:
     """Build the instances of draws of one ``(d_S, d_A)`` and one sampler branch, as stacks.
 
-    Stacked ``qr``, ``eigh`` and ``@`` give each matrix the bits of a single
+    Stacked ``qr``, eigensolves and ``@`` give each matrix the bits of a single
     call, and every other step is elementwise, so instance ``k`` is what
     ``collision_stack([draws[k]])`` builds.  The gates that building one
     instance runs run on the stacks, in its order: the Hermiticity gates on

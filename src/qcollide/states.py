@@ -24,6 +24,7 @@ from .linalg import (
     Spectrum,
     dag,
     hermitian_eig,
+    hermitian_eigvals,
     require_hermitian,
 )
 
@@ -85,11 +86,12 @@ class DensityMatrix:
 def state_spectra(matrices, *, psd_tol: float = PSD_TOL) -> Spectrum:
     """Gate a stack ``(n, d, d)`` of density matrices at once; return their read-only spectra.
 
-    One Hermiticity gate and batched ``eigh`` (:func:`hermitian_eig` on the
-    stack) and one check of every trace and smallest eigenvalue serve the
-    whole stack, with the messages of :class:`DensityMatrix`.  Batched
-    ``eigh`` gives each matrix the bits of a single call: ``spectra[k]`` is
-    the spectrum of ``DensityMatrix(matrices[k], psd_tol=psd_tol)``.
+    One Hermiticity gate and eigensolve (:func:`hermitian_eig` on the
+    stack: closed form for qubits, batched ``eigh`` above) and one check of
+    every trace and smallest eigenvalue serve the whole stack, with the
+    messages of :class:`DensityMatrix`.  Either eigensolver gives each
+    matrix the bits of a single call: ``spectra[k]`` is the spectrum of
+    ``DensityMatrix(matrices[k], psd_tol=psd_tol)``.
     """
     stacked = _gated(matrices, psd_tol, stack=True)
     for array in (stacked.matrix, stacked.eigenvalues, stacked.eigenvectors):
@@ -312,7 +314,9 @@ def relative_entropy_of_coherence(rho: DensityMatrix, h_reference) -> float:
     """Coherence of ``rho`` relative to the eigenbasis of ``h_reference``.
 
     Inside degenerate blocks of ``h_reference`` the dephasing basis is the one
-    LAPACK ``eigh`` returns: deterministic on one machine, not canonical.
+    :func:`hermitian_eig` returns: the identity for a ``2 x 2`` multiple of
+    the identity, and above that whatever LAPACK ``eigh`` returns,
+    deterministic on one machine but not canonical.
     """
     return coherence_in_basis(rho, hermitian_eig(h_reference, name="h_reference"))
 
@@ -364,11 +368,13 @@ def trace_distance(rho, sigma):
     ``rho`` and ``sigma`` are two states, or two stacks ``(n, d, d)`` of the
     matrices of states, paired matrix by matrix into an array of ``n``
     distances.  Stored state matrices are exactly symmetrized and finite, so
-    the difference needs no Hermiticity gate and no eigenvectors.
+    the difference needs no Hermiticity gate and no eigenvectors: its
+    eigenvalues come from :func:`~qcollide.linalg.hermitian_eigvals`, in
+    closed form for qubits.
     """
     a = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     b = sigma.matrix if isinstance(sigma, DensityMatrix) else np.asarray(sigma)
     if a.shape != b.shape:
         raise DimensionMismatchError("states have different dimensions")
-    distances = 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
+    distances = 0.5 * np.abs(hermitian_eigvals(a - b)).sum(axis=-1)
     return float(distances) if distances.ndim == 0 else distances

@@ -49,7 +49,7 @@ from .lindblad import (
     unvec,
     vec,
 )
-from .linalg import Spectrum, commutator, dag, kron
+from .linalg import Spectrum, commutator, dag, hermitian_eigvals, kron
 from .presets import (
     DEFAULT_BETA,
     collision_stack,
@@ -119,7 +119,7 @@ def halving_ratios(values: Sequence[float]) -> list[float]:
 
 def energy_scale(h_system, h_ancilla) -> np.ndarray:
     """``||H_S|| + ||H_A||`` in spectral norms, the energy scale of a species, per matrix of stacks."""
-    return np.abs(np.linalg.eigvalsh(h_system)).max(axis=-1) + np.abs(np.linalg.eigvalsh(h_ancilla)).max(axis=-1)
+    return np.abs(hermitian_eigvals(h_system)).max(axis=-1) + np.abs(hermitian_eigvals(h_ancilla)).max(axis=-1)
 
 
 def generator_for(cfgs: Sequence[CollisionConfig]) -> LindbladGenerator:
@@ -132,9 +132,12 @@ def generator_for(cfgs: Sequence[CollisionConfig]) -> LindbladGenerator:
 
 
 def _whole_rounds(taus: Sequence[float], t_final: float) -> list[int]:
-    """Rounds of each ``tau`` in ``t_final``; ``ValueError`` naming ``t_final`` unless whole (to 1e-9) and >= 1."""
+    """Rounds of each ``tau`` in ``t_final``; ``ValueError`` naming ``t_final`` unless whole (to 1e-9) and >= 1.
+
+    A count from ``2**63`` up indexes no numpy array, so it counts as too many.
+    """
     for tau in taus:
-        if math.isinf(t_final / tau):
+        if t_final / tau >= 2.0**63:
             raise ValueError(f"t_final: {t_final!r} holds too many rounds of tau={tau!r} to count")
         if round(t_final / tau) < 1:
             raise ValueError(f"t_final: {t_final!r} is shorter than one round of tau={tau!r}")
@@ -397,7 +400,7 @@ def _suite_columns(draws: list[dict]) -> np.ndarray:
     """``Sigma, I, Srel, work_scaled, coherent_bound_scaled`` of each draw of one ``(d_S, d_A)``.
 
     One stroke per draw, as :func:`~qcollide.collisions.collide` makes it,
-    with stacked ``@``, ``eigh`` and ``eigvalsh``: each unitary comes from a
+    with stacked ``@`` and eigensolves: each unitary comes from a
     batched eigensolve of the joint Hamiltonian, and the joint state
     ``U (rho_S (x) rho_A) U^dag`` is traced down to both outputs.  The gates
     of the one-sample route run on the stacks in its order: those of

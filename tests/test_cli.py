@@ -322,6 +322,8 @@ OUT_OF_RANGE = {
     "multibath-t_final-below-tau": ("t_final", {"scenario": "multibath", "t_final": 0.001}),
     "converge-t_final-not-whole-rounds-of-a-tau": ("t_final", {"scenario": "converge", "tau": [0.04, 0.03]}),
     "converge-t_final-too-many-rounds": ("t_final", {"scenario": "converge", "tau": [1e-300, 0.01], "t_final": 1e10}),
+    # 2e300 rounds are finite, but no numpy array holds them.
+    "converge-rounds-beyond-an-array": ("t_final", {"scenario": "converge", "tau": [1e-300, 2e-300]}),
 }
 
 
@@ -335,6 +337,28 @@ def test_validate_and_run_both_reject_a_value_out_of_range(tmp_path, capsys, key
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {key}: ")
+
+
+# Documents that load_config passes and only the run can reject: at beta 700 the
+# prepared ancilla state has a kernel, and whether a stroke feeds it depends on the
+# dynamics (with g = 0 or 1e-7 the same beta runs and exits 0).
+OUT_OF_RANGE_AT_RUN = {
+    "qubit-demo-near-pure-ancilla": ("beta", {"scenario": "qubit-demo", "beta": 700, "lambda": 1e-300}),
+    "multibath-near-pure-ancilla": ("beta", {"scenario": "multibath", "beta": [700, 1], "lambda": [0, 0.25]}),
+}
+
+
+@pytest.mark.parametrize("key,payload", list(OUT_OF_RANGE_AT_RUN.values()), ids=list(OUT_OF_RANGE_AT_RUN))
+def test_run_rejects_a_value_out_of_range_that_validate_cannot_see(tmp_path, capsys, key, payload):
+    path = str(write(tmp_path, "bad.json", payload))
+    assert main(["validate", "--config", path]) == 0
+    assert capsys.readouterr().out == f"OK scenario={payload['scenario']}\n"
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {key}: a stroke feeds the kernel of a prepared ancilla state: first state has weight")
 
 
 @pytest.mark.parametrize(
@@ -457,6 +481,29 @@ def test_deeply_nested_document_is_one_line_error(tmp_path, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error: {path}:")
+
+
+@pytest.mark.parametrize("scenario", ["qubit-demo", "multibath"])
+def test_qubit_spectra_take_no_lapack_call(tmp_path, monkeypatch, capsys, scenario):
+    lapack_dims = []
+
+    def refusing(solver):
+        def solve(a, *args, **kwargs):
+            if np.shape(a)[-1] == 2:
+                raise AssertionError(f"{solver.__name__} called on a 2x2 input")
+            lapack_dims.append(np.shape(a))
+            return solver(a, *args, **kwargs)
+
+        return solve
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refusing(getattr(np.linalg, name)))
+    assert run_scenario(load_config(CONFIG_DIR / f"{scenario}.json"), out_dir=tmp_path) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    # The joint unitaries still go to LAPACK, and in multibath so do the qutrit ancilla stacks.
+    assert (4, 4) in lapack_dims
+    if scenario == "multibath":
+        assert any(len(shape) == 3 and shape[-1] == 3 and shape[0] > 1 for shape in lapack_dims)
 
 
 def test_unallocatable_run_is_one_line_error(tmp_path, capsys):

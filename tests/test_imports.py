@@ -112,3 +112,14 @@ def test_no_unread_package_definitions():
     ]
     assert len(package) > 10
     assert unread_definitions(package, readers) == []
+
+
+def test_lapack_eigensolvers_are_called_only_in_linalg():
+    # linalg chooses the eigensolver by dimension; elsewhere a direct call would bypass that choice.
+    for path in sorted((ROOT / "src" / "qcollide").glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not named & {"eigh", "eigvalsh"}, path.name

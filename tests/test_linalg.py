@@ -10,6 +10,7 @@ from qcollide.linalg import (
     double_commutator,
     expm_unitary,
     hermitian_eig,
+    hermitian_eigvals,
     kron,
     partial_trace,
     require_hermitian,
@@ -115,6 +116,68 @@ class TestHermitianEig:
             stack[1, 0, 1] = bad
             with pytest.raises(ValueError):
                 require_hermitian(stack, stack=True)
+
+
+EPS = np.finfo(float).eps
+# Entries are a mantissa in [-1, 1] times a power of ten; the matrix scale runs
+# from 1e-300 to 1e300, and one entry may sit up to 1e-30 below it.
+mantissas = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@st.composite
+def hermitian_2x2(draw):
+    """``[[a, conj(b)], [b, d]]``: generic, diagonal, degenerate, zero, or with a real or imaginary ``b``."""
+    scale = 10.0 ** draw(st.integers(min_value=-300, max_value=300))
+
+    def entry():
+        return draw(mantissas) * scale * 10.0 ** -draw(st.sampled_from([0, 0, 0, 1, 8, 30]))
+
+    kind = draw(st.sampled_from(["generic", "diagonal", "degenerate", "zero", "real b", "imaginary b"]))
+    a, d, b = entry(), entry(), complex(entry(), entry())
+    if kind in ("diagonal", "degenerate", "zero"):
+        b = 0j
+    if kind in ("degenerate", "zero"):
+        d = a if kind == "degenerate" else 0.0
+        a = d
+    if kind == "real b":
+        b = complex(b.real, 0.0)
+    if kind == "imaginary b":
+        b = complex(0.0, b.imag)
+    return np.array([[a, b.conjugate()], [b, d]])
+
+
+class TestClosedFormQubitEig:
+    @given(st.lists(hermitian_2x2(), min_size=1, max_size=6))
+    def test_spectra_match_lapack_to_round_off_without_warnings(self, matrices):
+        stack = np.array(matrices)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            spectra = hermitian_eig(stack, stack=True)
+            singles = [hermitian_eig(m) for m in matrices]
+            values = hermitian_eigvals(stack)
+        for k, m in enumerate(matrices):
+            w, v = spectra.eigenvalues[k], spectra.eigenvectors[k]
+            bound = 8 * EPS * np.abs(m).max()
+            assert np.all(np.isfinite(w)) and np.all(np.isfinite(v))
+            assert w[0] <= w[1]
+            assert np.abs(w - np.linalg.eigvalsh(m)).max() <= bound
+            assert np.abs(dag(v) @ v - np.eye(2)).max() <= 8 * EPS
+            assert np.abs(m @ v - v * w).max() <= bound
+            # A stack has the bits of single calls, and the eigenvalues-only entry point those of both.
+            for field in ("matrix", "eigenvalues", "eigenvectors"):
+                assert getattr(spectra, field)[k].tobytes() == getattr(singles[k], field).tobytes()
+            assert values[k].tobytes() == w.tobytes() == hermitian_eigvals(m).tobytes()
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, -2.5e-300, 3e300])
+    def test_multiple_of_the_identity_has_the_identity_as_basis(self, c):
+        m = c * np.eye(2, dtype=complex)
+        for spectrum in (hermitian_eig(m), hermitian_eig(m[None], stack=True)[0]):
+            assert np.array_equal(spectrum.eigenvalues, [c, c])
+            assert np.array_equal(spectrum.eigenvectors, np.eye(2))
+
+    def test_empty_stack(self):
+        spectra = hermitian_eig(np.zeros((0, 2, 2)), stack=True)
+        assert spectra.eigenvalues.shape == (0, 2) and spectra.eigenvectors.shape == (0, 2, 2)
+        assert hermitian_eigvals(np.zeros((0, 2, 2))).shape == (0, 2)
 
 
 class TestExpmUnitary:
