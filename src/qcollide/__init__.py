@@ -7,10 +7,8 @@ __version__ = "0.1.0"
 from .collisions import (
     CollisionConfig,
     CollisionLedger,
-    CollisionOutcome,
     TrajectoryRecord,
     build_unitary,
-    collide,
     run_trajectory,
 )
 from .lindblad import (
@@ -41,7 +39,6 @@ from .series import (
     coherence_series,
     coherent_work_ancilla_side,
     entropy_series,
-    ergotropy_series,
     predicted_mutual_info,
     predicted_rel_entropy,
     relative_entropy_series,

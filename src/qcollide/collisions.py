@@ -13,21 +13,18 @@ state is never formed.  What is fixed per config (``<H_A>``, ``S(rho_A)``,
 ``ln(rho_A)`` and the kernel of ``rho_A``) is computed once, and the support
 check of ``rho_A'`` runs only when ``rho_A`` has a kernel.
 
-:func:`collide` is one stroke: the matvec, the state gates on both outputs,
-their spectra and the ledger.  :func:`run_trajectory` runs one species, or
-``m`` species round-robin with each sub-collision a ``1/m`` share of the
-round.  With the ancillae fixed, one round is one linear map on
-``vec(rho_S)``, so the round starts are its
+:func:`run_trajectory` runs one species, or ``m`` species round-robin with
+each sub-collision a ``1/m`` share of the round.  With the ancillae fixed,
+one round is one linear map on ``vec(rho_S)``, so the round starts are its
 :func:`~qcollide.lindblad.powers`; each species' stroke rows are then one
 matrix product over all rounds, followed by one stacked gate pass over all
 system outputs and one over each species' ancilla outputs.  Its record holds
 the round-end states, a slice of the gated system spectra, and two ledgers
 of columns over the rounds: each round's :class:`CollisionLedger` and their
-running sums.  The columns use the formulas of :func:`collide` and the
-entropies of the gated spectra, so the record is that of a ``collide`` per
-stroke up to round-off.  When a gate fails, the run is replayed through
-:func:`collide`, which locates the first failing stroke and raises what it
-raises.
+running sums, from the stroke rows and the entropies of the gated spectra.
+When a gate fails, :func:`~qcollide.states.first_failure` gates prefixes of
+the same strokes to raise at the first failing stroke, as one stroke at a
+time would.
 
 Sign conventions: ``heat_ancilla > 0`` means the ancilla gained energy, and
 the switching work is stored as ``work = d_energy + heat_ancilla``.
@@ -41,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, QCollideError, UnitaryDefectError
+from .errors import DimensionMismatchError, UnitaryDefectError
 from .lindblad import coherent_generator, powers, unvec, vec
 from .linalg import (
     ENERGY_CONSERVING_RTOL,
@@ -61,6 +58,7 @@ from .states import (
     DensityMatrix,
     coherence_from_populations,
     coherence_in_basis,
+    first_failure,
     log_on_support,
     require_support,
     shannon_entropy,
@@ -280,31 +278,6 @@ class CollisionLedger:
     d_free_energy: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class CollisionOutcome:
-    """Post-collision states together with the stroke ledger."""
-
-    system: DensityMatrix
-    ancilla: DensityMatrix
-    ledger: CollisionLedger
-
-
-def collide(rho_system: DensityMatrix, cfg: CollisionConfig) -> CollisionOutcome:
-    """Run one stroke of the stroboscopic map and account for it exactly."""
-    if rho_system.dim != cfg.dim_system:
-        raise DimensionMismatchError("system state dimension differs from config")
-    d_s, d_a = cfg.dim_system, cfg.dim_ancilla
-    n_s = d_s * d_s
-    rows = cfg.stroke_matrix @ vec(rho_system.matrix)
-    rho_s_after = DensityMatrix(unvec(rows[:n_s], d_s))
-    rho_a_after = DensityMatrix(unvec(rows[n_s : n_s + d_a * d_a], d_a))
-    if cfg.ancilla_kernel.shape[1]:
-        require_support(rho_a_after.spectrum, cfg.ancilla_kernel)
-    entropies = np.array([[von_neumann_entropy(rho)] for rho in (rho_system, rho_s_after, rho_a_after)])
-    ledger = CollisionLedger(*_ledger_columns(cfg, rows[None], *entropies)[0].tolist())
-    return CollisionOutcome(system=rho_s_after, ancilla=rho_a_after, ledger=ledger)
-
-
 def _ledger_columns(cfg: CollisionConfig, rows: np.ndarray, s_before, s_after, s_a_after) -> np.ndarray:
     """Ledgers of strokes of ``cfg`` as rows ``(n, fields)``, in the field order of :class:`CollisionLedger`.
 
@@ -359,52 +332,56 @@ def run_trajectory(rho0: DensityMatrix, cfgs: list[CollisionConfig], n_steps: in
     round-robin in config order: each sub-collision lasts ``tau/m`` with the
     interaction rescaled by ``sqrt(m)``, so one recorded step is a full round
     of duration ``tau`` and cumulative columns compare directly with the
-    additive continuous-time generator.  The record is that of a
-    :func:`collide` per stroke with its ledgers summed in stroke order, up
-    to round-off.  A failing gate replays the run by :func:`collide` to
-    raise at the first failing stroke.
+    additive continuous-time generator.  The record is that of one stroke
+    at a time with its ledgers summed in stroke order, up to round-off.  A
+    failing gate raises at the first failing stroke, found by
+    :func:`~qcollide.states.first_failure` in the run's own strokes.
     """
     subs = _round_configs(rho0, cfgs, n_steps)
     # Allocated before any product, so that numpy refusing a run too long for memory raises at once.
     starts = np.empty((n_steps, rho0.dim**2), dtype=complex)
     rows = [np.empty((n_steps, len(sub.stroke_matrix)), dtype=complex) for sub in subs]
-    try:
-        # Strokes after one that leaves the state space run before the gates find it;
-        # should they overflow, the gates reject them, so numpy need not warn.
-        with np.errstate(over="ignore", invalid="ignore"):
-            systems, ancillas = _gated_strokes(rho0, subs, starts, rows)
-            return _record(rho0, cfgs[0].ancilla.tau, subs, rows, systems, ancillas)
-    except (QCollideError, ValueError) as exc:
-        failure = exc
-    state = rho0
-    for _ in range(n_steps):
-        for sub in subs:
-            state = collide(state, sub).system
-    raise failure
+    # Strokes after one that leaves the state space run before the gates find it;
+    # should they overflow, the gates reject them, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _strokes(rho0, subs, starts, rows)
+        systems, ancillas = first_failure(lambda k: _gates(rho0.dim, subs, rows, k), n_steps * len(subs))
+        return _record(rho0, cfgs[0].ancilla.tau, subs, rows, systems, ancillas)
 
 
-def _gated_strokes(rho0, subs, starts, rows):
-    """Fill each species' stroke rows ``(n_steps, len(stroke_matrix))``; return the gated spectra of the outputs.
+def _strokes(rho0, subs, starts, rows) -> None:
+    """Fill each species' stroke rows ``(n_steps, len(stroke_matrix))``.
 
     ``starts`` takes the round starts, the :func:`~qcollide.lindblad.powers`
     of the round map ``S_m[:d^2] ... S_1[:d^2]`` built from the species'
     stroke matrices.  Species ``j`` then strokes every round at once, one
     product of its round inputs with ``S_j^T``, and the system block of its
-    rows is the input of species ``j + 1``.  The system spectra are in
-    stroke order, the ancilla spectra one stack per species.
+    rows is the input of species ``j + 1``.
     """
-    n_s = rho0.dim**2
     if len(starts):
+        n_s = rho0.dim**2
         round_map = subs[0].stroke_matrix[:n_s]
         for sub in subs[1:]:
             round_map = sub.stroke_matrix[:n_s] @ round_map
         x = powers(round_map, vec(rho0.matrix), starts)
         for sub, r in zip(subs, rows):
             x = np.matmul(x, sub.stroke_matrix.T, out=r)[:, :n_s]
-    systems = state_spectra(unvec(np.stack([r[:, :n_s] for r in rows], axis=1).reshape(-1, n_s), rho0.dim))
+
+
+def _gates(dim, subs, rows, k):
+    """Gate the first ``k`` strokes of a run; return the spectra of their system and ancilla outputs.
+
+    Stroke ``i`` is species ``i % m`` in round ``i // m``.  The system
+    outputs are gated as one stack in stroke order, then each species'
+    ancilla outputs as one stack, with the support check where ``rho_A`` has
+    a kernel.  When only the last stroke can fail, that is one stroke's
+    order: its system, its ancilla, its support.
+    """
+    m, n_s = len(subs), dim * dim
+    systems = state_spectra(unvec(np.stack([r[:, :n_s] for r in rows], axis=1).reshape(-1, n_s)[:k], dim))
     ancillas = []
-    for sub, r in zip(subs, rows):
-        spectra = state_spectra(unvec(r[:, n_s : n_s + sub.dim_ancilla**2], sub.dim_ancilla))
+    for j, (sub, r) in enumerate(zip(subs, rows)):
+        spectra = state_spectra(unvec(r[: len(range(j, k, m)), n_s : n_s + sub.dim_ancilla**2], sub.dim_ancilla))
         if sub.ancilla_kernel.shape[1]:
             require_support(spectra, sub.ancilla_kernel)
         ancillas.append(spectra)

@@ -13,14 +13,15 @@ The same matrices carry the time stepping and the rates.  One classical RK4
 step over ``h`` is the fixed matrix ``R(h) = sum_{k<=4} (hL)^k / k!``
 (:func:`rk4_propagator`), so the states of :func:`integrate` are powers of
 one matrix applied to ``vec(rho0)``.  :func:`powers` forms them by repeated
-squaring, as it does the round starts of a collision run, and the step
-states are gated in one batched pass into one spectrum stack, as a
-collision run's are.  The generator keeps the system Hamiltonian it is
-built from, so :func:`rate_columns` needs only the generator and a stack of
-states: it reads each species' work and heat rate, and the energy rate, off
-rows cached on the generator, since a row ``x.reshape(-1)`` dotted with
-``vec(rho)`` is ``tr(x rho)``, in one stacked matvec over all the states,
-and gates each state on its rank and its energy closure.
+squaring, as it does the round starts of a collision run, and
+:func:`gated_steps` gates the step states in one batched pass into one
+spectrum stack, as a collision run's are.  The generator keeps the system
+Hamiltonian it is built from, so :func:`rate_columns` needs only the
+generator and a stack of states: it reads each species' work and heat
+rate, and the energy rate, off rows cached on the generator, since a row
+``x.reshape(-1)`` dotted with ``vec(rho)`` is ``tr(x rho)``, in one stacked
+matvec over all the states, and gates each state on its rank and its energy
+closure.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .linalg import (
     reduced_superoperator,
     require_hermitian,
 )
-from .states import TRACE_TOL, AncillaSpec, DensityMatrix, state_spectra, thermal_state
+from .states import TRACE_TOL, AncillaSpec, DensityMatrix, first_failure, state_spectra, thermal_state
 
 FIRST_MOMENT_TOL = 1e-9
 EIGENOPERATOR_TOL = 1e-9
@@ -339,15 +340,11 @@ def integrate(
     :attr:`LindbladGenerator.norm`.  The whole ``dt`` steps are the
     :func:`powers` of ``R(dt)`` (:func:`rk4_propagator`) from its first
     step, and a remainder step is one more matvec with its own propagator.
-    The raw step matrices are then gated together by one
-    :func:`~qcollide.states.state_spectra` call, with positivity loosened
-    to ``-1e-6``, since a coarse but admissible step can push eigenvalues
-    slightly negative.  The trace is never renormalized.  When the stack
-    fails its gate, the steps are gated one at a time to find the first that
-    fails: with its trace off 1 by more than the state's own trace tolerance
-    it raises :class:`TraceDriftError`, otherwise :class:`PositivityLostError`.
-    Returns the end time of each step and the read-only spectrum stack of
-    the states there; like a trajectory record, neither holds ``rho0``.
+    The raw step matrices are then gated together by :func:`gated_steps`,
+    which raises at the first failing step.  The trace is never
+    renormalized.  Returns the end time of each step and the read-only
+    spectrum stack of the states there; like a trajectory record, neither
+    holds ``rho0``.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and > 0, got {dt!r}")
@@ -375,24 +372,33 @@ def integrate(
             state = powers(step, step @ state, raw[:n_whole])[-1]
         if len(steps) > n_whole:
             np.matmul(rk4_propagator(gen.matrix, remainder), state, out=raw[-1])
-        matrices = unvec(raw, gen.dim)
+        return times, gated_steps(unvec(raw, gen.dim), times)
+
+
+def gated_steps(matrices: np.ndarray, times: np.ndarray) -> Spectrum:
+    """Gate the stack ``(n, d, d)`` of step states at end times ``times`` in one pass; return their spectra.
+
+    One :func:`~qcollide.states.state_spectra` call gates the stack, with
+    positivity loosened to ``-1e-6``, since a coarse but admissible step can
+    push eigenvalues slightly negative.  When it fails,
+    :func:`~qcollide.states.first_failure` names the first failing step:
+    with its trace off 1 by more than the state's own trace tolerance it
+    raises :class:`TraceDriftError` at its time, otherwise
+    :class:`PositivityLostError`.
+    """
+
+    def gates(k: int) -> Spectrum:
         try:
-            return times, state_spectra(matrices, psd_tol=INTEGRATOR_PSD_TOL)
-        except (QCollideError, ValueError):
-            for t, rho in zip(times.tolist(), matrices):
-                _gate_step(t, rho)
-            raise
+            return state_spectra(matrices[:k], psd_tol=INTEGRATOR_PSD_TOL)
+        except (QCollideError, ValueError) as exc:
+            # Named after the last step of the prefix, the one first_failure raises for.
+            t, rho = float(times[k - 1]), matrices[k - 1]
+            drift = abs(float(rho.trace().real) - 1.0)
+            if drift > TRACE_TOL:
+                raise TraceDriftError(f"trace drifted by {drift:.3e} at t={t}") from exc
+            raise PositivityLostError(f"state left the positive cone at t={t}: {exc}") from exc
 
-
-def _gate_step(t: float, rho: np.ndarray) -> None:
-    """Gate one step's matrix, naming a failure as trace drift or lost positivity at ``t``."""
-    try:
-        DensityMatrix(rho, psd_tol=INTEGRATOR_PSD_TOL)
-    except (QCollideError, ValueError) as exc:
-        drift = abs(float(rho.trace().real) - 1.0)
-        if drift > TRACE_TOL:
-            raise TraceDriftError(f"trace drifted by {drift:.3e} at t={t}") from exc
-        raise PositivityLostError(f"state left the positive cone at t={t}: {exc}") from exc
+    return first_failure(gates, len(matrices))
 
 
 def steady_state(gen: LindbladGenerator) -> DensityMatrix:

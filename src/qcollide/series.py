@@ -1,5 +1,5 @@
 """Second-order perturbative series for entropies, coherence, relative
-entropy, the post-collision ancilla state, and ergotropy.
+entropy and the post-collision ancilla state.
 
 This module is the independent cross-check of the exact machinery: it never
 calls the collision engine or the generator builder, only the shared dense
@@ -263,18 +263,3 @@ def ancilla_coherence_change_series(
         PerturbedState(rho0=rho_th, direction=off / root_tau, epsilon=root_tau)
     )
     return before, after
-
-
-def ergotropy_series(spec: AncillaSpec) -> float:
-    """Ergotropy of the weakly coherent ancilla state, ``T * C`` at second order.
-
-    Uses the coherence series of the thermal reference perturbed along
-    ``chi`` with amplitude ``lam * sqrt(tau)``; requires ``beta > 0`` and
-    non-degenerate thermal populations.
-    """
-    if not (math.isfinite(spec.beta) and spec.beta > 0.0):
-        raise ValueError("ergotropy series needs beta > 0")
-    rho_th = DensityMatrix(_thermal_matrix(spec.h_ancilla, spec.beta))
-    _require_gaps(rho_th.eigenvalues)
-    ps = PerturbedState(rho0=rho_th, direction=spec.chi, epsilon=spec.coherence_amplitude)
-    return coherence_series(ps) / spec.beta

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .errors import (
     DiagonalCoherenceError,
     DimensionMismatchError,
     NotPositiveError,
+    QCollideError,
     SupportViolationError,
 )
 from .linalg import (
@@ -35,6 +37,8 @@ SUPPORT_EIGENVALUE_TOL = 1e-12
 SUPPORT_WEIGHT_TOL = 1e-9
 CHI_DIAGONAL_TOL = 1e-12
 
+T = TypeVar("T")
+
 
 class DensityMatrix:
     """Validated density matrix with a cached eigendecomposition.
@@ -44,7 +48,8 @@ class DensityMatrix:
     symmetrized matrix read-only together with its spectrum.  The von Neumann
     entropy is memoized on first use by :func:`von_neumann_entropy`.  A run's
     many states are not wrapped one by one: :func:`state_spectra` runs the
-    same gates on a stack in one pass and returns the stack's spectra.
+    same gates on a stack in one pass and returns the stack's spectra, and
+    :func:`first_failure` names the first state of a failing stack.
     """
 
     __slots__ = ("matrix", "spectrum", "_entropy")
@@ -125,6 +130,35 @@ def _require_positive(smallest, psd_tol: float) -> None:
     below = smallest < -psd_tol
     if below.any():
         raise NotPositiveError(f"density matrix has eigenvalue {np.ravel(smallest)[np.argmax(below)]:.3e}")
+
+
+def first_failure(gates: Callable[[int], T], n: int) -> T:
+    """``gates(n)``; when it raises, the error of the first of the ``n`` items that fails alone.
+
+    ``gates(k)`` gates the first ``k`` items of a stack in stage order and
+    raises :class:`~qcollide.errors.QCollideError` or ``ValueError`` on a
+    failure.  A stacked stage names its own first failure, which need not be
+    the first failing item.  Every gate is per item, so a prefix fails
+    exactly when it holds a failing item: the prefix lengths are bisected
+    down to the shortest failing one, ``k + 1``, and ``gates(k + 1)`` can
+    raise only item ``k``'s own error, in stage order.  A passing stack
+    takes one call, a failing one at most ``ceil(log2 n) + 2``.
+    """
+    try:
+        return gates(n)
+    except (QCollideError, ValueError) as exc:
+        error = exc
+    passing, failing = 0, n
+    while failing - passing > 1:
+        middle = (passing + failing) // 2
+        try:
+            gates(middle)
+            passing = middle
+        except (QCollideError, ValueError):
+            failing = middle
+    gates(failing)
+    # Gates that pass on a second call leave the stacked error standing.
+    raise error
 
 
 @dataclass(frozen=True, eq=False)

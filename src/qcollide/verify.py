@@ -15,8 +15,8 @@ species.
 The randomized suite uses each random config for one stroke only, so it
 builds no :class:`~qcollide.collisions.CollisionConfig` and no stroke
 matrix: it draws every sample first, then builds and strokes each
-``(d_S, d_A)`` group as stacks, with the gates of the one-sample route
-``collide(*random_collision(rng))``, and returns one :class:`SuiteSample`
+``(d_S, d_A)`` group as stacks, with the gates of one stroke of
+``rho, cfg = random_collision(rng)``, and returns one :class:`SuiteSample`
 of columns over the draws.  Trajectories, which reuse one config for many
 strokes, keep the cached stroke matrix; the convergence study reads the
 round-end state stack of :func:`~qcollide.collisions.run_trajectory`, ledger
@@ -32,14 +32,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .collisions import CollisionConfig, collide, energy_conserving, joint_unitaries, run_trajectory
+from .collisions import CollisionConfig, energy_conserving, joint_unitaries, run_trajectory
 from .errors import QCollideError
 from .lindblad import (
-    INTEGRATOR_PSD_TOL,
     LindbladGenerator,
-    _gate_step,
     coherent_generator,
     eigenoperator_dissipator,
+    gated_steps,
     integrate,
     multi_bath_generator,
     powers,
@@ -83,6 +82,7 @@ from .states import (
     coherence_in_basis,
     coherent_preparation,
     ergotropy_exact,
+    first_failure,
     free_energy,
     log_on_support,
     relative_entropy,
@@ -153,10 +153,10 @@ def rk4_round_states(gen: LindbladGenerator, rho0: DensityMatrix, tau: float, n_
     ``tau / substeps``, read at round ends only: one round is the map
     ``P = R(tau / substeps)^substeps`` of :func:`~qcollide.lindblad.rk4_propagator`,
     and the rows ``vec(rho_k)^T`` are its :func:`~qcollide.lindblad.powers`
-    from ``P vec(rho0)``.  The states are gated by one
-    :func:`~qcollide.states.state_spectra` call with positivity loosened to
-    ``-1e-6``; when that fails, the first failing round raises as a step
-    of ``integrate`` does, :class:`~qcollide.errors.TraceDriftError` or
+    from ``P vec(rho0)``.  The states are gated as the steps of
+    ``integrate`` are, by :func:`~qcollide.lindblad.gated_steps` at the
+    round ends, so the first failing round raises
+    :class:`~qcollide.errors.TraceDriftError` or
     :class:`~qcollide.errors.PositivityLostError` at its end time.
     """
     substeps = max(1, math.ceil(tau / min(DEFAULT_DT_TARGET, 0.09 / max(gen.norm, 1e-12))))
@@ -164,13 +164,7 @@ def rk4_round_states(gen: LindbladGenerator, rho0: DensityMatrix, tau: float, n_
     # A failing round is computed before the gate finds it; should one overflow, the gate rejects it.
     with np.errstate(over="ignore", invalid="ignore"):
         rows = powers(round_map, round_map @ vec(rho0.matrix), np.empty((n_rounds, gen.dim**2), dtype=complex))
-        matrices = unvec(rows, gen.dim)
-        try:
-            return state_spectra(matrices, psd_tol=INTEGRATOR_PSD_TOL)
-        except (QCollideError, ValueError):
-            for k, rho in enumerate(matrices, start=1):
-                _gate_step(k * tau, rho)
-            raise
+        return gated_steps(unvec(rows, gen.dim), np.arange(1, n_rounds + 1) * tau)
 
 
 def stroboscopic_deviation(
@@ -224,7 +218,7 @@ def entropic_identity_residuals() -> IdentityResiduals:
     r_mutual, r_rel, r_first, r_sigma = [], [], [], []
     for tau in IDENTITY_TAUS:
         cfg = three_level_collision(tau)
-        ledger = collide(rho_system, cfg).ledger
+        ledger = run_trajectory(rho_system, [cfg], 1).species_totals[cfg.label]
         beta = cfg.ancilla.beta
         c_before, c_after = ancilla_coherence_change_series(
             rho_system, cfg.ancilla, cfg.v_interaction
@@ -356,15 +350,15 @@ def random_collision_suite(seed: int, count: int, *, eigenoperator: bool = True)
     slack of the coherent-work bound.  Raises ``ValueError`` when ``count``
     is below 1, before any draw.
 
-    Entry ``k`` is ``collide(*random_collision(rng))`` for the ``k``-th
-    draw of ``SplitMix64(seed)``, computed in stacks: every sample is drawn
-    first, from one block of the stream
-    (:func:`~qcollide.presets.draw_collisions`), then each
-    ``(d_S, d_A)`` group is built by one
-    :func:`~qcollide.presets.collision_stack` and stroked in one batched
-    pass.  A failing gate raises the class and message that the one-sample
-    route raises, prefixed by ``"sample <k>: "`` for the first failing
-    sample ``k``.
+    Entry ``k`` is one stroke of ``rho, cfg = random_collision(rng)`` for
+    the ``k``-th draw of ``SplitMix64(seed)``, computed in stacks: every
+    sample is drawn first, from one block of the stream
+    (:func:`~qcollide.presets.draw_collisions`), then each ``(d_S, d_A)``
+    group is built by one :func:`~qcollide.presets.collision_stack` and
+    stroked in one batched pass.  Every gate is per sample, so a failing
+    gate raises, through :func:`~qcollide.states.first_failure` over the
+    samples in draw order, the class and message that the first failing
+    sample ``k`` raises alone, prefixed by ``"sample <k>: "``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
@@ -372,43 +366,35 @@ def random_collision_suite(seed: int, count: int, *, eigenoperator: bool = True)
     groups: dict[tuple[int, int], list[int]] = {}
     for index, draw in enumerate(draws):
         groups.setdefault(draw["dims"], []).append(index)
-    columns = np.empty((count, 5))
-    failures = []
-    for indices in groups.values():
-        try:
-            columns[indices] = _suite_columns([draws[i] for i in indices])
-        except (QCollideError, ValueError) as exc:
-            failures.append(_first_failure(draws, indices, exc))
-    if failures:
-        index, exc = min(failures, key=lambda failure: failure[0])
-        raise type(exc)(f"sample {index}: {exc}") from exc
+
+    def gates(k: int) -> np.ndarray:
+        columns = np.empty((k, 5))
+        for indices in groups.values():
+            indices = [i for i in indices if i < k]
+            if indices:
+                try:
+                    columns[indices] = _suite_columns([draws[i] for i in indices])
+                except (QCollideError, ValueError) as exc:
+                    # Named after the last sample of the prefix, the one first_failure raises for.
+                    raise type(exc)(f"sample {k - 1}: {exc}") from exc
+        return columns
+
     dims = np.array([draw["dims"] for draw in draws])
-    return SuiteSample(*dims.T, np.array([draw["tau"] for draw in draws]), *columns.T)
-
-
-def _first_failure(draws: list[dict], indices: list[int], error: Exception) -> tuple[int, Exception]:
-    """The first sample of a failed group that fails on its own, with its error."""
-    for index in indices:
-        try:
-            _suite_columns([draws[index]])
-        except (QCollideError, ValueError) as exc:
-            return index, exc
-    return indices[0], error
+    return SuiteSample(*dims.T, np.array([draw["tau"] for draw in draws]), *first_failure(gates, count).T)
 
 
 def _suite_columns(draws: list[dict]) -> np.ndarray:
     """``Sigma, I, Srel, work_scaled, coherent_bound_scaled`` of each draw of one ``(d_S, d_A)``.
 
-    One stroke per draw, as :func:`~qcollide.collisions.collide` makes it,
-    with stacked ``@`` and eigensolves: each unitary comes from a
-    batched eigensolve of the joint Hamiltonian, and the joint state
-    ``U (rho_S (x) rho_A) U^dag`` is traced down to both outputs.  The gates
-    of the one-sample route run on the stacks in its order: those of
-    :func:`~qcollide.collisions.build_unitary`, the ``chi`` diagonal check,
-    the state gates on ``rho_A``, the Hermiticity gate on the coherent
-    generator, the state gates on ``rho_S'`` and ``rho_A'``, the support
-    check of ``rho_A'`` where ``rho_A`` has a kernel, and the positivity of
-    the dephased populations.
+    One stroke per draw, with stacked ``@`` and eigensolves: each unitary
+    comes from a batched eigensolve of the joint Hamiltonian, and the joint
+    state ``U (rho_S (x) rho_A) U^dag`` is traced down to both outputs.  The
+    gates of one stroke of the draw's config run on the stacks in its order:
+    those of :func:`~qcollide.collisions.build_unitary`, the ``chi``
+    diagonal check, the state gates on ``rho_A``, the Hermiticity gate on
+    the coherent generator, the state gates on ``rho_S'`` and ``rho_A'``,
+    the support check of ``rho_A'`` where ``rho_A`` has a kernel, and the
+    positivity of the dephased populations.
     """
     stack = collision_stack(draws)
     dim_system, dim_ancilla = draws[0]["dims"]

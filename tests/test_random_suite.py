@@ -17,13 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcollide import presets
-from qcollide.collisions import collide
 from qcollide.errors import NotPositiveError, SupportViolationError
 from qcollide.presets import collision_stack, draw_collisions, random_collision
 from qcollide.rng import SplitMix64
 from qcollide.states import DensityMatrix
 from qcollide.verify import energy_scale, random_collision_suite
-from reference import scalar_draw
+from reference import collide, scalar_draw
 
 TOL = 1e-12
 COUNT = 12

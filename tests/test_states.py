@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcollide.errors import (
@@ -18,6 +18,7 @@ from qcollide.states import (
     AncillaSpec,
     DensityMatrix,
     ergotropy_exact,
+    first_failure,
     free_energy,
     relative_entropy,
     relative_entropy_of_coherence,
@@ -133,6 +134,38 @@ def test_one_bad_state_fails_the_stack_as_it_fails_alone(seed, d, n, position, k
         state_spectra(stack)
     assert type(alone.value) is SPOILED[kind]
     assert type(stacked.value) is SPOILED[kind]
+
+
+# The gate stages of a model stack, in order: each names its own first failure,
+# so a stacked pass names the first failing item only if it fails the first stage.
+STAGE_ERRORS = (ValueError, NotPositiveError)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data())
+def test_first_failure_names_the_first_failing_item_in_few_prefix_probes(data):
+    n = data.draw(st.integers(min_value=0, max_value=64))
+    stages = data.draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from(STAGE_ERRORS))) if n else {}
+    probes = []
+
+    def gates(k):
+        probes.append(k)
+        for error in STAGE_ERRORS:
+            failed = [i for i in range(k) if stages.get(i) is error]
+            if failed:
+                raise error(f"item {failed[0]}")
+        return f"{k} items passed"
+
+    if not stages:
+        assert first_failure(gates, n) == f"{n} items passed"
+        assert probes == [n]
+    else:
+        first = min(stages)
+        with pytest.raises(stages[first], match=f"^item {first}$") as caught:
+            first_failure(gates, n)
+        assert type(caught.value) is stages[first]
+        assert len(probes) <= math.ceil(math.log2(n)) + 2
+    assert all(0 <= k <= n for k in probes)
 
 
 class TestDensityMatrixStack:

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcollide.cli import POSITIVITY_BOUND
-from qcollide.collisions import CollisionLedger, collide, run_trajectory
+from qcollide.collisions import CollisionLedger, run_trajectory
 from qcollide.lindblad import coherent_generator, vec
 from qcollide.linalg import commutator, dag, kron, max_abs, partial_trace
 from qcollide.presets import maximally_mixed, qubit_collision, qutrit_ancilla_collision, random_collision
@@ -35,6 +35,7 @@ from qcollide.states import (
 from qcollide.verify import generator_for
 from reference import (
     ENGINE_ORACLE_TOL,
+    collide,
     dissipator_apply,
     mutual_information,
     record_deviations,
