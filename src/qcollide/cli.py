@@ -10,7 +10,9 @@ defaults; :func:`load_config` returns them, with ``scenario`` and
 ``output_dir``, as a plain dict.
 
 Every scenario prints one ``CHECK <name> PASS|FAIL value=<v> bound=<b>`` line
-per verification, writes ``report.json`` (and scenario-specific CSV files)
+per :class:`Check`, whose bound is a lower limit, an upper limit or a
+``[lo,hi]`` window, all inclusive (a ``_min`` or ``_max`` suffix is only part
+of a name), writes ``report.json`` (and scenario-specific CSV files)
 into the output directory, and exits 0 when all checks pass, 2 on any
 verification failure, 1 on input errors, an output location that cannot be
 written among them.  Outputs contain no timestamps and all randomness is
@@ -216,36 +218,41 @@ def load_config(path: str | Path) -> dict[str, Any]:
 
 @dataclass(frozen=True)
 class Check:
-    """One verification outcome destined for stdout and report.json."""
+    """One verification: ``value`` against a lower limit ``lo``, an upper limit ``hi``, or both as a window.
+
+    Its pass and its bound (the one limit, or ``[lo, hi]``) come from these
+    fields alone, never from its name.  Limits are inclusive, and a ``NaN``
+    value fails every one.
+    """
 
     name: str
     value: float
-    bound: object
-    passed: bool
+    lo: float | None = None
+    hi: float | None = None
 
     def __post_init__(self):
         # Numpy scalars print as np.float64(...) on the CHECK line and do not serialize to JSON.
         object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "passed", bool(self.passed))
 
+    @property
+    def passed(self) -> bool:
+        return (self.lo is None or self.value >= self.lo) and (self.hi is None or self.value <= self.hi)
 
-def _bound_text(bound: object) -> str:
-    if isinstance(bound, (list, tuple)):
-        return "[" + ",".join(repr(float(b)) for b in bound) + "]"
-    return repr(float(bound))
+    @property
+    def bound(self) -> float | list[float]:
+        limits = [float(b) for b in (self.lo, self.hi) if b is not None]
+        return limits if len(limits) == 2 else limits[0]
 
-
-def _limit_checks(rows) -> list[Check]:
-    """Checks from ``(name, value, bound)`` rows; ``*_max`` bounds are upper limits."""
-    return [
-        Check(name, value, bound, value <= bound if name.endswith("_max") else value >= bound)
-        for name, value, bound in rows
-    ]
+    @property
+    def line(self) -> str:
+        bound = self.bound
+        text = "[" + ",".join(map(repr, bound)) + "]" if isinstance(bound, list) else repr(bound)
+        return f"CHECK {self.name} {'PASS' if self.passed else 'FAIL'} value={self.value!r} bound={text}"
 
 
 def _window_checks(name: str, ratios: list[float], window: tuple[float, float]) -> list[Check]:
     lo, hi = window
-    return _limit_checks([(f"{name}_ratio_min", min(ratios), lo), (f"{name}_ratio_max", max(ratios), hi)])
+    return [Check(f"{name}_ratio_min", min(ratios), lo=lo), Check(f"{name}_ratio_max", max(ratios), hi=hi)]
 
 
 def _write(path: Path, text: str) -> None:
@@ -281,12 +288,12 @@ def _trajectory_checks(collision: CollisionConfig, n_steps: int, out_dir: Path) 
     _write_trajectory_csv(out_dir / "trajectory.csv", record, generator_for([collision]))
     rounds = record.rounds
     scale = energy_scale(collision.h_system, collision.ancilla.h_ancilla)
-    return _limit_checks([
-        ("entropy_production_min", rounds.entropy_production.min(), POSITIVITY_BOUND),
-        ("mutual_info_min", rounds.mutual_info.min(), POSITIVITY_BOUND),
-        ("ancilla_rel_entropy_min", rounds.rel_entropy_ancilla.min(), POSITIVITY_BOUND),
-        ("work_scaled_max", np.abs(rounds.work).max() / scale, WORK_BOUND),
-    ])
+    return [
+        Check("entropy_production_min", rounds.entropy_production.min(), lo=POSITIVITY_BOUND),
+        Check("mutual_info_min", rounds.mutual_info.min(), lo=POSITIVITY_BOUND),
+        Check("ancilla_rel_entropy_min", rounds.rel_entropy_ancilla.min(), lo=POSITIVITY_BOUND),
+        Check("work_scaled_max", np.abs(rounds.work).max() / scale, hi=WORK_BOUND),
+    ]
 
 
 def _prepared(collision: CollisionConfig) -> CollisionConfig:
@@ -330,9 +337,8 @@ def _convergence_check(data: list[tuple[float, float]], out_dir: Path) -> Check:
         out_dir / "convergence.csv",
         "tau,max_trace_distance\n" + "".join("%.17g,%.17g\n" % row for row in data),
     )
-    slope = loglog_slope([t for t, _ in data], [d for _, d in data])
     lo, hi = SLOPE_WINDOW
-    return Check("slope", slope, list(SLOPE_WINDOW), lo <= slope <= hi)
+    return Check("slope", loglog_slope([t for t, _ in data], [d for _, d in data]), lo=lo, hi=hi)
 
 
 def _scenario_converge(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
@@ -353,13 +359,13 @@ def _scenario_bound_check(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
         _SAMPLE_ROW % (index, d_s, d_a, *row) for index, (d_s, d_a, row) in enumerate(rows)
     ]
     _write(out_dir / "samples.csv", "\n".join(lines) + "\n")
-    return _limit_checks([
-        ("ancilla_rel_entropy_min", s.rel_entropy_ancilla.min(), POSITIVITY_BOUND),
-        ("entropy_production_min", s.entropy_production.min(), POSITIVITY_BOUND),
-        ("mutual_info_min", s.mutual_info.min(), POSITIVITY_BOUND),
-        ("work_scaled_max", s.work_scaled.max(), WORK_BOUND),
-        ("coherent_bound_scaled_min", s.coherent_bound_scaled.min(), COHERENT_BOUND_SCALE),
-    ])
+    return [
+        Check("ancilla_rel_entropy_min", s.rel_entropy_ancilla.min(), lo=POSITIVITY_BOUND),
+        Check("entropy_production_min", s.entropy_production.min(), lo=POSITIVITY_BOUND),
+        Check("mutual_info_min", s.mutual_info.min(), lo=POSITIVITY_BOUND),
+        Check("work_scaled_max", s.work_scaled.max(), hi=WORK_BOUND),
+        Check("coherent_bound_scaled_min", s.coherent_bound_scaled.min(), lo=COHERENT_BOUND_SCALE),
+    ]
 
 
 def _scenario_oracle_check(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
@@ -369,23 +375,18 @@ def _scenario_oracle_check(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
     checks += _window_checks("identity_mutual_info", halving_ratios(residuals.mutual_info), HALVING_WINDOW)
     checks += _window_checks("identity_rel_entropy", halving_ratios(residuals.rel_entropy), HALVING_WINDOW)
     checks += _window_checks("first_law", halving_ratios(residuals.first_law), HALVING_WINDOW)
-    checks += _limit_checks(
-        [("entropy_production_ratio_min", min(halving_ratios(residuals.entropy_production)), HALVING_WINDOW[0])]
-    )
+    entropy_ratios = halving_ratios(residuals.entropy_production)
+    checks.append(Check("entropy_production_ratio_min", min(entropy_ratios), lo=HALVING_WINDOW[0]))
     # Series residual orders on seeded random instances.
     for name, ratios in series_halving_ratios(cfg["seed"]).items():
         checks += _window_checks(f"{name}_series", ratios, SERIES_WINDOW)
     # Ergotropy-to-coherence ratio.
     deviations = ergotropy_ratio_deviations()
     worst_rise = max(deviations[i + 1] - deviations[i] for i in range(len(deviations) - 1))
-    checks.append(
-        Check("ergotropy_deviation_monotone", worst_rise, ERGOTROPY_RISE_BOUND, worst_rise <= ERGOTROPY_RISE_BOUND)
-    )
-    checks.append(
-        Check("ergotropy_deviation_mid", deviations[1], ERGOTROPY_MID_BOUND, deviations[1] <= ERGOTROPY_MID_BOUND)
-    )
+    checks.append(Check("ergotropy_deviation_monotone", worst_rise, hi=ERGOTROPY_RISE_BOUND))
+    checks.append(Check("ergotropy_deviation_mid", deviations[1], hi=ERGOTROPY_MID_BOUND))
     # Modified second law along the integrated flow of the qubit fixture.
-    checks += _limit_checks([("second_law_defect_max", max(modified_second_law_defects()), SECOND_LAW_BOUND)])
+    checks.append(Check("second_law_defect_max", max(modified_second_law_defects()), hi=SECOND_LAW_BOUND))
     return checks
 
 
@@ -403,9 +404,7 @@ def _scenario_multibath(cfg: dict[str, Any], out_dir: Path) -> list[Check]:
 
     # Two thermal qubit baths: stationary excited population from the jump rates.
     error = two_bath_population_error(gs, betas)
-    checks.append(
-        Check("steady_state_population_error", error, POPULATION_ERROR_BOUND, error <= POPULATION_ERROR_BOUND)
-    )
+    checks.append(Check("steady_state_population_error", error, hi=POPULATION_ERROR_BOUND))
     return checks
 
 
@@ -425,8 +424,7 @@ def run_scenario(cfg: dict[str, Any], out_dir: str | Path | None = None) -> int:
     target.mkdir(parents=True, exist_ok=True)
     checks = _SCENARIO_RUNNERS[cfg["scenario"]](cfg, target)
     for check in checks:
-        state = "PASS" if check.passed else "FAIL"
-        print(f"CHECK {check.name} {state} value={check.value!r} bound={_bound_text(check.bound)}")
+        print(check.line)
     report = {
         "scenario": cfg["scenario"],
         "seed": cfg.get("seed"),

@@ -397,7 +397,7 @@ def _record(rho0, tau, subs, rows, systems, ancillas) -> TrajectoryRecord:
     m, n_steps = len(subs), len(rows[0])
     s_system = shannon_entropy(systems.eigenvalues)
     # A stroke starts from the entropy of the state the previous one left; rho0's
-    # is taken, and memoized, only when a stroke reads it.
+    # is taken only when a stroke reads it.
     s_start = np.concatenate([[von_neumann_entropy(rho0)] if n_steps else [], s_system[:-1]])
     zero = np.zeros(len(fields(CollisionLedger)))
     rounds = zero

@@ -94,7 +94,6 @@ def thermal_first_moment(v_interaction, rho_thermal, dim_system: int, dim_ancill
 class SpeciesTerm:
     """Per-environment-species piece of the generator."""
 
-    label: str
     beta: float
     lam: float
     coherent_op: np.ndarray
@@ -162,23 +161,20 @@ class LindbladGenerator:
         )
 
 
-def multi_bath_generator(
-    h_system, species: list[tuple[AncillaSpec, np.ndarray]], labels: list[str]
-) -> LindbladGenerator:
+def multi_bath_generator(h_system, species: list[tuple[AncillaSpec, np.ndarray]]) -> LindbladGenerator:
     """Additive generator for several independent ancilla species.
 
-    Raises :class:`FirstMomentError` if an interaction has a thermal first moment.
+    ``species`` holds one ``(ancilla, interaction)`` pair per species; the
+    generator's terms and rates follow that order.  Raises
+    :class:`FirstMomentError` if an interaction has a thermal first moment.
     """
     if not species:
         raise ValueError("need at least one species")
-    if len(labels) != len(species):
-        raise ValueError("labels length does not match species")
     h_s = require_hermitian(h_system, name="h_system")
-    terms = [_species_term(h_s, spec, v, label) for (spec, v), label in zip(species, labels)]
-    return LindbladGenerator(h_s, terms)
+    return LindbladGenerator(h_s, [_species_term(h_s, spec, v) for spec, v in species])
 
 
-def _species_term(h_s: np.ndarray, spec: AncillaSpec, v_interaction, label: str) -> SpeciesTerm:
+def _species_term(h_s: np.ndarray, spec: AncillaSpec, v_interaction) -> SpeciesTerm:
     """Coherent drive and thermal dissipator of one species on the system of ``h_s``."""
     v = require_hermitian(v_interaction, name="v_interaction")
     dim_system = h_s.shape[0]
@@ -201,7 +197,7 @@ def _species_term(h_s: np.ndarray, spec: AncillaSpec, v_interaction, label: str)
     with np.errstate(over="ignore", invalid="ignore"):
         v2, eye = v @ v, np.eye(v.shape[0])
         dissipator = -0.5 * (term(v2, eye) + term(eye, v2) - 2.0 * term(v, v))
-    return SpeciesTerm(label=label, beta=spec.beta, lam=spec.lam, coherent_op=g, dissipator=dissipator)
+    return SpeciesTerm(beta=spec.beta, lam=spec.lam, coherent_op=g, dissipator=dissipator)
 
 
 @dataclass(frozen=True, eq=False)

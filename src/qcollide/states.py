@@ -45,14 +45,13 @@ class DensityMatrix:
 
     Construction gates on Hermiticity, unit trace and positive
     semidefiniteness (eigenvalues above ``-psd_tol``), then stores the
-    symmetrized matrix read-only together with its spectrum.  The von Neumann
-    entropy is memoized on first use by :func:`von_neumann_entropy`.  A run's
-    many states are not wrapped one by one: :func:`state_spectra` runs the
+    symmetrized matrix read-only together with its spectrum.  A run's many
+    states are not wrapped one by one: :func:`state_spectra` runs the
     same gates on a stack in one pass and returns the stack's spectra, and
     :func:`first_failure` names the first state of a failing stack.
     """
 
-    __slots__ = ("matrix", "spectrum", "_entropy")
+    __slots__ = ("matrix", "spectrum")
 
     def __init__(self, matrix, *, psd_tol: float = PSD_TOL):
         self._store(_gated(matrix, psd_tol, stack=False))
@@ -67,7 +66,6 @@ class DensityMatrix:
         spectrum.matrix.setflags(write=False)
         object.__setattr__(self, "matrix", spectrum.matrix)
         object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "_entropy", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")
@@ -291,10 +289,8 @@ def shannon_entropy(probs: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """``-sum p ln p`` over the eigenvalues, with ``0 ln 0 = 0``; computed once per state."""
-    if rho._entropy is None:
-        object.__setattr__(rho, "_entropy", float(shannon_entropy(rho.eigenvalues)))
-    return rho._entropy
+    """``-sum p ln p`` over the eigenvalues, with ``0 ln 0 = 0``."""
+    return float(shannon_entropy(rho.eigenvalues))
 
 
 def log_on_support(spectrum: Spectrum) -> np.ndarray:

@@ -124,11 +124,7 @@ def energy_scale(h_system, h_ancilla) -> np.ndarray:
 
 def generator_for(cfgs: Sequence[CollisionConfig]) -> LindbladGenerator:
     """Additive continuous-time generator matching a set of collision species."""
-    return multi_bath_generator(
-        cfgs[0].h_system,
-        [(cfg.ancilla, cfg.v_interaction) for cfg in cfgs],
-        labels=[cfg.label for cfg in cfgs],
-    )
+    return multi_bath_generator(cfgs[0].h_system, [(cfg.ancilla, cfg.v_interaction) for cfg in cfgs])
 
 
 def _whole_rounds(taus: Sequence[float], t_final: float) -> list[int]:

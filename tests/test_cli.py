@@ -5,6 +5,7 @@ import warnings
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,10 +13,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qcollide
+from qcollide import cli
 from qcollide.cli import (
     _ALLOWED_KEYS,
     _SCENARIO_KEYS,
+    ERGOTROPY_MID_BOUND,
+    ERGOTROPY_RISE_BOUND,
+    HALVING_WINDOW,
+    POPULATION_ERROR_BOUND,
     SECOND_LAW_BOUND,
+    SLOPE_WINDOW,
     ConfigError,
     load_config,
     main,
@@ -598,6 +605,74 @@ def test_load_config_rejects_or_returns_the_scenario_keys(tmp_path, doc):
         assert not isinstance(value, bool) and isinstance(value, (int, float, list, np.ndarray))
         assert isinstance(value, list) == isinstance(default, list), key
         assert all_finite(value), key
+
+
+def identity_residuals(entropy_production_ratio=2.8):
+    """Identity residuals of one halving ratio each: 2.8, or ``entropy_production_ratio`` for the entropy production."""
+    passing = [2.8, 1.0]
+    return SimpleNamespace(
+        mutual_info=passing, rel_entropy=passing, first_law=passing, entropy_production=[entropy_production_ratio, 1.0]
+    )
+
+
+# Studies stubbed in cli's namespace with passing values, so that a scenario's
+# checks all pass until one row below moves one value.
+PASSING_STUDIES = {
+    "stroboscopic_deviation": lambda build, taus, t_final: [(0.04, 2e-3), (0.01, 1e-3)],
+    "loglog_slope": lambda xs, ys: 0.5,
+    "two_bath_population_error": lambda gs, betas: 0.0,
+    "entropic_identity_residuals": identity_residuals,
+    "series_halving_ratios": lambda seed: {"entropy": [8.0]},
+    "ergotropy_ratio_deviations": lambda: [0.0, 0.0, 0.0],
+    "modified_second_law_defects": lambda: [0.0],
+}
+# One row per check: its scenario, the study that gives its value, that study's
+# result for a check value v, and its lower and upper limits (None for no limit).
+CHECK_SIDES = {
+    "slope": ("converge", "loglog_slope", lambda v: lambda xs, ys: v, *SLOPE_WINDOW),
+    "steady_state_population_error": (
+        "multibath", "two_bath_population_error", lambda v: lambda gs, betas: v, None, POPULATION_ERROR_BOUND,
+    ),
+    "entropy_production_ratio_min": (
+        "oracle-check", "entropic_identity_residuals", lambda v: lambda: identity_residuals(v), HALVING_WINDOW[0], None,
+    ),
+    "ergotropy_deviation_monotone": (
+        "oracle-check", "ergotropy_ratio_deviations", lambda v: lambda: [0.0, v, v], None, ERGOTROPY_RISE_BOUND,
+    ),
+    "ergotropy_deviation_mid": (
+        "oracle-check", "ergotropy_ratio_deviations", lambda v: lambda: [v, v, v], None, ERGOTROPY_MID_BOUND,
+    ),
+    "second_law_defect_max": (
+        "oracle-check", "modified_second_law_defects", lambda v: lambda: [v], None, SECOND_LAW_BOUND,
+    ),
+}
+SIDE_CASES = [
+    case
+    for name, (_, _, _, lo, hi) in CHECK_SIDES.items()
+    for limit, outward in ((lo, -math.inf), (hi, math.inf))
+    if limit is not None
+    for case in (
+        pytest.param(name, limit, True, id=f"{name}-on {limit!r}"),
+        pytest.param(name, np.nextafter(limit, outward), False, id=f"{name}-one float past {limit!r}"),
+    )
+] + [pytest.param(name, math.nan, False, id=f"{name}-nan") for name in CHECK_SIDES]
+
+
+@pytest.mark.parametrize("name, value, passes", SIDE_CASES)
+def test_check_passes_inside_its_inclusive_limits_only(tmp_path, capsys, monkeypatch, name, value, passes):
+    scenario, study, result, lo, hi = CHECK_SIDES[name]
+    for stub, fake in PASSING_STUDIES.items():
+        monkeypatch.setattr(cli, stub, fake)
+    monkeypatch.setattr(cli, study, result(float(value)))
+    code = run_scenario(load_config(CONFIG_DIR / f"{scenario}.json"), out_dir=tmp_path)
+    assert code == (0 if passes else 2)
+    lines = capsys.readouterr().out.splitlines()
+    bound = f"[{lo!r},{hi!r}]" if lo is not None and hi is not None else repr(hi if lo is None else lo)
+    state = "PASS" if passes else "FAIL"
+    assert f"CHECK {name} {state} value={float(value)!r} bound={bound}" in lines
+    assert passes == all(" PASS " in line for line in lines)
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert [c["pass"] for c in report["checks"] if c["name"] == name] == [passes]
 
 
 class TestSubprocessDeterminism:

@@ -1,8 +1,10 @@
+import copy
 import math
 import re
 import time
 import warnings
 from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,67 +83,81 @@ class TestBuildUnitary:
         assert max_abs(commutator(u, cfg.free_hamiltonian)) <= 1e-10
 
 
+def one_stroke(rho, cfg):
+    """``collide`` read off the shipped engine: the state and ledger of a one-stroke run."""
+    record = run_trajectory(rho, [cfg], 1)
+    return SimpleNamespace(system=DensityMatrix(record.states[0].matrix), ledger=record.species_totals[cfg.label])
+
+
+# Each stroke test runs on the one-state oracle and on the shipped engine.
+STROKES = (collide, one_stroke)
+
+
 class TestCollide:
     def test_no_interaction_is_inert(self):
         # free evolution with a commuting system state and thermal ancillae
         spec = AncillaSpec(qubit_hamiltonian(), LN3, SIGMA_X.copy(), 0.0, 1e-2)
         cfg = CollisionConfig(qubit_hamiltonian(), np.zeros((4, 4)), spec)
         rho = DensityMatrix(np.diag([0.3, 0.7]))
-        out = collide(rho, cfg)
-        assert max_abs(out.system.matrix - rho.matrix) <= 1e-12
-        for name in (
-            "d_energy", "heat_ancilla", "work", "coherent_work", "incoherent_heat",
-            "entropy_production", "mutual_info", "rel_entropy_ancilla", "d_free_energy",
-        ):
-            assert abs(getattr(out.ledger, name)) <= 1e-12
+        for stroke in STROKES:
+            out = stroke(rho, cfg)
+            assert max_abs(out.system.matrix - rho.matrix) <= 1e-12
+            for name in (
+                "d_energy", "heat_ancilla", "work", "coherent_work", "incoherent_heat",
+                "entropy_production", "mutual_info", "rel_entropy_ancilla", "d_free_energy",
+            ):
+                assert abs(getattr(out.ledger, name)) <= 1e-12
 
     def test_global_gibbs_fixed_point(self):
         cfg = qubit_collision(lam=0.0, tau=5e-2)
         rho = thermal_state(cfg.h_system, LN3)
-        out = collide(rho, cfg)
-        assert abs(out.ledger.heat_ancilla) <= 1e-9
-        assert abs(out.ledger.entropy_production) <= 1e-9
-        assert trace_distance(out.system, rho) <= 1e-12
+        for stroke in STROKES:
+            out = stroke(rho, cfg)
+            assert abs(out.ledger.heat_ancilla) <= 1e-9
+            assert abs(out.ledger.entropy_production) <= 1e-9
+            assert trace_distance(out.system, rho) <= 1e-12
 
     def test_ledger_decomposition(self):
-        out = collide(maximally_mixed(2), qubit_collision(tau=1e-2))
-        led = out.ledger
-        assert led.entropy_production == led.mutual_info + led.rel_entropy_ancilla
-        assert led.work == led.d_energy + led.heat_ancilla
+        for stroke in STROKES:
+            led = stroke(maximally_mixed(2), qubit_collision(tau=1e-2)).ledger
+            assert led.entropy_production == led.mutual_info + led.rel_entropy_ancilla
+            assert led.work == led.d_energy + led.heat_ancilla
 
     def test_joint_entropy_is_unitary_invariant(self):
         cfg = qubit_collision(tau=2e-2)
         rho = DensityMatrix(np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]]))
-        out = collide(rho, cfg)
         u = cfg.unitary
         joint = DensityMatrix(u @ kron(rho.matrix, cfg.ancilla_state.matrix) @ dag(u))
         before = von_neumann_entropy(rho) + von_neumann_entropy(cfg.ancilla_state)
         assert abs(von_neumann_entropy(joint) - before) <= 1e-9
-        # the ledger's correlation entry is the joint-state mutual information
-        assert abs(mutual_information(joint, 2, 2) - out.ledger.mutual_info) <= 1e-12
+        for stroke in STROKES:
+            # the ledger's correlation entry is the joint-state mutual information
+            assert abs(mutual_information(joint, 2, 2) - stroke(rho, cfg).ledger.mutual_info) <= 1e-12
 
     def test_qubit_ledger_within_half_order_envelope(self):
         # finite-duration ledger agrees with the leading-order identities
         tau = 1e-3
         cfg = qubit_collision(tau=tau, lam=0.3)
-        led = collide(DensityMatrix(0.5 * np.eye(2)), cfg).ledger
         beta = cfg.ancilla.beta
-        d_coherence = led.coherence_after - led.coherence_before
         envelope = tau**1.5
-        assert abs(led.d_energy - (led.coherent_work + led.incoherent_heat)) <= envelope
-        assert abs(led.mutual_info - (-beta * led.d_free_energy - d_coherence)) <= envelope
-        assert abs(led.rel_entropy_ancilla - (beta * led.coherent_work + d_coherence)) <= envelope
-        assert abs(led.entropy_production - beta * (led.coherent_work - led.d_free_energy)) <= envelope
+        for stroke in STROKES:
+            led = stroke(DensityMatrix(0.5 * np.eye(2)), cfg).ledger
+            d_coherence = led.coherence_after - led.coherence_before
+            assert abs(led.d_energy - (led.coherent_work + led.incoherent_heat)) <= envelope
+            assert abs(led.mutual_info - (-beta * led.d_free_energy - d_coherence)) <= envelope
+            assert abs(led.rel_entropy_ancilla - (beta * led.coherent_work + d_coherence)) <= envelope
+            assert abs(led.entropy_production - beta * (led.coherent_work - led.d_free_energy)) <= envelope
 
     def test_ancilla_kernel_gates_the_stroke(self):
         # At beta = 40 the thermal ancilla's excited population is 4e-18, so
         # rho_A has a kernel and the support check of rho_A' runs every stroke.
         cfg = qubit_collision(beta=40.0, lam=0.0)
         assert cfg.ancilla_state.eigenvalues[0] < 1e-17
-        with pytest.raises(SupportViolationError):
-            collide(DensityMatrix(np.diag([1.0, 0.0])), cfg)
-        led = collide(DensityMatrix(np.diag([0.0, 1.0])), cfg).ledger
-        assert math.isfinite(led.rel_entropy_ancilla)
+        for stroke in STROKES:
+            with pytest.raises(SupportViolationError):
+                stroke(DensityMatrix(np.diag([1.0, 0.0])), cfg)
+            led = stroke(DensityMatrix(np.diag([0.0, 1.0])), cfg).ledger
+            assert math.isfinite(led.rel_entropy_ancilla)
 
 
 def _rephase_sampler_eigenvectors(monkeypatch):
@@ -206,10 +222,11 @@ class TestRandomizedPositivity:
         rng = SplitMix64(20260810)
         for _ in range(40):
             rho, cfg = random_collision(rng, eigenoperator=False)
-            led = collide(rho, cfg).ledger
-            assert led.entropy_production >= -1e-9
-            assert led.mutual_info >= -1e-9
-            assert led.rel_entropy_ancilla >= -1e-9
+            for stroke in STROKES:
+                led = stroke(rho, cfg).ledger
+                assert led.entropy_production >= -1e-9
+                assert led.mutual_info >= -1e-9
+                assert led.rel_entropy_ancilla >= -1e-9
 
 
 @pytest.fixture(scope="module")
@@ -279,14 +296,29 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def with_stroke_matrix(cfg, system_factor, ancilla_factor):
-    """``cfg`` with the system and ancilla rows of its stroke matrix scaled."""
-    n_s, n_a = cfg.dim_system**2, cfg.dim_ancilla**2
-    corrupted = cfg.stroke_matrix.copy()
-    corrupted[:n_s] *= system_factor
-    corrupted[n_s : n_s + n_a] *= ancilla_factor
-    cfg.__dict__["stroke_matrix"] = corrupted
-    return cfg
+def corrupt_strokes(monkeypatch, label, system_factor, ancilla_factor):
+    """Scale the system and ancilla rows of the stroke matrix that species ``label`` strokes.
+
+    A run of ``m`` species strokes ``cfg.subdivided(m)``, which is ``cfg``
+    itself only for ``m = 1``, so the scaling is patched in there, on a copy
+    of each sub-config: every run, of any number of species, strokes the
+    scaled rows, and strokes them scaled once.
+    """
+    real = CollisionConfig.subdivided
+
+    def subdivided(cfg, parts):
+        sub = real(cfg, parts)
+        if cfg.label != label:
+            return sub
+        sub = copy.copy(sub)
+        n_s, n_a = sub.dim_system**2, sub.dim_ancilla**2
+        corrupted = sub.stroke_matrix.copy()
+        corrupted[:n_s] *= system_factor
+        corrupted[n_s : n_s + n_a] *= ancilla_factor
+        sub.__dict__["stroke_matrix"] = corrupted
+        return sub
+
+    monkeypatch.setattr(CollisionConfig, "subdivided", subdivided)
 
 
 BAD_RUNS = {
@@ -342,27 +374,16 @@ class TestStroboscopicStates:
         # with the ancilla rows 5.5e-11 high as well, its output fails stroke 6.
         ids=["system trace drift", "ancilla trace", "ancilla fails before the system"],
     )
-    def test_failing_stroke_raises_as_in_trajectory(self, system_factor, ancilla_factor):
-        def run(fn):
-            cfg = with_stroke_matrix(qubit_collision(), system_factor, ancilla_factor)
-            return raised(fn, maximally_mixed(2), [cfg], 20)
-
-        expected = run(stroke_by_stroke_trajectory)
+    def test_failing_stroke_raises_as_in_trajectory(self, system_factor, ancilla_factor, monkeypatch):
+        corrupt_strokes(monkeypatch, "A", system_factor, ancilla_factor)
+        expected = raised(stroke_by_stroke_trajectory, maximally_mixed(2), [qubit_collision()], 20)
         assert expected is not None and expected[0] is ValueError
-        for fn in RUNS:
-            assert run(fn) == expected
-
+        assert raised(run_trajectory, maximally_mixed(2), [qubit_collision()], 20) == expected
 
     def test_a_stroke_failing_two_gates_raises_its_system_gate_first(self, monkeypatch):
         # Species B's system rows run 1.3e-11 high and its ancilla rows 1.56e-11: both of
         # its outputs leave the trace tolerance at its 8th stroke, the system output first.
-        real = CollisionConfig.subdivided
-
-        def subdivided(cfg, parts):
-            sub = real(cfg, parts)
-            return with_stroke_matrix(sub, 1.0 + 1.3e-11, 1.0 + 1.56e-11) if cfg.label == "B" else sub
-
-        monkeypatch.setattr(CollisionConfig, "subdivided", subdivided)
+        corrupt_strokes(monkeypatch, "B", 1.0 + 1.3e-11, 1.0 + 1.56e-11)
 
         def trace(fn):
             cfgs = [qubit_collision(label="A"), qubit_collision(beta=0.5, label="B")]
@@ -452,16 +473,13 @@ class TestTrajectoryMatchesReference:
             run_trajectory(maximally_mixed(2), cfgs, 10**15)
 
     def test_failing_run_raises_as_the_stroke_by_stroke_one_in_few_gate_passes(self, monkeypatch):
-        def run(fn):
-            # A qutrit ancilla, so that the system stacks are the gated stacks of dimension 2.
-            cfg = with_stroke_matrix(qutrit_ancilla_collision(), 1.0 + 1e-11, 1.0)
-            return raised(fn, maximally_mixed(2), [cfg], 20)
-
-        expected = run(stroke_by_stroke_trajectory)
+        # A qutrit ancilla, so that the system stacks are the gated stacks of dimension 2.
+        corrupt_strokes(monkeypatch, "A", 1.0 + 1e-11, 1.0)
+        expected = raised(stroke_by_stroke_trajectory, maximally_mixed(2), [qutrit_ancilla_collision()], 20)
         # The system trace leaves its tolerance at stroke 11.
         assert expected is not None and expected[0] is ValueError
         calls = count_calls(monkeypatch, collisions, "state_spectra")
-        assert run(run_trajectory) == expected
+        assert raised(run_trajectory, maximally_mixed(2), [qutrit_ancilla_collision()], 20) == expected
         passes = [stack for stack in calls if stack.shape[-1] == 2]
         assert len(passes) <= math.ceil(math.log2(20)) + 2
 

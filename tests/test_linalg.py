@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qcollide.errors import DimensionMismatchError, NonHermitianError, NonSquareError
@@ -119,6 +119,9 @@ class TestHermitianEig:
 
 
 EPS = np.finfo(float).eps
+# With every entry subnormal, 8 * EPS * max|m| underflows to 0.0, while the
+# eigenvalue error and the residual can be one subnormal spacing, LAPACK's too.
+SUBNORMAL_FLOOR = 4 * np.finfo(float).smallest_subnormal
 # Entries are a mantissa in [-1, 1] times a power of ten; the matrix scale runs
 # from 1e-300 to 1e300, and one entry may sit up to 1e-30 below it.
 mantissas = st.floats(min_value=-1.0, max_value=1.0)
@@ -148,6 +151,9 @@ def hermitian_2x2(draw):
 
 class TestClosedFormQubitEig:
     @given(st.lists(hermitian_2x2(), min_size=1, max_size=6))
+    @example([np.diag([0.0, 1e-309]).astype(complex)])
+    @example([np.array([[0.0, 1e-309], [1e-309, 1.25e-309]], dtype=complex)])
+    @example([np.array([[1e-309, 1e-309], [1e-309, 1.25e-309]], dtype=complex)])
     def test_spectra_match_lapack_to_round_off_without_warnings(self, matrices):
         stack = np.array(matrices)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -156,7 +162,7 @@ class TestClosedFormQubitEig:
             values = hermitian_eigvals(stack)
         for k, m in enumerate(matrices):
             w, v = spectra.eigenvalues[k], spectra.eigenvectors[k]
-            bound = 8 * EPS * np.abs(m).max()
+            bound = 8 * EPS * np.abs(m).max() + SUBNORMAL_FLOOR
             assert np.all(np.isfinite(w)) and np.all(np.isfinite(v))
             assert w[0] <= w[1]
             assert np.abs(w - np.linalg.eigvalsh(m)).max() <= bound

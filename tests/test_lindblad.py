@@ -57,9 +57,7 @@ def qubit_generator(lam=0.3, beta=LN3, g=1.0, omega=1.0):
 def with_dissipator(gen, change):
     """``gen`` with the dissipator of its one species replaced by ``change(dissipator)``."""
     term = gen.species[0]
-    broken = type(term)(
-        label="broken", beta=term.beta, lam=0.0, coherent_op=term.coherent_op, dissipator=change(term.dissipator)
-    )
+    broken = type(term)(beta=term.beta, lam=0.0, coherent_op=term.coherent_op, dissipator=change(term.dissipator))
     return LindbladGenerator(gen.h_system, [broken])
 
 
@@ -83,7 +81,7 @@ class TestBuildGenerator:
         spec = qubit_ancilla()
         v = kron(SIGMA_Z, SIGMA_Z)  # tr_A(V rho_th) = sz <sz>_th != 0
         with pytest.raises(FirstMomentError):
-            multi_bath_generator(qubit_hamiltonian(), [(spec, v)], ["A"])
+            multi_bath_generator(qubit_hamiltonian(), [(spec, v)])
 
     def test_overflowing_dissipator_is_rejected_without_warnings(self):
         # V^2 overflows at g = 1e300, so the thermal dissipator holds inf and NaN.
@@ -171,7 +169,7 @@ class TestEigenoperatorDissipator:
         chi = np.zeros((3, 3), dtype=complex)
         chi[0, 1] = chi[1, 0] = 1.0
         spec = AncillaSpec(h_ancilla=h, beta=0.8, chi=chi, lam=0.1, tau=1e-2)
-        gen = multi_bath_generator(h, [(spec, v)], ["A"])
+        gen = multi_bath_generator(h, [(spec, v)])
         _, dmat = eigenoperator_dissipator(couplings, h, 0.8, h_system=h)
         assert max_abs(gen.species[0].dissipator - dmat) <= 1e-9
 
@@ -179,7 +177,7 @@ class TestEigenoperatorDissipator:
 class TestIntegrate:
     def test_zero_generator(self):
         spec = AncillaSpec(np.zeros((2, 2)), 1.0, SIGMA_X.copy(), 0.0, 1e-2)
-        gen = multi_bath_generator(np.zeros((2, 2)), [(spec, np.zeros((4, 4)))], ["A"])
+        gen = multi_bath_generator(np.zeros((2, 2)), [(spec, np.zeros((4, 4)))])
         rho0 = DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]]))
         _, states = integrate(gen, rho0, 1.0, 0.05)
         assert max_abs(states.matrix[-1] - rho0.matrix) <= 1e-14
@@ -188,7 +186,7 @@ class TestIntegrate:
         # pure Hamiltonian flow: off-diagonal picks up exp(-i omega t)
         omega = 1.0
         spec = qubit_ancilla(omega=omega, lam=0.0)
-        gen = multi_bath_generator(qubit_hamiltonian(omega), [(spec, np.zeros((4, 4)))], ["A"])
+        gen = multi_bath_generator(qubit_hamiltonian(omega), [(spec, np.zeros((4, 4)))])
         plus = DensityMatrix(0.5 * np.array([[1.0, 1.0], [1.0, 1.0]]))
         _, states = integrate(gen, plus, 1.0, 5e-3)
         final = states.matrix[-1]
@@ -220,7 +218,7 @@ class TestIntegrate:
         # An infinite-temperature bath relaxes the population imbalance at rate 1, which
         # an all-ones power-iteration start never sees: it estimated ||L|| as 0.5.
         spec = qubit_ancilla(beta=0.0, lam=0.0)
-        gen = multi_bath_generator(np.zeros((2, 2)), [(spec, qubit_exchange_interaction(1.0))], ["A"])
+        gen = multi_bath_generator(np.zeros((2, 2)), [(spec, qubit_exchange_interaction(1.0))])
         assert gen.norm == np.linalg.norm(gen.matrix, 2)
         assert abs(gen.norm - 1.0) <= 1e-12
         with pytest.raises(StepSizeError, match="exceeds stability bound 1.000e-01"):
@@ -314,7 +312,6 @@ class TestSteadyState:
         gen = multi_bath_generator(
             hot.h_system,
             [(hot.ancilla, hot.v_interaction), (cold.ancilla, cold.v_interaction)],
-            labels=["hot", "cold"],
         )
         stationary = steady_state(gen)
         up = down = 0.0
@@ -333,7 +330,7 @@ class TestSteadyState:
     def test_degenerate_generator_detected(self):
         # pure free evolution: every diagonal state is stationary
         spec = qubit_ancilla(lam=0.0)
-        gen = multi_bath_generator(qubit_hamiltonian(), [(spec, np.zeros((4, 4)))], ["A"])
+        gen = multi_bath_generator(qubit_hamiltonian(), [(spec, np.zeros((4, 4)))])
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(gen)
 
@@ -446,6 +443,5 @@ class TestMultiBath:
         double = multi_bath_generator(
             cfg.h_system,
             [(cfg.ancilla, cfg.v_interaction), (cfg.ancilla, cfg.v_interaction)],
-            ["A", "B"],
         )
         assert max_abs(double.dissipator - 2.0 * single.dissipator) <= 1e-12

@@ -144,7 +144,7 @@ def test_stroke_outputs_are_states(seed, eigenoperator):
 
 @stroke_settings
 @given(seeds, st.booleans())
-def test_memoized_entropy_matches_fresh_spectrum(seed, eigenoperator):
+def test_entropy_matches_fresh_spectrum(seed, eigenoperator):
     rho, cfg = draw(seed, eigenoperator)
     out = collide(rho, cfg)
     for state in (rho, out.system, out.ancilla, cfg.ancilla_state):
@@ -152,25 +152,6 @@ def test_memoized_entropy_matches_fresh_spectrum(seed, eigenoperator):
         p = p[p > 0.0]
         fresh = float(-(p * np.log(p)).sum())
         assert abs(von_neumann_entropy(state) - fresh) <= TOL
-
-
-def test_entropy_is_computed_once_per_state(monkeypatch):
-    calls = []
-    original = states.shannon_entropy
-
-    def counting(probs):
-        calls.append(1)
-        return original(probs)
-
-    monkeypatch.setattr(states, "shannon_entropy", counting)
-    rho, cfg = draw(5, False)
-    out = collide(rho, cfg)
-    calls.clear()
-    for state in (rho, out.system, out.ancilla, cfg.ancilla_state):
-        first = von_neumann_entropy(state)
-        assert state._entropy == first
-        assert von_neumann_entropy(state) == first
-    assert calls == []
 
 
 @stroke_settings
